@@ -137,11 +137,14 @@ def quantize(coeffs: CoefficientStream, qstep: float) -> QuantizedStream:
     def q(x):
         return np.sign(x) * np.floor(np.abs(x) / qstep + 0.5)
 
-    return QuantizedStream(
-        qstep=qstep,
-        dc_q=int(q(coeffs.dc)),
-        highs_q=q(coeffs.highs).astype(np.int64),
-    )
+    with np.errstate(over="ignore"):  # an infinite quotient fails the check below
+        dc, highs = q(coeffs.dc), q(coeffs.highs)
+    # a cast of a magnitude >= 2^63 to int64 wraps silently
+    if not (abs(dc) < 2.0**63 and (np.abs(highs) < 2.0**63).all()):
+        raise InvalidConfigError(
+            f"qstep {qstep} is too small: a quantized coefficient does not fit in int64"
+        )
+    return QuantizedStream(qstep=qstep, dc_q=int(dc), highs_q=highs.astype(np.int64))
 
 
 def dequantize(qs: QuantizedStream) -> CoefficientStream:

@@ -95,6 +95,8 @@ def _parse_ply_header(f, path):
         if tokens[0] == "end_header":
             break
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise MalformedFileError(f"{path}:{line_no}: format line names no format")
             if tokens[1] == "ascii":
                 is_binary = False
             elif tokens[1] == "binary_little_endian":
@@ -106,10 +108,17 @@ def _parse_ply_header(f, path):
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise MalformedFileError(f"{path}:{line_no}: malformed element line")
+            if not tokens[2].isdigit():
+                raise MalformedFileError(
+                    f"{path}:{line_no}: element count '{tokens[2]}' is not a "
+                    "non-negative integer"
+                )
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
                 raise MalformedFileError(f"{path}:{line_no}: property before any element")
+            if len(tokens) < 3:
+                raise MalformedFileError(f"{path}:{line_no}: malformed property line")
             if tokens[1] == "list":
                 elements[-1][2].append((tokens[-1], "list"))
             else:
@@ -161,6 +170,15 @@ def load_ply(path) -> PointCloud:
             data = np.frombuffer(raw, dtype=dtype)
             columns = {name: data[name].astype(np.float64) for name in names}
         else:
+            # each row holds len(props) tokens, each of at least one byte and
+            # one separator, so a count the file cannot hold is rejected here
+            # rather than allocated
+            remaining = os.fstat(f.fileno()).st_size - f.tell()
+            if count and 2 * len(props) * count - 1 > remaining:
+                raise MalformedFileError(
+                    f"{path}: header declares {count} vertices but only "
+                    f"{remaining} bytes of vertex data follow"
+                )
             rows = np.empty((count, len(props)))
             for i in range(count):
                 line = f.readline()
@@ -277,16 +295,20 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
     az_idx = np.tile(np.arange(n_az), spec.beam_count)
 
     cos_el = np.cos(el)
-    dirs = np.column_stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)])
+    dirs = (cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el))  # one array per axis
     origin = np.array([0.0, 0.0, spec.sensor_height])
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dirs[:, 2] < 0.0, -spec.sensor_height / dirs[:, 2], np.inf)
+        t = np.where(dirs[2] < 0.0, -spec.sensor_height / dirs[2], np.inf)
         for lo, hi in zip(box_lo, box_hi):
-            t1 = (lo - origin) / dirs
-            t2 = (hi - origin) / dirs
-            t_near = np.nanmax(np.minimum(t1, t2), axis=1)
-            t_far = np.nanmin(np.maximum(t1, t2), axis=1)
+            # slab test one axis at a time; fmax/fmin skip the NaN of a 0/0
+            # slab, and no ray has all three direction components zero
+            t_near, t_far = -np.inf, np.inf
+            for axis in range(3):
+                t1 = (lo[axis] - origin[axis]) / dirs[axis]
+                t2 = (hi[axis] - origin[axis]) / dirs[axis]
+                t_near = np.fmax(t_near, np.minimum(t1, t2))
+                t_far = np.fmin(t_far, np.maximum(t1, t2))
             hit = (t_far >= t_near) & (t_far > 0.0) & (t_near > 1e-9)
             t = np.where(hit & (t_near < t), t_near, t)
 
@@ -294,7 +316,7 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
         t = t + rng.normal(0.0, spec.noise_sigma, t.shape)
     keep = np.isfinite(t) & (t > 0.0) & (t <= spec.max_range)
     t = t[keep]
-    xyz = origin + t[:, None] * dirs[keep]
+    xyz = np.column_stack([origin[axis] + t * dirs[axis][keep] for axis in range(3)])
 
     if spec.intensity_model == "constant":
         attrs = np.full(t.shape, 128.0)

@@ -16,6 +16,32 @@ from .errors import InvalidInputError
 
 MAX_DEPTH = 21
 
+# Magic-number interleave: step i moves the bits of a 21-bit value apart by
+# _SHIFTS[i] and leaves them where _MASKS[i + 1] is set, so after the last
+# step bit b sits at bit 3 * b. Compaction runs the steps backwards.
+_SHIFTS = (32, 16, 8, 4, 2)
+_MASKS = (
+    0x1FFFFF,
+    0x1F00000000FFFF,
+    0x1F0000FF0000FF,
+    0x100F00F00F00F00F,
+    0x10C30C30C30C30C3,
+    0x1249249249249249,
+)
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    for i, shift in enumerate(_SHIFTS):
+        v = (v | (v << shift)) & _MASKS[i + 1]
+    return v
+
+
+def _compact(v: np.ndarray) -> np.ndarray:
+    v = v & _MASKS[-1]
+    for i in reversed(range(len(_SHIFTS))):
+        v = (v | (v >> _SHIFTS[i])) & _MASKS[i]
+    return v
+
 
 def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
     """Interleave (N, 3) per-axis bin indices into (N,) int64 codes."""
@@ -26,12 +52,7 @@ def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
         raise InvalidInputError(f"expected (N, 3) indices, got shape {ijk.shape}")
     if ijk.size and (ijk.min() < 0 or ijk.max() >= (1 << depth)):
         raise InvalidInputError(f"indices outside [0, 2^{depth})")
-    codes = np.zeros(ijk.shape[0], dtype=np.int64)
-    for b in range(depth):
-        codes |= ((ijk[:, 0] >> b) & 1) << (3 * b)
-        codes |= ((ijk[:, 1] >> b) & 1) << (3 * b + 1)
-        codes |= ((ijk[:, 2] >> b) & 1) << (3 * b + 2)
-    return codes
+    return _spread(ijk[:, 0]) | (_spread(ijk[:, 1]) << 1) | (_spread(ijk[:, 2]) << 2)
 
 
 def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
@@ -39,9 +60,5 @@ def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     codes = np.asarray(codes, dtype=np.int64)
-    ijk = np.zeros((codes.shape[0], 3), dtype=np.int64)
-    for b in range(depth):
-        ijk[:, 0] |= ((codes >> (3 * b)) & 1) << b
-        ijk[:, 1] |= ((codes >> (3 * b + 1)) & 1) << b
-        ijk[:, 2] |= ((codes >> (3 * b + 2)) & 1) << b
-    return ijk
+    keep = (1 << depth) - 1  # bits above 3 * depth are not part of the code
+    return np.column_stack([_compact(codes >> axis) & keep for axis in range(3)])

@@ -18,6 +18,17 @@ from .morton import MAX_DEPTH
 from .voxelizer import VoxelizedCloud
 
 
+def _parents(codes: np.ndarray) -> np.ndarray:
+    """Distinct parent codes of strictly increasing ``codes``, ascending.
+
+    Shifting a strictly increasing array keeps it non-decreasing, so
+    equal parents are adjacent and one comparison with the neighbour
+    dedupes them in linear time.
+    """
+    shifted = codes >> 3
+    return shifted[np.r_[True, shifted[1:] != shifted[:-1]]]
+
+
 @dataclass(frozen=True)
 class Octree:
     """Per-level sorted occupied-node codes; level 0 is the root, level
@@ -43,7 +54,7 @@ class Octree:
         for lvl, codes in enumerate(self.levels[1:], start=1):
             if codes.size == 0 or (np.diff(codes) <= 0).any():
                 raise InvalidInputError(f"level {lvl} codes must be strictly increasing")
-            parents = np.unique(codes >> 3)
+            parents = _parents(codes)
             if parents.size != self.levels[lvl - 1].size or (
                 parents != self.levels[lvl - 1]
             ).any():
@@ -88,7 +99,7 @@ def octree_from_leaf_codes(
         raise InvalidInputError("leaf codes must be strictly increasing")
     levels = [codes]
     for _ in range(depth):
-        levels.append(np.unique(levels[-1] >> 3))
+        levels.append(_parents(levels[-1]))
     levels.reverse()
     return Octree(
         depth=depth,
@@ -150,9 +161,9 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
                 offset=pos + int(zero[0]),
             )
         pos += nodes.size
-        bits = np.unpackbits(occupancy[:, None], axis=1, bitorder="little")
-        row, child_bit = np.nonzero(bits)  # row-major: parents and bits ascending
-        levels.append((nodes[row] << 3) | child_bit)
+        # bit 8*i + b is child b of node i: parents and bits come out ascending
+        flat = np.flatnonzero(np.unpackbits(occupancy, bitorder="little"))
+        levels.append((nodes[flat >> 3] << 3) | (flat & 7))
     if pos != len(data):
         raise CorruptStreamError(
             f"{len(data) - pos} trailing bytes after occupancy stream at offset {pos}",

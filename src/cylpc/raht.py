@@ -66,7 +66,8 @@ class CoefficientStream:
 
 @dataclass(frozen=True)
 class _Pass:
-    """One pairing pass: node count on entry, pair positions and butterfly gains."""
+    """One pairing pass: node count on entry, pair positions, the mask of
+    nodes that survive the pass and the butterfly gains."""
 
     size: int
     left: np.ndarray
@@ -86,7 +87,6 @@ def _merge_plan(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[_Pas
         left = np.flatnonzero(pair)
         keep = np.ones(codes.size, dtype=bool)
         keep[left + 1] = False
-        keep = np.flatnonzero(keep)
         w1 = weights[left]
         w2 = weights[left + 1]
         scale = np.sqrt(w1 + w2)

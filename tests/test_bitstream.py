@@ -9,6 +9,7 @@ import pytest
 from cylpc import (
     CoordinateSystem,
     CorruptStreamError,
+    InvalidConfigError,
     PointCloud,
     SweepSpec,
     decode_cloud,
@@ -60,6 +61,13 @@ def test_attribute_mse_bound_over_qsteps(cloud, qstep):
                                      log_radial=True))
     mse = float(np.mean((decoded.leaf_attributes - vc.attributes) ** 2))
     assert mse <= qstep * qstep / 4.0
+
+
+def test_qstep_too_fine_for_int64_rejected(cloud):
+    # at 1e-20 the quantized coefficients wrapped on the int64 cast and
+    # decoded voxel means came back off by tens of intensity levels
+    with pytest.raises(InvalidConfigError, match="does not fit in int64"):
+        encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=1e-20)
 
 
 def test_encode_is_deterministic(cloud):

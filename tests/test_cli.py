@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,48 @@ def test_exit_code_2_on_bad_parameters(tmp_path, small_ply, capsys):
                "--r-min", "1e9", "--out", tmp_path / "x.cyl") == 2
     assert run("rd-sweep", small_ply, "--qsteps", "a,b,c,d",
                "--csv", tmp_path / "x.csv") == 2
+
+
+def test_exit_code_2_on_qstep_too_fine_for_int64(tmp_path, small_ply, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy cast warning either
+        code = run("encode", small_ply, "--qstep", "1e-20", "--out", tmp_path / "x.cyl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: qstep 1e-20 is too small")
+    assert not (tmp_path / "x.cyl").exists()
+
+
+PLY_TAIL = (
+    "property float x\nproperty float y\nproperty float z\n"
+    "property float intensity\nend_header\n1 2 3 4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "header,line,message",
+    [
+        ("ply\nformat ascii 1.0\nelement vertex abc\n", 3, "element count 'abc'"),
+        ("ply\nformat\nelement vertex 1\n", 2, "format line names no format"),
+        ("ply\nformat ascii 1.0\nelement vertex -5\n", 3, "element count '-5'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n", 4,
+         "malformed property line"),
+    ],
+    ids=["count-abc", "bare-format", "count-negative", "short-property"],
+)
+def test_exit_code_3_on_malformed_ply_header(tmp_path, capsys, header, line, message):
+    bad = tmp_path / "bad.ply"
+    bad.write_text(header + PLY_TAIL)
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    err = capsys.readouterr().err
+    assert f"bad.ply:{line}: {message}" in err
+
+
+def test_exit_code_3_on_vertex_count_beyond_ascii_file_size(tmp_path, capsys):
+    bad = tmp_path / "huge.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex 100000000000000\n" + PLY_TAIL)
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    assert "declares 100000000000000 vertices" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

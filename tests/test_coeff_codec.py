@@ -57,6 +57,25 @@ def test_invalid_qstep():
             quantize(coeffs, bad)
 
 
+def test_qstep_that_overflows_int64_rejected():
+    coeffs = CoefficientStream(dc=100.0, highs=np.array([0.5, -300.0]))
+    for qstep in (1e-20, 1e-300, 5e-324):
+        with pytest.raises(InvalidConfigError, match="does not fit in int64"):
+            quantize(coeffs, qstep)
+    # only the dc overflows
+    with pytest.raises(InvalidConfigError):
+        quantize(CoefficientStream(dc=1e4, highs=np.zeros(3)), 1e-16)
+
+
+def test_largest_int64_magnitudes_kept_exactly():
+    top = 2.0**63 - 1024  # the largest float64 below 2^63
+    qs = quantize(CoefficientStream(dc=-top, highs=np.array([top, 2.0**62])), 1.0)
+    assert qs.dc_q == -(2**63 - 1024)
+    assert qs.highs_q.tolist() == [2**63 - 1024, 2**62]
+    with pytest.raises(InvalidConfigError):
+        quantize(CoefficientStream(dc=0.0, highs=np.array([2.0**63])), 1.0)
+
+
 # ------------------------------------------------------------------- rlgr
 
 

@@ -144,6 +144,20 @@ def test_ply_header_errors_carry_line_numbers(tmp_path):
         load_ply(path)
 
 
+def test_ascii_vertex_count_checked_against_file_size(tmp_path):
+    header = (
+        "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n"
+        "property float y\nproperty float z\nproperty uchar intensity\nend_header\n"
+    )
+    path = tmp_path / "tight.ply"
+    # the fewest bytes two rows can take: one-digit values, no final newline
+    path.write_text(header.format(2) + "1 2 3 4\n5 6 7 8")
+    assert len(load_ply(path)) == 2
+    path.write_text(header.format(3) + "1 2 3 4\n5 6 7 8")
+    with pytest.raises(MalformedFileError, match="declares 3 vertices but only 15 bytes"):
+        load_ply(path)
+
+
 def test_ply_truncated_binary_rejected(tmp_path):
     path = tmp_path / "short.ply"
     header = (

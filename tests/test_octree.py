@@ -7,6 +7,7 @@ from cylpc import (
     CoordinateSystem,
     CorruptStreamError,
     InvalidInputError,
+    Octree,
     PointCloud,
     build_octree,
     deserialize,
@@ -78,6 +79,19 @@ def test_round_trip_500_random_sets():
         np.testing.assert_array_equal(back.leaves, codes)
 
 
+def test_round_trip_restores_every_level():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        depth = int(rng.integers(1, 12))
+        codes = random_leaf_codes(rng, depth, 400)
+        ot = octree_from_leaf_codes(codes, depth)
+        back = deserialize(serialize(ot), depth)
+        assert len(back.levels) == depth + 1
+        for built, decoded in zip(ot.levels, back.levels):
+            assert decoded.dtype == np.int64
+            np.testing.assert_array_equal(decoded, built)
+
+
 def test_stream_length_equals_internal_node_count_and_is_monotone():
     rng = np.random.default_rng(3)
     depth = 6
@@ -142,3 +156,39 @@ def test_invalid_leaf_codes_rejected():
         octree_from_leaf_codes(np.array([3, 3]), 1)
     with pytest.raises(InvalidInputError):
         octree_from_leaf_codes(np.array([], dtype=np.int64), 1)
+
+
+def levels(*lists):
+    return tuple(np.array(codes, dtype=np.int64) for codes in lists)
+
+
+def test_octree_accepts_a_closed_tree():
+    ot = Octree(depth=2, levels=levels([0], [1, 2], [8, 15, 17]))
+    assert ot.n_leaves == 3
+    assert ot.n_internal_nodes == 3
+
+
+@pytest.mark.parametrize("level", [[2, 1], [1, 1]])
+def test_octree_rejects_non_increasing_level(level):
+    with pytest.raises(InvalidInputError, match="level 1 codes must be strictly increasing"):
+        Octree(depth=1, levels=levels([0], level))
+    with pytest.raises(InvalidInputError, match="level 2 codes must be strictly increasing"):
+        Octree(depth=2, levels=levels([0], [1], [i + 8 for i in level]))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ([0], [1], [2, 9]),  # leaf 2 has parent 0, absent from level 1
+        ([0], [1], [2]),  # same node count, wrong parent
+        ([0], [1, 2], [9]),  # node 2 has no child
+    ],
+)
+def test_octree_rejects_levels_that_are_not_closed(tree):
+    with pytest.raises(InvalidInputError, match="level 2 violates parent closure"):
+        Octree(depth=2, levels=levels(*tree))
+
+
+def test_octree_rejects_a_level_above_the_root():
+    with pytest.raises(InvalidInputError, match="level 1 violates parent closure"):
+        Octree(depth=1, levels=levels([0], [8]))
