@@ -1,5 +1,6 @@
 """Container round-trips, rate accounting and corruption handling."""
 
+import hashlib
 import math
 import struct
 
@@ -34,6 +35,24 @@ ALL_MODES = [
     (CoordinateSystem.CYLINDRICAL, 7, False),
     (CoordinateSystem.CYLINDRICAL, 7, True),
 ]
+
+
+# sha256 of encode_cloud(cloud, ..., qstep=4) per mode; any change to the
+# stream layout, the octree, the transform, the quantizer or RLGR shows here
+GOLDEN_SHA256 = {
+    (CoordinateSystem.CARTESIAN, 8, False):
+        "337fc76d2dca7381e61f376c2c8812981a0126bde0f1e4e6be237abef1f42c5e",
+    (CoordinateSystem.CYLINDRICAL, 7, False):
+        "fd1304c518947eb251644971672bbddf7dc12f5f73f13dc400c097ea8392968f",
+    (CoordinateSystem.CYLINDRICAL, 7, True):
+        "d2c9c9f5c1c50d3b6e8bf5e4a7299ae1c97c93a8d7c3b449f516d0e730e63853",
+}
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_encode_matches_golden_bytes(cloud, system, depth, log_radial):
+    data, _ = encode_cloud(cloud, system, depth, qstep=4.0, log_radial=log_radial)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[system, depth, log_radial]
 
 
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -120,6 +121,21 @@ def test_compare_report(tmp_path, small_ply, capsys):
     assert rows[0] == "system,qstep,bpp,psnr_db"
     assert sum(r.startswith("cartesian,") for r in rows) == 4
     assert sum(r.startswith("cylindrical,") for r in rows) == 4
+
+
+def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
+    csv_path = tmp_path / "curves.csv"
+    code = run("compare", small_ply, "--depth-cart", "10", "--depth-cyl", "9",
+               "--log-radial", "--qsteps", "64,16,4,1", "--csv", csv_path)
+    assert code == 0
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    report = "".join(line for line in out if not line.startswith("input="))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "277a9f992e6053a624da74cfe4a5ac216374d04b78187e766552ab0d136d20ee"
+    )
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "1fd7e38f7e8354c6dd0ec98efc5db6d7fe67ce702204cf3d3fabfadb35fc8224"
+    )
 
 
 def test_analyze_csv_formats(tmp_path, small_ply, capsys):
