@@ -8,7 +8,6 @@ harness (PSNR, bits per point, Bjontegaard deltas) and a CLI sit on top.
 
 from .bitstream import DecodedCloud, EncodeSummary, decode_cloud, encode_cloud
 from .coeff_codec import (
-    QuantizedStream,
     RlgrPayload,
     dequantize,
     quantize,
@@ -24,7 +23,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .geometry import (
-    BoundingBox,
     BoundingCylinder,
     CartesianPoint,
     CylindricalPoint,
@@ -32,35 +30,26 @@ from .geometry import (
     bounding_box,
     bounding_cylinder,
     to_cartesian,
-    to_cylindrical,
 )
 from .ingest import SweepSpec, load_kitti_bin, load_ply, synth_sweep, write_ply
 from .metrics import (
     LOSSLESS,
-    BdMetrics,
     RatePoint,
     RdCurve,
-    attribute_bpp,
     bd_metrics,
     psnr_attribute,
     read_rd_csv,
     write_rd_csv,
 )
 from .octree import (
-    OccupancyStream,
     Octree,
-    build_octree,
     deserialize,
-    geometry_bpp,
     octree_from_leaf_codes,
     serialize,
 )
 from .raht import (
     CoefficientStream,
-    WeightedLeaf,
-    raht_forward,
     raht_forward_arrays,
-    raht_inverse,
     raht_inverse_arrays,
 )
 from .voxelizer import (
@@ -69,7 +58,6 @@ from .voxelizer import (
     VoxelGridConfig,
     VoxelizedCloud,
     assign_codes,
-    devoxelize,
     expected_error_cartesian,
     expected_error_cylindrical,
     knn_mean_distance,

@@ -36,7 +36,8 @@ import numpy as np
 from .errors import CorruptStreamError, CylpcError
 from .geometry import BoundingCylinder, PointCloud
 from .octree import deserialize, octree_from_leaf_codes, serialize
-from .coeff_codec import RlgrPayload, quantize, rlgr_decode, rlgr_encode
+from .coeff_codec import (QuantizedStream, RlgrPayload, dequantize, quantize,
+                          rlgr_decode, rlgr_encode)
 from .raht import CoefficientStream, raht_forward_arrays, raht_inverse_arrays
 from .voxelizer import (
     CoordinateSystem,
@@ -102,23 +103,40 @@ class DecodedCloud:
     n_points: int
 
 
-def attribute_ints(vc: VoxelizedCloud, qstep: float) -> list[int]:
-    """Transform, quantize and order the attribute coefficients for coding."""
-    coeffs = raht_forward_arrays(
+def _transform(vc: VoxelizedCloud) -> CoefficientStream:
+    """Forward transform of the voxel means at the wire's unit leaf weights."""
+    return raht_forward_arrays(
         vc.codes, vc.attributes, np.ones(len(vc), dtype=np.int64), vc.config.depth
     )
+
+
+def _coefficient_ints(coeffs: CoefficientStream, qstep: float) -> list[int]:
     qs = quantize(coeffs, qstep)
     return [qs.dc_q] + qs.highs_q.tolist()
+
+
+def attribute_ints(vc: VoxelizedCloud, qstep: float) -> list[int]:
+    """Transform, quantize and order the attribute coefficients for coding."""
+    return _coefficient_ints(_transform(vc), qstep)
 
 
 def decode_attributes(
     ints: list[int], codes: np.ndarray, depth: int, qstep: float
 ) -> np.ndarray:
-    """Inverse of attribute_ints given the leaf codes; clamps to [0, 255]."""
-    coeffs = CoefficientStream(dc=ints[0] * qstep, highs=np.asarray(ints[1:]) * qstep)
-    attrs = raht_inverse_arrays(
-        coeffs, codes, np.ones(codes.size, dtype=np.int64), depth
-    )
+    """Inverse of attribute_ints given the leaf codes; clamps to [0, 255].
+
+    Raises CorruptStreamError when the coefficients reconstruct to values
+    that are not finite, which only a corrupt stream can cause.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = QuantizedStream(qstep=qstep, dc_q=ints[0], highs_q=ints[1:])
+        attrs = raht_inverse_arrays(
+            dequantize(qs), codes, np.ones(codes.size, dtype=np.int64), depth
+        )
+    if not np.isfinite(attrs).all():
+        raise CorruptStreamError(
+            f"coefficients at qstep {qstep:g} reconstruct to non-finite attributes"
+        )
     return np.clip(attrs, 0.0, 255.0)
 
 
@@ -169,6 +187,38 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
     )
 
 
+class Encoder:
+    """One point cloud voxelized on one grid, ready to encode at any qstep.
+
+    Voxelization, the occupancy bytes and the forward transform do not
+    depend on the qstep, so they run once here; each ``encode`` only
+    quantizes, entropy-codes and packs.
+    """
+
+    def __init__(self, pc: PointCloud, system: CoordinateSystem, depth: int,
+                 log_radial: bool = False, r_min: float = 1.0):
+        cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
+        self.n_points = len(pc)
+        self.voxels = voxelize(pc, cfg)
+        self.occupancy = serialize(octree_from_leaf_codes(self.voxels.codes, depth)).data
+        self.coeffs = _transform(self.voxels)
+
+    def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, RlgrPayload]:
+        """Return (bitstream, summary, the attribute payload packed into it)."""
+        payload = rlgr_encode(_coefficient_ints(self.coeffs, qstep))
+        data = pack_stream(
+            self.voxels.config, self.n_points, qstep, self.occupancy, payload
+        )
+        summary = EncodeSummary(
+            n_points=self.n_points,
+            n_voxels=len(self.voxels),
+            geometry_bytes=len(self.occupancy),
+            attribute_bytes=len(payload.data),
+            total_bytes=len(data),
+        )
+        return data, summary, payload
+
+
 def encode_cloud(
     pc: PointCloud,
     system: CoordinateSystem,
@@ -178,18 +228,7 @@ def encode_cloud(
     r_min: float = 1.0,
 ) -> tuple[bytes, EncodeSummary]:
     """Run the full pipeline on ``pc`` and return (bitstream, summary)."""
-    cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
-    vc = voxelize(pc, cfg)
-    occupancy = serialize(octree_from_leaf_codes(vc.codes, cfg.depth)).data
-    payload = rlgr_encode(attribute_ints(vc, qstep))
-    data = pack_stream(cfg, len(pc), qstep, occupancy, payload)
-    summary = EncodeSummary(
-        n_points=len(pc),
-        n_voxels=len(vc),
-        geometry_bytes=len(occupancy),
-        attribute_bytes=len(payload.data),
-        total_bytes=len(data),
-    )
+    data, summary, _ = Encoder(pc, system, depth, log_radial, r_min).encode(qstep)
     return data, summary
 
 
@@ -259,14 +298,19 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         )
     payload = RlgrPayload(data=data[pos : pos + attr_len], count=int(count))
     try:
-        ints = rlgr_decode(payload)
+        attrs = decode_attributes(rlgr_decode(payload), codes, depth, qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
             f"attribute section: {exc}", offset=exc.offset
         ) from exc
-    attrs = decode_attributes(ints, codes, depth, qstep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xyz = voxel_centers(cfg, codes)
+    if not np.isfinite(xyz).all():
+        raise CorruptStreamError(
+            "header bounds put voxel centers outside the float64 range", offset=18
+        )
     return DecodedCloud(
-        cloud=PointCloud(voxel_centers(cfg, codes), attrs),
+        cloud=PointCloud(xyz, attrs),
         config=cfg,
         codes=codes,
         leaf_attributes=attrs,

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitstream import attribute_ints, decode_attributes, decode_cloud, encode_cloud
-from .coeff_codec import rlgr_decode, rlgr_encode
+from .bitstream import Encoder, decode_attributes, decode_cloud, encode_cloud
+from .coeff_codec import rlgr_decode
 from .errors import CorruptStreamError, CylpcError, InvalidInputError, MalformedFileError
 from .geometry import PointCloud
 from .ingest import SweepSpec, load_kitti_bin, load_ply, synth_sweep, write_ply
 from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute, write_rd_csv
-from .octree import octree_from_leaf_codes, serialize
 from .voxelizer import (
     CoordinateSystem,
     assign_codes,
@@ -45,10 +44,6 @@ def _load_cloud(path: str) -> PointCloud:
     raise MalformedFileError(f"{path}: unsupported input format '{suffix}'")
 
 
-def _coords(name: str) -> CoordinateSystem:
-    return CoordinateSystem(name)
-
-
 def _resolve_depth(depth: int | None, system: CoordinateSystem) -> int:
     return DEFAULT_DEPTH[system] if depth is None else depth
 
@@ -58,8 +53,8 @@ def _parse_qsteps(text: str) -> list[float]:
         steps = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse qstep list '{text}'") from exc
-    if not steps:
-        raise InvalidInputError("empty qstep list")
+    if len(steps) < 4:
+        raise InvalidInputError(f"need >= 4 qsteps for a rate curve, got {len(steps)}")
     return steps
 
 
@@ -72,26 +67,22 @@ def _emit(pairs, file=None):
 
 def _sweep(pc: PointCloud, system: CoordinateSystem, depth: int, qsteps,
            log_radial: bool, r_min: float):
-    """Encode/decode once per qstep over a shared geometry.
+    """Encode once per qstep over a shared geometry.
 
     Returns (rate points ordered by qstep descending, geometry bpp).
     PSNR is measured per original point: each point is compared against
     the decoded value of the voxel it fell into.
     """
-    cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
-    vc = voxelize(pc, cfg)
-    occupancy = serialize(octree_from_leaf_codes(vc.codes, depth)).data
-    point_slot = np.searchsorted(vc.codes, assign_codes(pc, cfg))
+    encoder = Encoder(pc, system, depth, log_radial, r_min)
+    vc = encoder.voxels
+    point_slot = np.searchsorted(vc.codes, assign_codes(pc, vc.config))
     points = []
     for qstep in sorted(qsteps, reverse=True):
-        ints = attribute_ints(vc, qstep)
-        payload = rlgr_encode(ints)
+        _, summary, payload = encoder.encode(qstep)
         decoded = decode_attributes(rlgr_decode(payload), vc.codes, depth, qstep)
         psnr = psnr_attribute(pc.attributes, decoded[point_slot])
-        points.append(
-            (qstep, RatePoint(bpp=8.0 * len(payload.data) / len(pc), psnr_db=psnr))
-        )
-    return points, 8.0 * len(occupancy) / len(pc)
+        points.append((qstep, RatePoint(bpp=summary.attribute_bpp, psnr_db=psnr)))
+    return points, summary.geometry_bpp
 
 
 def _dedup_bpp(points):
@@ -105,7 +96,7 @@ def _dedup_bpp(points):
 
 def cmd_encode(args) -> int:
     pc = _load_cloud(args.input)
-    system = _coords(args.coords)
+    system = CoordinateSystem(args.coords)
     depth = _resolve_depth(args.depth, system)
     data, summary = encode_cloud(
         pc, system, depth, args.qstep, log_radial=args.log_radial, r_min=args.r_min
@@ -149,11 +140,9 @@ def cmd_decode(args) -> int:
 
 def cmd_rd_sweep(args) -> int:
     pc = _load_cloud(args.input)
-    system = _coords(args.coords)
+    system = CoordinateSystem(args.coords)
     depth = _resolve_depth(args.depth, system)
     qsteps = _parse_qsteps(args.qsteps)
-    if len(qsteps) < 4:
-        raise InvalidInputError(f"need >= 4 qsteps for a rate sweep, got {len(qsteps)}")
     sweep, geom_bpp = _sweep(pc, system, depth, qsteps, args.log_radial, args.r_min)
     write_rd_csv(args.csv, [p for _, p in sweep], geometry_bpp=geom_bpp)
     _emit([("input", args.input), ("coords", system.value), ("depth", depth),
@@ -167,8 +156,6 @@ def cmd_rd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     pc = _load_cloud(args.input)
     qsteps = _parse_qsteps(args.qsteps)
-    if len(qsteps) < 4:
-        raise InvalidInputError(f"need >= 4 qsteps for a comparison, got {len(qsteps)}")
     cart, cart_geom = _sweep(
         pc, CoordinateSystem.CARTESIAN, args.depth_cart, qsteps, False, args.r_min
     )

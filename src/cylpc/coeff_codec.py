@@ -17,9 +17,10 @@ coded symbols so no side information is needed:
     the decoder knows the total count and stops with it.
 
 Golomb-Rice codes cap the unary prefix at 32 ones; longer prefixes
-switch to an escape form (32 ones, 8-bit bit-length m, m raw bits), so
-any magnitude below 2^254 round-trips. Bits are packed MSB-first and the
-final byte is zero-padded.
+switch to an escape form (32 ones, 8-bit bit-length m, m raw bits).
+Values are int64: the encoder rejects, and the decoder reports as
+corrupt, any escaped magnitude that leaves that range. Bits are packed
+MSB-first and the final byte is zero-padded.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ _DQ_GR = 3  # kp decrement for a nonzero in Golomb-Rice mode
 _KRP_DOWN = 2  # krp decrement when the unary prefix is empty
 _ESC = 32  # unary prefix cap; longer prefixes use the escape form
 _K_INIT = 1 << _LSGR  # k = kr = 1 at stream start
+# largest Golomb-Rice argument of an int64 value: a zigzag code in
+# Golomb-Rice mode, |value| - 1 of a positive or negative run terminator
+_ZIGZAG_MAX = (1 << 64) - 1
+_POS_MAX = (1 << 63) - 2
+_NEG_MAX = (1 << 63) - 1
 
 
 class _BitWriter:
@@ -50,9 +56,6 @@ class _BitWriter:
         self._out = bytearray()
         self._acc = 0
         self._nbits = 0
-
-    def write_bit(self, bit: int):
-        self.write_bits(bit, 1)
 
     def write_bits(self, value: int, nbits: int):
         if nbits == 0:
@@ -160,20 +163,21 @@ def _unzigzag(u: int) -> int:
     return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
-def _code_gr(w: _BitWriter, val: int, krp: int) -> int:
-    """Golomb-Rice code ``val`` >= 0 with parameter krp >> 3; returns new krp."""
+def _code_gr(w: _BitWriter, val: int, krp: int, limit: int) -> int:
+    """Golomb-Rice code ``limit`` >= ``val`` >= 0 with parameter krp >> 3;
+    returns new krp."""
     kr = krp >> _LSGR
     vk = val >> kr
     if vk < _ESC:
         w.write_bits((1 << vk) - 1, vk)  # vk ones
-        w.write_bit(0)
+        w.write_bits(0, 1)
         if kr:
             w.write_bits(val & ((1 << kr) - 1), kr)
     else:
         w.write_bits((1 << _ESC) - 1, _ESC)  # escape: full prefix, no terminator
+        if val > limit:
+            raise InvalidInputError("value outside the int64 range")
         m = val.bit_length()
-        if m > 255:
-            raise InvalidInputError(f"magnitude {val} too large for the payload format")
         w.write_bits(m, 8)
         w.write_bits(val, m)
     if vk == 0:
@@ -183,7 +187,7 @@ def _code_gr(w: _BitWriter, val: int, krp: int) -> int:
     return krp
 
 
-def _decode_gr(r: _BitReader, krp: int) -> tuple[int, int]:
+def _decode_gr(r: _BitReader, krp: int, limit: int) -> tuple[int, int]:
     """Inverse of _code_gr; returns (value, new krp)."""
     kr = krp >> _LSGR
     vk = 0
@@ -197,6 +201,11 @@ def _decode_gr(r: _BitReader, krp: int) -> tuple[int, int]:
                 offset=r.position,
             )
         val = r.read_bits(m)
+        if val > limit:
+            raise CorruptStreamError(
+                f"escaped value beyond the int64 range at bit offset {r.position}",
+                offset=r.position,
+            )
         vk = val >> kr
     else:
         low = r.read_bits(kr) if kr else 0
@@ -222,7 +231,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
         k = kp >> _LSGR
         if k == 0:
             u = _zigzag(values[i])
-            krp = _code_gr(w, u, krp)
+            krp = _code_gr(w, u, krp, _ZIGZAG_MAX)
             if u == 0:
                 kp = min(_KPMAX, kp + _UQ_GR)
             else:
@@ -235,21 +244,21 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
             j += 1
         run = j - i
         while run >= (1 << k):
-            w.write_bit(0)
+            w.write_bits(0, 1)
             run -= 1 << k
             kp = min(_KPMAX, kp + _UP_GR)
             k = kp >> _LSGR
         if j == n:
             if run:  # dangling zeros; the decoder stops once count is reached
-                w.write_bit(1)
+                w.write_bits(1, 1)
                 w.write_bits(run, k)
             i = j
             continue
-        w.write_bit(1)
+        w.write_bits(1, 1)
         w.write_bits(run, k)
         val = values[j]
-        w.write_bit(1 if val < 0 else 0)
-        krp = _code_gr(w, abs(val) - 1, krp)
+        w.write_bits(1 if val < 0 else 0, 1)
+        krp = _code_gr(w, abs(val) - 1, krp, _NEG_MAX if val < 0 else _POS_MAX)
         kp = max(0, kp - _DN_GR)
         i = j + 1
     return RlgrPayload(data=w.getvalue(), count=n)
@@ -264,7 +273,7 @@ def rlgr_decode(payload: RlgrPayload) -> list[int]:
     while len(out) < n:
         k = kp >> _LSGR
         if k == 0:
-            u, krp = _decode_gr(r, krp)
+            u, krp = _decode_gr(r, krp, _ZIGZAG_MAX)
             out.append(_unzigzag(u))
             if u == 0:
                 kp = min(_KPMAX, kp + _UQ_GR)
@@ -298,7 +307,7 @@ def rlgr_decode(payload: RlgrPayload) -> list[int]:
         if len(out) == n:
             break
         sign = r.read_bit()
-        mag, krp = _decode_gr(r, krp)
+        mag, krp = _decode_gr(r, krp, _NEG_MAX if sign else _POS_MAX)
         mag += 1
         out.append(-mag if sign else mag)
         kp = max(0, kp - _DN_GR)

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-TWO_PI = 2.0 * math.pi
-
 # Relative padding applied to bounding extents.
 PAD_REL = 1e-9
 
@@ -113,28 +111,6 @@ class BoundingBox:
     def __post_init__(self):
         if not self.side > 0.0:
             raise InvalidInputError("bounding box must have positive side")
-
-
-def wrap_angle(theta):
-    """Map any angle (scalar or array) onto [-pi, pi)."""
-    wrapped = np.mod(np.asarray(theta, dtype=np.float64) + np.pi, TWO_PI) - np.pi
-    # mod can return exactly 2*pi - eps -> fine; exactly pi only via input pi
-    wrapped = np.where(wrapped >= np.pi, wrapped - TWO_PI, wrapped)
-    if np.ndim(theta) == 0:
-        return float(wrapped)
-    return wrapped
-
-
-def to_cylindrical(p: CartesianPoint) -> CylindricalPoint:
-    """Convert one Cartesian point to cylindrical (r, theta, h)."""
-    r = math.hypot(p.x, p.y)
-    if r == 0.0:
-        theta = 0.0
-    else:
-        theta = math.atan2(p.y, p.x)
-        if theta >= math.pi:  # atan2 returns (-pi, pi]; canonicalize to [-pi, pi)
-            theta = -math.pi
-    return CylindricalPoint(r, theta, p.z)
 
 
 def to_cartesian(p: CylindricalPoint) -> CartesianPoint:

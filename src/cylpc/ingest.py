@@ -55,7 +55,8 @@ def load_kitti_bin(path) -> PointCloud:
         raise MalformedFileError(
             f"{path}: size {size} is not a multiple of 16-byte point records"
         )
-    raw = np.fromfile(path, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns on the cast
+        raw = np.fromfile(path, dtype="<f4").reshape(-1, 4).astype(np.float64)
     refl = np.clip(raw[:, 3], 0.0, 1.0)  # NaN propagates into the drop pass
     attrs = np.rint(refl * 255.0)
     return _drop_nonfinite(raw[:, :3], attrs, str(path))
@@ -119,14 +120,17 @@ def _parse_ply_header(f, path):
                 raise MalformedFileError(f"{path}:{line_no}: property before any element")
             if len(tokens) < 3:
                 raise MalformedFileError(f"{path}:{line_no}: malformed property line")
+            name = tokens[-1] if tokens[1] == "list" else tokens[2]
+            if any(name == prop[0] for prop in elements[-1][2]):
+                raise MalformedFileError(f"{path}:{line_no}: duplicate property '{name}'")
             if tokens[1] == "list":
-                elements[-1][2].append((tokens[-1], "list"))
+                elements[-1][2].append((name, "list"))
             else:
                 if tokens[1] not in _PLY_TYPES:
                     raise MalformedFileError(
                         f"{path}:{line_no}: unknown property type '{tokens[1]}'"
                     )
-                elements[-1][2].append((tokens[2], _PLY_TYPES[tokens[1]]))
+                elements[-1][2].append((name, _PLY_TYPES[tokens[1]]))
     if is_binary is None:
         raise MalformedFileError(f"{path}: header declares no format")
     return is_binary, elements
@@ -187,7 +191,12 @@ def load_ply(path) -> PointCloud:
                     raise MalformedFileError(
                         f"{path}: vertex row {i} has {len(parts)} of {len(props)} values"
                     )
-                rows[i] = [float(tok) for tok in parts[: len(props)]]
+                try:
+                    rows[i] = [float(tok) for tok in parts[: len(props)]]
+                except ValueError:
+                    raise MalformedFileError(
+                        f"{path}: vertex row {i} holds a value that is not a number"
+                    ) from None
             columns = {name: rows[:, i] for i, name in enumerate(names)}
     xyz = np.column_stack([columns["x"], columns["y"], columns["z"]])
     declared = props[names.index("intensity")][1]

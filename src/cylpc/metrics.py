@@ -83,13 +83,6 @@ def psnr_attribute(original, decoded) -> float:
     return -10.0 * math.log10(sse / (255.0**2 * orig.size))
 
 
-def attribute_bpp(payload_bits: float, n_points: int) -> float:
-    """Rate in bits per point: payload bits divided by the point count."""
-    if n_points < 1:
-        raise InvalidInputError(f"point count must be >= 1, got {n_points}")
-    return payload_bits / n_points
-
-
 @dataclass(frozen=True)
 class BdMetrics:
     """Average PSNR gap (dB) and average rate change (%) of curve B vs A."""

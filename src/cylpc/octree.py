@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CorruptStreamError, InvalidInputError
 from .morton import MAX_DEPTH
-from .voxelizer import VoxelizedCloud
 
 
 def _parents(codes: np.ndarray) -> np.ndarray:
@@ -32,15 +31,11 @@ def _parents(codes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Octree:
     """Per-level sorted occupied-node codes; level 0 is the root, level
-    ``depth`` holds the leaves. ``leaf_attributes``/``leaf_weights`` are
-    aligned with the leaf codes; a geometry-only tree (e.g. from
-    deserialization) carries None for both.
+    ``depth`` holds the leaves. The tree carries geometry only.
     """
 
     depth: int
     levels: tuple[np.ndarray, ...]
-    leaf_attributes: np.ndarray | None = None
-    leaf_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
@@ -64,14 +59,6 @@ class Octree:
     def leaves(self) -> np.ndarray:
         return self.levels[self.depth]
 
-    @property
-    def n_leaves(self) -> int:
-        return int(self.leaves.size)
-
-    @property
-    def n_internal_nodes(self) -> int:
-        return int(sum(lvl.size for lvl in self.levels[: self.depth]))
-
 
 @dataclass(frozen=True)
 class OccupancyStream:
@@ -79,16 +66,8 @@ class OccupancyStream:
 
     data: bytes
 
-    def __len__(self) -> int:
-        return len(self.data)
 
-
-def octree_from_leaf_codes(
-    codes: np.ndarray,
-    depth: int,
-    leaf_attributes: np.ndarray | None = None,
-    leaf_weights: np.ndarray | None = None,
-) -> Octree:
+def octree_from_leaf_codes(codes: np.ndarray, depth: int) -> Octree:
     """Build the tree whose leaf set is ``codes`` via successive right-shifts."""
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.size == 0:
@@ -101,19 +80,7 @@ def octree_from_leaf_codes(
     for _ in range(depth):
         levels.append(_parents(levels[-1]))
     levels.reverse()
-    return Octree(
-        depth=depth,
-        levels=tuple(levels),
-        leaf_attributes=leaf_attributes,
-        leaf_weights=leaf_weights,
-    )
-
-
-def build_octree(vc: VoxelizedCloud) -> Octree:
-    """Octree over the occupied voxels of ``vc``, leaves carrying its payload."""
-    return octree_from_leaf_codes(
-        vc.codes, vc.config.depth, leaf_attributes=vc.attributes, leaf_weights=vc.weights
-    )
+    return Octree(depth=depth, levels=tuple(levels))
 
 
 def serialize(ot: Octree) -> OccupancyStream:
@@ -136,9 +103,8 @@ def serialize(ot: Octree) -> OccupancyStream:
 def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
     """Rebuild the occupied-node hierarchy from an occupancy byte stream.
 
-    Geometry only: the returned tree has no leaf payload. Raises
-    CorruptStreamError (with the offending byte offset) on truncation,
-    zero occupancy bytes, or trailing data.
+    Raises CorruptStreamError (with the offending byte offset) on
+    truncation, zero occupancy bytes, or trailing data.
     """
     data = stream.data if isinstance(stream, OccupancyStream) else bytes(stream)
     if not 1 <= depth <= MAX_DEPTH:
@@ -170,11 +136,3 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
             offset=pos,
         )
     return Octree(depth=depth, levels=tuple(levels))
-
-
-def geometry_bpp(stream: OccupancyStream | bytes, n_points: int) -> float:
-    """Raw occupancy bits divided by the original point count."""
-    if n_points < 1:
-        raise InvalidInputError(f"point count must be >= 1, got {n_points}")
-    data = stream.data if isinstance(stream, OccupancyStream) else stream
-    return 8.0 * len(data) / n_points

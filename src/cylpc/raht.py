@@ -1,6 +1,7 @@
 """Weight-adaptive hierarchical transform over octree leaf attributes.
 
-The transform walks the tree from the leaves to the root. Each octree
+Leaves are given as aligned arrays: strictly increasing interleaved
+codes, one attribute and one positive weight per leaf. The transform walks the tree from the leaves to the root. Each octree
 level is processed as three pairing passes, one per axis in the fixed
 order axis0, axis1, axis2 (x, y, z for Cartesian grids; r, theta, h
 for cylindrical ones). Because interleaved codes place axis0 in the least
@@ -18,33 +19,17 @@ surviving low-pass value at the root is the DC coefficient. The decoder
 replays the identical schedule from the leaf codes and weights alone,
 so only the coefficients need to be transmitted.
 
-Everything here consumes only the interleaved index structure: identical
-leaf codes produce identical coefficients in either coordinate system.
+Everything here consumes only the interleaved codes: identical leaf
+codes produce identical coefficients in either coordinate system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .morton import morton_decode, morton_encode
-from .octree import Octree
-
-
-@dataclass(frozen=True)
-class WeightedLeaf:
-    """One occupied voxel: per-axis index, mean attribute, point count."""
-
-    index: tuple[int, int, int]
-    attribute: float
-    weight: int = 1
-
-    def __post_init__(self):
-        if self.weight < 1:
-            raise InvalidInputError(f"leaf weight must be >= 1, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +65,14 @@ def _merge_plan(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[_Pas
     """Schedule of the 3 * depth pairing passes for the given leaf set."""
     codes = np.asarray(codes, dtype=np.int64)
     weights = np.array(weights, dtype=np.float64)  # mutated below, keep a copy
+    if codes.size == 0:
+        raise InvalidInputError("transform needs at least one leaf")
+    if (np.diff(codes) < 0).any():
+        raise InvalidInputError("leaves must be sorted by interleaved index")
+    if (np.diff(codes) == 0).any():
+        raise InvalidInputError("duplicate leaf indices")
+    if weights.min() < 1:
+        raise InvalidInputError("leaf weights must be >= 1")
     plan = []
     for _ in range(3 * depth):
         shifted = codes >> 1
@@ -107,27 +100,14 @@ def _merge_plan(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[_Pas
     return plan
 
 
-def _check_leaf_arrays(codes: np.ndarray, weights: np.ndarray):
-    if codes.size == 0:
-        raise InvalidInputError("transform needs at least one leaf")
-    if (np.diff(codes) < 0).any():
-        raise InvalidInputError("leaves must be sorted by interleaved index")
-    if (np.diff(codes) == 0).any():
-        raise InvalidInputError("duplicate leaf indices")
-    if weights.min() < 1:
-        raise InvalidInputError("leaf weights must be >= 1")
-
-
 def raht_forward_arrays(
     codes: np.ndarray, attributes: np.ndarray, weights: np.ndarray, depth: int
 ) -> CoefficientStream:
     """Forward transform of per-leaf attributes into one DC and n-1 highs."""
-    codes = np.asarray(codes, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_leaf_arrays(codes, weights)
+    plan = _merge_plan(codes, weights, depth)
     values = np.asarray(attributes, dtype=np.float64).copy()
     highs = []
-    for p in _merge_plan(codes, weights, depth):
+    for p in plan:
         a1 = values[p.left]
         a2 = values[p.left + 1]
         values[p.left] = p.sw1 * a1 + p.sw2 * a2
@@ -143,14 +123,11 @@ def raht_inverse_arrays(
     coeffs: CoefficientStream, codes: np.ndarray, weights: np.ndarray, depth: int
 ) -> np.ndarray:
     """Exact inverse: rebuild leaf attributes from coefficients and geometry."""
-    codes = np.asarray(codes, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_leaf_arrays(codes, weights)
-    if coeffs.count != codes.size:
-        raise InvalidInputError(
-            f"{coeffs.count} coefficients for {codes.size} leaves"
-        )
     plan = _merge_plan(codes, weights, depth)
+    if coeffs.count != np.size(codes):
+        raise InvalidInputError(
+            f"{coeffs.count} coefficients for {np.size(codes)} leaves"
+        )
     bounds = np.cumsum([0] + [p.left.size for p in plan])
     values = np.array([coeffs.dc])
     for d in range(len(plan) - 1, -1, -1):
@@ -163,39 +140,3 @@ def raht_inverse_arrays(
         old[p.left + 1] = p.sw2 * low + p.sw1 * high
         values = old
     return values
-
-
-def raht_forward(leaves: Sequence[WeightedLeaf], depth: int) -> CoefficientStream:
-    """Forward transform of a sorted, duplicate-free sequence of leaves."""
-    if len(leaves) == 0:
-        raise InvalidInputError("transform needs at least one leaf")
-    ijk = np.array([leaf.index for leaf in leaves], dtype=np.int64)
-    codes = morton_encode(ijk, depth)
-    attrs = np.array([leaf.attribute for leaf in leaves])
-    weights = np.array([leaf.weight for leaf in leaves])
-    return raht_forward_arrays(codes, attrs, weights, depth)
-
-
-def raht_inverse(coeffs: CoefficientStream, geometry: Octree) -> list[WeightedLeaf]:
-    """Inverse transform onto the leaf set of ``geometry``.
-
-    Leaf weights are taken from the tree's payload; a geometry-only tree
-    (as produced by deserialization) implies the unit-weight convention
-    used by the wire pipeline.
-    """
-    codes = geometry.leaves
-    if coeffs.count != codes.size:
-        raise InvalidInputError(
-            f"{coeffs.count} coefficients for {codes.size} occupied leaves"
-        )
-    weights = (
-        geometry.leaf_weights
-        if geometry.leaf_weights is not None
-        else np.ones(codes.size, dtype=np.int64)
-    )
-    attrs = raht_inverse_arrays(coeffs, codes, weights, geometry.depth)
-    ijk = morton_decode(codes, geometry.depth)
-    return [
-        WeightedLeaf(index=(int(i), int(j), int(k)), attribute=float(a), weight=int(w))
-        for (i, j, k), a, w in zip(ijk, attrs, weights)
-    ]

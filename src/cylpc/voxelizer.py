@@ -117,11 +117,6 @@ class VoxelizedCloud:
     def n_points(self) -> int:
         return int(self.weights.sum())
 
-    @property
-    def indices(self) -> np.ndarray:
-        """(N, 3) per-axis bin indices of the occupied voxels."""
-        return morton_decode(self.codes, self.config.depth)
-
 
 @dataclass(frozen=True)
 class ErrorModel:
@@ -239,11 +234,6 @@ def voxel_centers(cfg: VoxelGridConfig, codes: np.ndarray) -> np.ndarray:
     if cfg.log_radial:
         centers[:, 0] = np.exp(centers[:, 0])
     return cylindrical_to_cartesian(centers)
-
-
-def devoxelize(vc: VoxelizedCloud) -> PointCloud:
-    """One point per occupied voxel, at the voxel center, with the voxel mean."""
-    return PointCloud(voxel_centers(vc.config, vc.codes), vc.attributes)
 
 
 def voxelization_error_cartesian(p, p_hat) -> float:

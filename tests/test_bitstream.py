@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from cylpc import (
     PointCloud,
     SweepSpec,
     decode_cloud,
-    devoxelize,
     encode_cloud,
     make_config,
+    rlgr_encode,
     synth_sweep,
+    voxel_centers,
     voxelize,
 )
-from cylpc.bitstream import HEADER_BYTES, MAGIC
+from cylpc.bitstream import HEADER_BYTES, MAGIC, Encoder, pack_stream
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +63,7 @@ def test_decode_matches_devoxelized_pipeline(cloud, system, depth, log_radial):
     decoded = decode_cloud(data)
     cfg = make_config(cloud, system, depth, log_radial=log_radial)
     vc = voxelize(cloud, cfg)
-    reference = devoxelize(vc)
-    np.testing.assert_array_equal(decoded.cloud.xyz, reference.xyz)
+    np.testing.assert_array_equal(decoded.cloud.xyz, voxel_centers(cfg, vc.codes))
     np.testing.assert_array_equal(decoded.codes, vc.codes)
     assert decoded.n_points == len(cloud)
     assert summary.n_voxels == len(vc)
@@ -147,6 +148,29 @@ def test_header_field_validation(cloud):
         decode_cloud(patch(18, struct.pack("<6d", 0, 0, 0, -5.0, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "system,patches",
+    [
+        (CoordinateSystem.CARTESIAN, [(18, math.inf)]),  # origin x
+        (CoordinateSystem.CARTESIAN, [(34, math.nan)]),  # origin z
+        # finite fields whose voxel centers overflow: origin x + side > 1.8e308
+        (CoordinateSystem.CARTESIAN, [(18, 1.79e308), (42, 1e308)]),
+        (CoordinateSystem.CYLINDRICAL, [(18, math.inf)]),  # radius
+        (CoordinateSystem.CYLINDRICAL, [(34, math.nan)]),  # h_min
+    ],
+)
+def test_bounds_that_break_voxel_centers_are_corrupt(cloud, system, patches):
+    # these once decoded to non-finite points and exited 2, not 4
+    data, _ = encode_cloud(cloud, system, 6, qstep=8.0)
+    for offset, value in patches:
+        data = data[:offset] + struct.pack("<d", value) + data[offset + 8:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStreamError, match="header bounds") as exc:
+            decode_cloud(data)
+    assert exc.value.offset == 18
+
+
 def test_truncations_are_corrupt(cloud):
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
     for cut in (0, 10, HEADER_BYTES - 1, HEADER_BYTES + 3, len(data) // 2, len(data) - 1):
@@ -223,3 +247,38 @@ def test_decoded_attributes_clamped_to_8bit_range():
     decoded = decode_cloud(data)
     assert (decoded.leaf_attributes >= 0.0).all()
     assert (decoded.leaf_attributes <= 255.0).all()
+
+
+def stream_with_payload(cloud, qstep, payload_of):
+    """A container with the real geometry of ``cloud`` and an attribute
+    payload chosen by hand; ``payload_of(n)`` gets the coefficient count."""
+    encoder = Encoder(cloud, CoordinateSystem.CARTESIAN, 6)
+    payload = payload_of(len(encoder.voxels))
+    return pack_stream(
+        encoder.voxels.config, encoder.n_points, qstep, encoder.occupancy, payload
+    )
+
+
+@pytest.mark.parametrize("qstep", [4.0, 1e300])
+def test_attribute_values_beyond_int64_are_corrupt(cloud, qstep, unchecked_rlgr_encode):
+    # such values once decoded into object arrays: at qstep 4 the stream
+    # "decoded", at 1e300 it overflowed into a PointCloud validation error
+    data = stream_with_payload(
+        cloud, qstep, lambda n: unchecked_rlgr_encode([2**250, -(2**200)] + [0] * (n - 2))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStreamError, match="attribute section: escaped value"):
+            decode_cloud(data)
+
+
+def test_non_finite_reconstruction_is_corrupt(cloud):
+    # int64 coefficients times a finite qstep can still overflow float64
+    data = stream_with_payload(
+        cloud, 1e300, lambda n: rlgr_encode([2**62, -(2**62)] + [0] * (n - 2))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStreamError, match="attribute section: .*non-finite"):
+            decode_cloud(data)
+

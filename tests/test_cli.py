@@ -9,10 +9,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cylpc
-from cylpc import decode_cloud, load_ply, read_rd_csv
+from cylpc import (
+    CoordinateSystem,
+    PointCloud,
+    decode_cloud,
+    encode_cloud,
+    load_ply,
+    make_config,
+    psnr_attribute,
+    read_rd_csv,
+    write_ply,
+)
+from cylpc.bitstream import Encoder, pack_stream
 from cylpc.cli import main
+from cylpc.voxelizer import assign_codes
 
 
 def run(*argv):
@@ -100,6 +114,29 @@ def test_rd_sweep_csv(tmp_path, small_ply, capsys):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
+def test_rd_sweep_reports_what_encode_writes(tmp_path, small_ply, capsys):
+    # rd-sweep and encode share one encoder: same rates, and the sweep's
+    # PSNR is that of the decoded container mapped back to the points
+    qsteps = (64, 16, 4, 1)
+    grid = ("--depth", "9", "--log-radial")
+    assert run("rd-sweep", small_ply, *grid, "--qsteps", ",".join(map(str, qsteps)),
+               "--csv", tmp_path / "curve.csv") == 0
+    sweep = parse_kv(capsys)
+    pc = load_ply(small_ply)
+    cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 9, log_radial=True)
+    points = assign_codes(pc, cfg)
+    for qstep in qsteps:
+        stream = tmp_path / f"q{qstep}.cyl"
+        assert run("encode", small_ply, *grid, "--qstep", qstep, "--out", stream) == 0
+        encoded = parse_kv(capsys)
+        assert sweep["geometry_bpp"] == encoded["geometry_bpp"]
+        assert sweep[f"qstep_{qstep}_bpp"] == encoded["attribute_bpp"]
+        decoded = decode_cloud(stream.read_bytes())
+        slot = np.searchsorted(decoded.codes, points)
+        psnr = psnr_attribute(pc.attributes, decoded.leaf_attributes[slot])
+        assert sweep[f"qstep_{qstep}_psnr_db"] == f"{psnr:.6g}"
+
+
 def test_rd_sweep_needs_four_qsteps(tmp_path, small_ply):
     assert run("rd-sweep", small_ply, "--qsteps", "8,4", "--csv", tmp_path / "x.csv") == 2
 
@@ -172,6 +209,32 @@ def test_exit_code_4_on_corrupt_bitstream(tmp_path, small_ply, capsys):
     truncated = tmp_path / "short.cyl"
     truncated.write_bytes(stream.read_bytes()[:40])
     assert run("decode", truncated, "--out", tmp_path / "out.ply") == 4
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([2**250, -(2**200)], "escaped value beyond the int64 range"),
+        ([2**62, -(2**62)], "non-finite attributes"),
+    ],
+)
+def test_exit_code_4_on_corrupt_attribute_section(
+    tmp_path, small_ply, capsys, unchecked_rlgr_encode, values, message
+):
+    encoder = Encoder(load_ply(small_ply), CoordinateSystem.CYLINDRICAL, 8)
+    payload = unchecked_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
+    bad = tmp_path / "bad.cyl"
+    bad.write_bytes(pack_stream(
+        encoder.voxels.config, encoder.n_points, 1e300, encoder.occupancy, payload
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("decode", bad, "--out", tmp_path / "out.ply")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt bitstream: attribute section: ")
+    assert message in err
+    assert not (tmp_path / "out.ply").exists()
 
 
 def test_exit_code_2_on_bad_parameters(tmp_path, small_ply, capsys):
@@ -264,3 +327,48 @@ def test_decoder_runs_isolated_from_input(tmp_path, small_ply):
     assert (cwd / "out.ply").exists()
     assert "out=out.ply" in proc.stdout
     assert sorted(os.listdir(cwd)) == ["frame.cyl", "out.ply"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One small valid input of each kind the CLI reads."""
+    out = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    pc = PointCloud(rng.uniform(-20.0, 20.0, (150, 3)), rng.integers(0, 256, 150))
+    write_ply(out / "seed.ply", pc)
+    np.column_stack([pc.xyz, pc.attributes / 255.0]).astype("<f4").tofile(out / "seed.bin")
+    data, _ = encode_cloud(pc, CoordinateSystem.CYLINDRICAL, 8, qstep=4.0)
+    (out / "seed.cyl").write_bytes(data)
+    return out
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` with one bit flipped, cut short, or a span replaced by a
+    chunk copied from elsewhere in it."""
+    pos = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["flip", "truncate", "splice"]))
+    if kind == "flip":
+        out = bytearray(data)
+        out[pos] ^= 1 << draw(st.integers(0, 7))
+        return bytes(out)
+    if kind == "truncate":
+        return data[:pos]
+    src = draw(st.integers(0, len(data) - 1))
+    chunk = data[src : src + draw(st.integers(0, 32))]
+    return data[:pos] + chunk + data[draw(st.integers(pos, min(len(data), pos + 32))):]
+
+
+@pytest.mark.parametrize("kind", ["ply", "bin", "cyl"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_codes_on_mutated_inputs(fuzz_dir, kind, data):
+    # any exception other than the CLI's own errors fails the example
+    path = fuzz_dir / f"input.{kind}"
+    path.write_bytes(data.draw(mutated((fuzz_dir / f"seed.{kind}").read_bytes())))
+    if kind == "cyl":
+        argv = ["decode", path, "--out", fuzz_dir / "out.ply"]
+    else:
+        argv = ["encode", path, "--depth", "8", "--out", fuzz_dir / "out.cyl"]
+    assert run(*argv) in (0, 2, 3, 4)

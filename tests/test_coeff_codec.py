@@ -9,6 +9,7 @@ from cylpc import (
     CoefficientStream,
     CorruptStreamError,
     InvalidConfigError,
+    InvalidInputError,
     RlgrPayload,
     dequantize,
     quantize,
@@ -130,6 +131,34 @@ def test_round_trip_adversarial_distributions():
 @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62)))
 def test_round_trip_property(values):
     assert rlgr_decode(rlgr_encode(values)) == values
+
+
+def test_int64_extremes_round_trip_in_both_modes():
+    # the first value terminates a zero run, the second is a Golomb-Rice
+    # literal; three zeros switch back to run mode for the next pair
+    top, bottom = 2**63 - 1, -(2**63)
+    values = [top, bottom, 0, 0, 0, bottom, top]
+    assert rlgr_decode(rlgr_encode(values)) == values
+    assert rlgr_decode(rlgr_encode(np.array(values, dtype=np.int64))) == values
+
+
+@pytest.mark.parametrize(
+    "values", [[2**63], [-(2**63) - 1], [1, 2**63], [1, -(2**63) - 1], [2**250]]
+)
+def test_values_outside_int64_rejected_by_encoder(values):
+    with pytest.raises(InvalidInputError, match="int64"):
+        rlgr_encode(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[2**63], [-(2**63) - 1], [1, 2**63], [1, -(2**63) - 1], [2**250, -(2**200), 0]],
+)
+def test_escaped_values_outside_int64_are_corrupt(values, unchecked_rlgr_encode):
+    payload = unchecked_rlgr_encode(values)
+    with pytest.raises(CorruptStreamError, match="beyond the int64 range") as exc:
+        rlgr_decode(payload)
+    assert 0 < exc.value.offset <= 8 * len(payload.data)
 
 
 def test_accepts_numpy_arrays():

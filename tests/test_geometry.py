@@ -13,35 +13,44 @@ from cylpc import (
     bounding_box,
     bounding_cylinder,
     to_cartesian,
-    to_cylindrical,
 )
-from cylpc.geometry import cartesian_to_cylindrical, cylindrical_to_cartesian, wrap_angle
+from cylpc.geometry import cartesian_to_cylindrical, cylindrical_to_cartesian
+
+
+def cyl(x, y, z):
+    """(r, theta, h) of one point through the vectorized conversion."""
+    return tuple(cartesian_to_cylindrical(np.array([[x, y, z]]))[0])
+
+
+def scalar_cylindrical(x, y, z):
+    """Per-point reference: atan2 canonicalized to [-pi, pi), theta 0 on the axis."""
+    r = math.hypot(x, y)
+    theta = 0.0 if r == 0.0 else math.atan2(y, x)
+    return r, -math.pi if theta >= math.pi else theta, z
 
 
 def test_positive_x_axis():
-    p = to_cylindrical(CartesianPoint(1.0, 0.0, 5.0))
-    assert (p.r, p.theta, p.h) == (1.0, 0.0, 5.0)
+    assert cyl(1.0, 0.0, 5.0) == (1.0, 0.0, 5.0)
 
 
 def test_diagonal_symmetry():
-    p = to_cylindrical(CartesianPoint(1.0, 1.0, 0.0))
-    assert p.r == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert p.theta == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert p.h == 0.0
+    r, theta, h = cyl(1.0, 1.0, 0.0)
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert theta == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert h == 0.0
 
 
 def test_axis_point_theta_convention():
-    p = to_cylindrical(CartesianPoint(0.0, 0.0, 3.0))
-    assert (p.r, p.theta, p.h) == (0.0, 0.0, 3.0)
+    assert cyl(0.0, 0.0, 3.0) == (0.0, 0.0, 3.0)
     # negative zero x must not flip theta to pi
-    q = to_cylindrical(CartesianPoint(-0.0, 0.0, 3.0))
-    assert q.theta == 0.0
+    assert cyl(-0.0, 0.0, 3.0)[1] == 0.0
 
 
 def test_negative_x_axis_maps_into_half_open_interval():
-    p = to_cylindrical(CartesianPoint(-1.0, 0.0, 0.0))
-    assert p.theta == -math.pi
-    assert -math.pi <= p.theta < math.pi
+    # atan2 returns +pi here; the conversion canonicalizes it to -pi
+    theta = cyl(-1.0, 0.0, 0.0)[1]
+    assert theta == -math.pi
+    assert -math.pi <= theta < math.pi
 
 
 def test_to_cartesian_quarter_turn():
@@ -54,12 +63,11 @@ def test_to_cartesian_quarter_turn():
 def test_round_trip_random_points():
     rng = np.random.default_rng(0)
     xyz = rng.uniform(-100.0, 100.0, (1000, 3))
-    for x, y, z in xyz:
-        p = CartesianPoint(x, y, z)
-        q = to_cartesian(to_cylindrical(p))
-        assert q.x == pytest.approx(p.x, rel=1e-12, abs=1e-12)
-        assert q.y == pytest.approx(p.y, rel=1e-12, abs=1e-12)
-        assert q.z == p.z
+    for (x, y, z), row in zip(xyz, cartesian_to_cylindrical(xyz)):
+        q = to_cartesian(CylindricalPoint(*row))
+        assert q.x == pytest.approx(x, rel=1e-12, abs=1e-12)
+        assert q.y == pytest.approx(y, rel=1e-12, abs=1e-12)
+        assert q.z == z
 
 
 def test_vectorized_conversion_matches_scalar():
@@ -67,10 +75,10 @@ def test_vectorized_conversion_matches_scalar():
     xyz = rng.uniform(-50.0, 50.0, (200, 3))
     rth = cartesian_to_cylindrical(xyz)
     for row, (x, y, z) in zip(rth, xyz):
-        p = to_cylindrical(CartesianPoint(x, y, z))
-        assert row[0] == pytest.approx(p.r, rel=1e-14)
-        assert row[1] == pytest.approx(p.theta, rel=1e-14, abs=1e-14)
-        assert row[2] == z
+        r, theta, h = scalar_cylindrical(x, y, z)
+        assert row[0] == pytest.approx(r, rel=1e-14)
+        assert row[1] == pytest.approx(theta, rel=1e-14, abs=1e-14)
+        assert row[2] == h
     back = cylindrical_to_cartesian(rth)
     np.testing.assert_allclose(back, xyz, rtol=1e-12, atol=1e-12)
 
@@ -81,15 +89,6 @@ def test_theta_always_in_half_open_interval():
     theta = cartesian_to_cylindrical(xyz)[:, 1]
     assert (theta >= -math.pi).all()
     assert (theta < math.pi).all()
-
-
-def test_wrap_angle():
-    assert wrap_angle(math.pi) == -math.pi
-    assert wrap_angle(-math.pi) == -math.pi
-    assert wrap_angle(0.0) == 0.0
-    assert wrap_angle(3.0 * math.pi) == pytest.approx(-math.pi)
-    vals = wrap_angle(np.linspace(-20.0, 20.0, 1001))
-    assert (vals >= -math.pi).all() and (vals < math.pi).all()
 
 
 def test_non_finite_point_rejected():

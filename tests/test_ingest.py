@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_kitti_drops_non_finite_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="dropped 1"):
         pc = load_kitti_bin(path)
     assert len(pc) == 2
+
+
+def test_kitti_signalling_nan_dropped_without_a_cast_warning(tmp_path):
+    path = tmp_path / "frame.bin"
+    snan = struct.pack("<I", 0x7F800001) + struct.pack("<3f", 0, 0, 0.5)
+    path.write_bytes(struct.pack("<4f", 1, 2, 3, 0.2) + snan)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pc = load_kitti_bin(path)
+    assert len(pc) == 1
+    assert [type(w.message) for w in caught] == [UserWarning]
 
 
 def test_kitti_random_fixture_round_trip(tmp_path):
@@ -141,6 +153,25 @@ def test_ply_header_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.ply"
     path.write_text("ply\nformat ascii 1.0\nproperty float x\n")
     with pytest.raises(MalformedFileError, match=":3:"):
+        load_ply(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_ply_duplicate_property_rejected(tmp_path, binary):
+    path = tmp_path / "dup.ply"
+    write_ply(path, PointCloud(np.zeros((2, 3)), np.zeros(2)), binary=binary)
+    data = path.read_bytes()
+    end = data.index(b"end_header\n")
+    path.write_bytes(data[:end] + b"property double x\n" + data[end:])
+    with pytest.raises(MalformedFileError, match=":8: duplicate property 'x'"):
+        load_ply(path)
+
+
+def test_ply_ascii_non_numeric_value_rejected(tmp_path):
+    path = tmp_path / "bad.ply"
+    write_ply(path, PointCloud(np.ones((3, 3)), np.ones(3)))
+    path.write_bytes(path.read_bytes()[:-2] + b"x\n")  # last value "x"
+    with pytest.raises(MalformedFileError, match="vertex row 2 holds a value that is not a"):
         load_ply(path)
 
 

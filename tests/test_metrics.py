@@ -7,15 +7,16 @@ import pytest
 
 from cylpc import (
     LOSSLESS,
+    EncodeSummary,
     InvalidInputError,
     RatePoint,
     RdCurve,
-    attribute_bpp,
     bd_metrics,
     psnr_attribute,
     read_rd_csv,
     write_rd_csv,
 )
+from cylpc.bitstream import OVERHEAD_BYTES
 
 
 def test_all_diff_255_is_zero_db():
@@ -51,12 +52,16 @@ def test_psnr_length_mismatch():
 
 
 def test_attribute_bpp():
-    assert attribute_bpp(0.0, 10) == 0.0
-    assert attribute_bpp(3 * 17, 17) == 3.0
-    payload = b"\x01" * 33
-    assert attribute_bpp(8 * len(payload), 11) == 24.0
-    with pytest.raises(InvalidInputError):
-        attribute_bpp(8.0, 0)
+    # payload bits per source point; the header counts in neither section
+    def summary(attribute_bytes, n_points):
+        return EncodeSummary(n_points=n_points, n_voxels=1, geometry_bytes=5,
+                             attribute_bytes=attribute_bytes,
+                             total_bytes=OVERHEAD_BYTES + 5 + attribute_bytes)
+
+    assert summary(0, 10).attribute_bpp == 0.0
+    assert summary(3 * 17, 136).attribute_bpp == 3.0
+    assert summary(33, 11).attribute_bpp == 24.0
+    assert summary(33, 11).geometry_bpp == 40.0 / 11
 
 
 def _curve(bpps, psnrs):

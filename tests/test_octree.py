@@ -9,9 +9,8 @@ from cylpc import (
     InvalidInputError,
     Octree,
     PointCloud,
-    build_octree,
     deserialize,
-    geometry_bpp,
+    encode_cloud,
     make_config,
     octree_from_leaf_codes,
     serialize,
@@ -27,7 +26,7 @@ def test_single_voxel_one_node_per_level():
     ot = octree_from_leaf_codes(np.array([0b101011]), 2)
     assert [lvl.size for lvl in ot.levels] == [1, 1, 1]
     assert ot.levels[1][0] == 0b101
-    assert ot.n_internal_nodes == 2
+    assert len(serialize(ot).data) == 2
 
 
 def test_full_depth_one_root_byte():
@@ -59,14 +58,12 @@ def test_leaves_equal_voxel_set():
             np.testing.assert_array_equal(parents, ot.levels[lvl])
 
 
-def test_build_octree_carries_voxel_payload():
+def test_octree_leaves_are_the_voxel_codes():
     rng = np.random.default_rng(1)
     pc = PointCloud(rng.normal(0, 5, (100, 3)), rng.uniform(0, 255, 100))
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 4))
-    ot = build_octree(vc)
+    ot = octree_from_leaf_codes(vc.codes, vc.config.depth)
     np.testing.assert_array_equal(ot.leaves, vc.codes)
-    np.testing.assert_array_equal(ot.leaf_attributes, vc.attributes)
-    np.testing.assert_array_equal(ot.leaf_weights, vc.weights)
 
 
 def test_round_trip_500_random_sets():
@@ -98,7 +95,7 @@ def test_stream_length_equals_internal_node_count_and_is_monotone():
     codes = random_leaf_codes(rng, depth, 200)
     ot = octree_from_leaf_codes(codes, depth)
     stream = serialize(ot)
-    assert len(stream.data) == ot.n_internal_nodes
+    assert len(stream.data) == sum(lvl.size for lvl in ot.levels[:depth])
     extra = rng.integers(0, 8**depth)
     grown = np.unique(np.append(codes, extra))
     grown_stream = serialize(octree_from_leaf_codes(grown, depth))
@@ -144,9 +141,14 @@ def test_bit_flip_fuzz_never_crashes():
 
 
 def test_geometry_bpp():
-    assert geometry_bpp(b"\x11" * 8, 2) == 32.0
-    with pytest.raises(InvalidInputError):
-        geometry_bpp(b"\x11", 0)
+    # the reported geometry rate is the raw occupancy bits per source point
+    rng = np.random.default_rng(6)
+    pc = PointCloud(rng.normal(0, 5, (100, 3)), rng.uniform(0, 255, 100))
+    vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 5))
+    occupancy = serialize(octree_from_leaf_codes(vc.codes, 5)).data
+    _, summary = encode_cloud(pc, CoordinateSystem.CARTESIAN, 5, qstep=8.0)
+    assert summary.geometry_bytes == len(occupancy)
+    assert summary.geometry_bpp == 8.0 * len(occupancy) / 100
 
 
 def test_invalid_leaf_codes_rejected():
@@ -164,8 +166,8 @@ def levels(*lists):
 
 def test_octree_accepts_a_closed_tree():
     ot = Octree(depth=2, levels=levels([0], [1, 2], [8, 15, 17]))
-    assert ot.n_leaves == 3
-    assert ot.n_internal_nodes == 3
+    assert ot.leaves.size == 3
+    assert len(serialize(ot).data) == 3
 
 
 @pytest.mark.parametrize("level", [[2, 1], [1, 1]])

@@ -8,14 +8,13 @@ import pytest
 from cylpc import (
     CoefficientStream,
     InvalidInputError,
-    WeightedLeaf,
+    deserialize,
     octree_from_leaf_codes,
-    raht_forward,
     raht_forward_arrays,
-    raht_inverse,
     raht_inverse_arrays,
+    serialize,
 )
-from cylpc.morton import morton_decode
+from cylpc.morton import morton_encode
 
 
 def random_instance(rng, depth=None, max_n=400, max_weight=50):
@@ -27,18 +26,22 @@ def random_instance(rng, depth=None, max_n=400, max_weight=50):
     return codes, attrs, weights, depth
 
 
+def leaf_codes(indices, depth):
+    """Interleaved codes of per-axis leaf indices."""
+    return morton_encode(np.array(indices, dtype=np.int64), depth)
+
+
 def test_single_leaf_is_pure_dc():
-    coeffs = raht_forward([WeightedLeaf((1, 2, 3), 77.5, weight=9)], 4)
+    coeffs = raht_forward_arrays(
+        leaf_codes([(1, 2, 3)], 4), np.array([77.5]), np.array([9]), 4
+    )
     assert coeffs.dc == 77.5
     assert coeffs.highs.size == 0
 
 
 def test_two_sibling_butterfly_hand_values():
-    leaves = [
-        WeightedLeaf((0, 0, 0), 4.0, weight=1),
-        WeightedLeaf((1, 0, 0), 8.0, weight=1),
-    ]
-    coeffs = raht_forward(leaves, 1)
+    codes = leaf_codes([(0, 0, 0), (1, 0, 0)], 1)
+    coeffs = raht_forward_arrays(codes, np.array([4.0, 8.0]), np.ones(2), 1)
     assert coeffs.dc == pytest.approx(12.0 / math.sqrt(2.0), rel=1e-12)  # 8.485281
     assert coeffs.highs[0] == pytest.approx(4.0 / math.sqrt(2.0), rel=1e-12)  # 2.828427
     assert coeffs.dc == pytest.approx(8.485281, abs=1e-6)
@@ -59,11 +62,8 @@ def test_constant_signal_is_pure_dc():
 def test_weighted_butterfly_sign_convention():
     # low = (sqrt(w1) a1 + sqrt(w2) a2) / sqrt(w1 + w2),
     # high = (-sqrt(w2) a1 + sqrt(w1) a2) / sqrt(w1 + w2)
-    leaves = [
-        WeightedLeaf((0, 0, 0), 10.0, weight=3),
-        WeightedLeaf((1, 0, 0), 20.0, weight=1),
-    ]
-    coeffs = raht_forward(leaves, 1)
+    codes = leaf_codes([(0, 0, 0), (1, 0, 0)], 1)
+    coeffs = raht_forward_arrays(codes, np.array([10.0, 20.0]), np.array([3, 1]), 1)
     s3, s1, s4 = math.sqrt(3.0), 1.0, math.sqrt(4.0)
     assert coeffs.dc == pytest.approx((s3 * 10.0 + s1 * 20.0) / s4, rel=1e-12)
     assert coeffs.highs[0] == pytest.approx((-s1 * 10.0 + s3 * 20.0) / s4, rel=1e-12)
@@ -142,41 +142,31 @@ def test_inverse_through_octree_geometry():
     codes = np.unique(rng.integers(0, 8**depth, 300))
     attrs = rng.uniform(0.0, 255.0, codes.size)
     weights = rng.integers(1, 20, codes.size)
-    leaves = [
-        WeightedLeaf(tuple(map(int, ijk)), float(a), int(w))
-        for ijk, a, w in zip(morton_decode(codes, depth), attrs, weights)
-    ]
-    coeffs = raht_forward(leaves, depth)
-    geometry = octree_from_leaf_codes(codes, depth, leaf_weights=weights)
-    back = raht_inverse(coeffs, geometry)
-    assert len(back) == codes.size
-    for leaf, a, w in zip(back, attrs, weights):
-        assert leaf.attribute == pytest.approx(float(a), abs=1e-9)
-        assert leaf.weight == w
+    coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+    leaves = octree_from_leaf_codes(codes, depth).leaves
+    back = raht_inverse_arrays(coeffs, leaves, weights, depth)
+    assert back.size == codes.size
+    np.testing.assert_allclose(back, attrs, atol=1e-9)
 
 
 def test_geometry_only_octree_implies_unit_weights():
+    # the decoder sees only the occupancy bytes and runs at unit weights
     rng = np.random.default_rng(7)
     depth = 3
     codes = np.unique(rng.integers(0, 8**depth, 40))
     attrs = rng.uniform(0.0, 255.0, codes.size)
     coeffs = raht_forward_arrays(codes, attrs, np.ones(codes.size), depth)
-    geometry = octree_from_leaf_codes(codes, depth)
-    back = raht_inverse(coeffs, geometry)
-    got = np.array([leaf.attribute for leaf in back])
+    leaves = deserialize(serialize(octree_from_leaf_codes(codes, depth)), depth).leaves
+    got = raht_inverse_arrays(coeffs, leaves, np.ones(leaves.size), depth)
     np.testing.assert_allclose(got, attrs, atol=1e-9)
 
 
 def test_high_pass_emission_order_is_deepest_axis0_first():
     # four leaves pairing along axis0 at the deepest pass: the first two
     # highs come from those pairs in ascending code order
-    leaves = [
-        WeightedLeaf((0, 0, 0), 1.0),
-        WeightedLeaf((1, 0, 0), 5.0),
-        WeightedLeaf((0, 1, 0), 2.0),
-        WeightedLeaf((1, 1, 0), 10.0),
-    ]
-    coeffs = raht_forward(leaves, 1)
+    codes = leaf_codes([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 1)
+    np.testing.assert_array_equal(codes, [0, 1, 2, 3])
+    coeffs = raht_forward_arrays(codes, np.array([1.0, 5.0, 2.0, 10.0]), np.ones(4), 1)
     r2 = math.sqrt(2.0)
     assert coeffs.highs[0] == pytest.approx((5.0 - 1.0) / r2, rel=1e-12)
     assert coeffs.highs[1] == pytest.approx((10.0 - 2.0) / r2, rel=1e-12)
@@ -187,15 +177,17 @@ def test_high_pass_emission_order_is_deepest_axis0_first():
 
 
 def test_count_mismatch_rejected():
-    geometry = octree_from_leaf_codes(np.array([0, 1, 2]), 1)
-    with pytest.raises(InvalidInputError):
-        raht_inverse(CoefficientStream(dc=1.0, highs=np.zeros(1)), geometry)
+    leaves = octree_from_leaf_codes(np.array([0, 1, 2]), 1).leaves
+    with pytest.raises(InvalidInputError, match="2 coefficients for 3 leaves"):
+        raht_inverse_arrays(
+            CoefficientStream(dc=1.0, highs=np.zeros(1)), leaves, np.ones(3), 1
+        )
 
 
 def test_duplicate_and_unsorted_leaves_rejected():
-    with pytest.raises(InvalidInputError):
-        raht_forward(
-            [WeightedLeaf((0, 0, 0), 1.0), WeightedLeaf((0, 0, 0), 2.0)], 1
+    with pytest.raises(InvalidInputError, match="duplicate"):
+        raht_forward_arrays(
+            leaf_codes([(0, 0, 0), (0, 0, 0)], 1), np.array([1.0, 2.0]), np.ones(2), 1
         )
     with pytest.raises(InvalidInputError):
         raht_forward_arrays(np.array([3, 1]), np.ones(2), np.ones(2), 1)
