@@ -17,12 +17,11 @@ from cylpc import (
     decode_cloud,
     encode_cloud,
     make_config,
-    rlgr_encode,
     synth_sweep,
     voxel_centers,
     voxelize,
 )
-from cylpc.bitstream import HEADER_BYTES, MAGIC, Encoder, pack_stream
+from cylpc.bitstream import HEADER_BYTES, MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -247,38 +246,3 @@ def test_decoded_attributes_clamped_to_8bit_range():
     decoded = decode_cloud(data)
     assert (decoded.leaf_attributes >= 0.0).all()
     assert (decoded.leaf_attributes <= 255.0).all()
-
-
-def stream_with_payload(cloud, qstep, payload_of):
-    """A container with the real geometry of ``cloud`` and an attribute
-    payload chosen by hand; ``payload_of(n)`` gets the coefficient count."""
-    encoder = Encoder(cloud, CoordinateSystem.CARTESIAN, 6)
-    payload = payload_of(len(encoder.voxels))
-    return pack_stream(
-        encoder.voxels.config, encoder.n_points, qstep, encoder.occupancy, payload
-    )
-
-
-@pytest.mark.parametrize("qstep", [4.0, 1e300])
-def test_attribute_values_beyond_int64_are_corrupt(cloud, qstep, unchecked_rlgr_encode):
-    # such values once decoded into object arrays: at qstep 4 the stream
-    # "decoded", at 1e300 it overflowed into a PointCloud validation error
-    data = stream_with_payload(
-        cloud, qstep, lambda n: unchecked_rlgr_encode([2**250, -(2**200)] + [0] * (n - 2))
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(CorruptStreamError, match="attribute section: escaped value"):
-            decode_cloud(data)
-
-
-def test_non_finite_reconstruction_is_corrupt(cloud):
-    # int64 coefficients times a finite qstep can still overflow float64
-    data = stream_with_payload(
-        cloud, 1e300, lambda n: rlgr_encode([2**62, -(2**62)] + [0] * (n - 2))
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(CorruptStreamError, match="attribute section: .*non-finite"):
-            decode_cloud(data)
-

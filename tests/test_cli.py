@@ -212,20 +212,24 @@ def test_exit_code_4_on_corrupt_bitstream(tmp_path, small_ply, capsys):
 
 
 @pytest.mark.parametrize(
-    "values,message",
+    "values,qstep,message",
     [
-        ([2**250, -(2**200)], "escaped value beyond the int64 range"),
-        ([2**62, -(2**62)], "non-finite attributes"),
+        # such values once decoded into object arrays: at qstep 4 the stream
+        # "decoded", at 1e300 it exited 2 after numpy overflow warnings
+        ([2**250, -(2**200)], 4.0, "escaped value beyond the int64 range"),
+        ([2**250, -(2**200)], 1e300, "escaped value beyond the int64 range"),
+        # int64 coefficients times a finite qstep can still overflow float64
+        ([2**62, -(2**62)], 1e300, "non-finite attributes"),
     ],
 )
 def test_exit_code_4_on_corrupt_attribute_section(
-    tmp_path, small_ply, capsys, unchecked_rlgr_encode, values, message
+    tmp_path, small_ply, capsys, unchecked_rlgr_encode, values, qstep, message
 ):
     encoder = Encoder(load_ply(small_ply), CoordinateSystem.CYLINDRICAL, 8)
     payload = unchecked_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
     bad = tmp_path / "bad.cyl"
     bad.write_bytes(pack_stream(
-        encoder.voxels.config, encoder.n_points, 1e300, encoder.occupancy, payload
+        encoder.voxels.config, encoder.n_points, qstep, encoder.occupancy, payload
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
