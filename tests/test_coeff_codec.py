@@ -1,5 +1,7 @@
 """Quantizer bounds and lossless run-length/Golomb-Rice coding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,3 +238,89 @@ def test_bit_flip_fuzz_never_crashes():
         except CorruptStreamError:
             outcomes["corrupt"] += 1
     assert outcomes["ok"] + outcomes["corrupt"] == 400
+
+
+# ------------------------------------------------- rlgr decoder error contract
+
+
+def _bits(text: str, count: int) -> RlgrPayload:
+    """A payload holding ``text`` ('0'/'1' characters) MSB-first, zero-padded."""
+    text += "0" * (-len(text) % 8)
+    data = bytes(int(text[i : i + 8], 2) for i in range(0, len(text), 8))
+    return RlgrPayload(data=data, count=count)
+
+
+# The decoder starts in run mode with k = kr = 1: a "1" marker, a 1-bit run
+# remainder, a sign bit, then a Golomb-Rice code of |value| - 1 whose unary
+# prefix escapes after 32 ones into an 8-bit length and that many raw bits.
+@pytest.mark.parametrize(
+    "payload, message, offset",
+    [
+        (_bits("", 1), "payload exhausted at bit offset 0", 0),
+        (_bits("100" + "1" * 20, 1), "payload exhausted at bit offset 24", 24),
+        (_bits("100" + "1" * 32 + "0" * 8, 1),
+         "escape code with zero bit-length at bit offset 43", 43),
+        (_bits("100" + "1" * 32 + "01000000" + "1" * 64, 1),
+         "escaped value beyond the int64 range at bit offset 107", 107),
+        # full run: one "0" stands for 2^k = 2 zeros, but only one is left
+        (_bits("0", 1), "zero run exceeds remaining count at bit offset 1", 1),
+        # remainder: two full runs raise k to 2, then remainder 3 > 1 left
+        (_bits("00111", 5), "zero run exceeds remaining count at bit offset 5", 5),
+        # [0] codes as "11"; one more byte leaves 14 bits unread
+        (RlgrPayload(data=b"\xc0\x00", count=1),
+         "14 unread bits after decoding 1 values at bit offset 2", 2),
+        (RlgrPayload(data=b"\xc1", count=1), "nonzero padding bit at offset 7", 7),
+    ],
+)
+def test_decoder_error_messages_and_offsets(payload, message, offset):
+    with pytest.raises(CorruptStreamError) as exc:
+        rlgr_decode(payload)
+    assert str(exc.value) == message
+    assert exc.value.offset == offset
+
+
+def _corrupted_payloads(kind: str, rng) -> list[RlgrPayload]:
+    out = []
+    for _ in range(400):
+        n = int(rng.integers(1, 120))
+        v = np.zeros(n, dtype=np.int64)
+        hot = rng.random(n) < rng.choice([0.05, 0.3, 0.9])
+        v[hot] = rng.integers(-(2**int(rng.integers(2, 62))), 2**20, hot.sum())
+        base = rlgr_encode(v)
+        data, count = bytearray(base.data), base.count
+        if kind == "flip":
+            data[rng.integers(0, len(data))] ^= 1 << int(rng.integers(0, 8))
+        elif kind == "truncate":
+            del data[int(rng.integers(0, len(data))):]
+        elif kind == "count":
+            count = max(0, count + int(rng.choice([-3, -2, -1, 1, 2, 3])))
+        elif kind == "random":
+            data = rng.bytes(int(rng.integers(0, 40)))
+        else:  # append
+            data.append(int(rng.integers(0, 256)))
+        out.append(RlgrPayload(data=bytes(data), count=count))
+    return out
+
+
+# sha256 over the outcome of each case, (message, offset) or the decoded
+# list, as the bit-at-a-time decoder produced them
+_CORRUPTION_DIGESTS = {
+    "flip": "4fbbdab747c609f09d22a50ebc2146b54153fc5a62d67b85d47d42c24438ccb5",
+    "truncate": "d01b80823cce03f12094bc6809bc309f9c48e593fa1da979ff666d7abc924e61",
+    "count": "663c7646f43d108bfe8491a1dbbd663666c760c285e964ab85c0aec7cc615051",
+    "random": "a40e3dc972550c56a82133f53b648fb6e525baae4356fc050cb195e360f7fe45",
+    "append": "3c22ac3457d6a570b1afb7613a5b54da3b4e8a53a144028beec2c99a8d5efaa1",
+}
+
+
+@pytest.mark.parametrize("kind", list(_CORRUPTION_DIGESTS))
+def test_decoder_outcomes_on_corrupted_payloads_are_pinned(kind):
+    rng = np.random.default_rng(list(_CORRUPTION_DIGESTS).index(kind))
+    h = hashlib.sha256()
+    for payload in _corrupted_payloads(kind, rng):
+        try:
+            outcome = rlgr_decode(payload)
+        except CorruptStreamError as exc:
+            outcome = (str(exc), exc.offset)
+        h.update(repr(outcome).encode())
+    assert h.hexdigest() == _CORRUPTION_DIGESTS[kind]
