@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CorruptStreamError, CylpcError
 from .geometry import BoundingCylinder, PointCloud
+from .morton import MAX_DEPTH
 from .octree import deserialize, octree_from_leaf_codes, serialize
-from .coeff_codec import (QuantizedStream, RlgrPayload, dequantize, quantize,
-                          rlgr_decode, rlgr_encode)
+from .coeff_codec import RlgrPayload, dequantize, quantize, rlgr_decode, rlgr_encode
 from .raht import CoefficientStream, raht_forward_arrays, raht_inverse_arrays
 from .voxelizer import (
     CoordinateSystem,
@@ -110,18 +111,13 @@ def _transform(vc: VoxelizedCloud) -> CoefficientStream:
     )
 
 
-def _coefficient_ints(coeffs: CoefficientStream, qstep: float) -> list[int]:
-    qs = quantize(coeffs, qstep)
-    return [qs.dc_q] + qs.highs_q.tolist()
-
-
-def attribute_ints(vc: VoxelizedCloud, qstep: float) -> list[int]:
-    """Transform, quantize and order the attribute coefficients for coding."""
-    return _coefficient_ints(_transform(vc), qstep)
+def attribute_ints(vc: VoxelizedCloud, qstep: float) -> np.ndarray:
+    """Transform and quantize the attribute coefficients, in coding order."""
+    return quantize(_transform(vc), qstep)
 
 
 def decode_attributes(
-    ints: list[int], codes: np.ndarray, depth: int, qstep: float
+    ints: Sequence[int] | np.ndarray, codes: np.ndarray, depth: int, qstep: float
 ) -> np.ndarray:
     """Inverse of attribute_ints given the leaf codes; clamps to [0, 255].
 
@@ -129,9 +125,8 @@ def decode_attributes(
     that are not finite, which only a corrupt stream can cause.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        qs = QuantizedStream(qstep=qstep, dc_q=ints[0], highs_q=ints[1:])
         attrs = raht_inverse_arrays(
-            dequantize(qs), codes, np.ones(codes.size, dtype=np.int64), depth
+            dequantize(ints, qstep), codes, np.ones(codes.size, dtype=np.int64), depth
         )
     if not np.isfinite(attrs).all():
         raise CorruptStreamError(
@@ -205,7 +200,7 @@ class Encoder:
 
     def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, RlgrPayload]:
         """Return (bitstream, summary, the attribute payload packed into it)."""
-        payload = rlgr_encode(_coefficient_ints(self.coeffs, qstep))
+        payload = rlgr_encode(quantize(self.coeffs, qstep))
         data = pack_stream(
             self.voxels.config, self.n_points, qstep, self.occupancy, payload
         )
@@ -247,8 +242,8 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError(f"unsupported version {version}", offset=6)
     if coords not in (0, 1):
         raise CorruptStreamError(f"unknown coordinate system {coords}", offset=7)
-    if not 1 <= depth <= 21:
-        raise CorruptStreamError(f"depth {depth} outside [1, 21]", offset=8)
+    if not 1 <= depth <= MAX_DEPTH:
+        raise CorruptStreamError(f"depth {depth} outside [1, {MAX_DEPTH}]", offset=8)
     if flags & ~1:
         raise CorruptStreamError(f"unknown flags 0x{flags:02x}", offset=9)
     if n_points < 1:

@@ -49,77 +49,6 @@ _POS_MAX = (1 << 63) - 2
 _NEG_MAX = (1 << 63) - 1
 
 
-class _BitWriter:
-    """MSB-first bit packer."""
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bits(self, value: int, nbits: int):
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        if self._nbits:
-            return bytes(self._out) + bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return bytes(self._out)
-
-
-class _BitReader:
-    """MSB-first bit unpacker; raises CorruptStreamError past the end."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._end = 8 * len(data)
-
-    def read_bit(self) -> int:
-        if self._pos >= self._end:
-            raise CorruptStreamError(
-                f"payload exhausted at bit offset {self._pos}", offset=self._pos
-            )
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._end - self._pos
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-
-@dataclass(frozen=True)
-class QuantizedStream:
-    """Quantized coefficients: integer DC plus integer highs, with the step."""
-
-    qstep: float
-    dc_q: int
-    highs_q: np.ndarray
-
-    def __post_init__(self):
-        highs = np.ascontiguousarray(self.highs_q, dtype=np.int64)
-        highs.setflags(write=False)
-        object.__setattr__(self, "highs_q", highs)
-
-
 @dataclass(frozen=True)
 class RlgrPayload:
     """Entropy-coded bytes plus the number of integers they decode to."""
@@ -132,27 +61,29 @@ class RlgrPayload:
             raise InvalidInputError(f"negative payload count {self.count}")
 
 
-def quantize(coeffs: CoefficientStream, qstep: float) -> QuantizedStream:
-    """Uniform scalar quantization, rounding half away from zero."""
+def quantize(coeffs: CoefficientStream, qstep: float) -> np.ndarray:
+    """Uniform scalar quantization, rounding half away from zero.
+
+    Returns the int64 coefficients in coding order: DC first, then the
+    highs in emission order.
+    """
     if not qstep > 0.0 or not np.isfinite(qstep):
         raise InvalidConfigError(f"qstep must be a positive finite number, got {qstep}")
-
-    def q(x):
-        return np.sign(x) * np.floor(np.abs(x) / qstep + 0.5)
-
+    x = np.r_[coeffs.dc, coeffs.highs]
     with np.errstate(over="ignore"):  # an infinite quotient fails the check below
-        dc, highs = q(coeffs.dc), q(coeffs.highs)
+        q = np.sign(x) * np.floor(np.abs(x) / qstep + 0.5)
     # a cast of a magnitude >= 2^63 to int64 wraps silently
-    if not (abs(dc) < 2.0**63 and (np.abs(highs) < 2.0**63).all()):
+    if not (np.abs(q) < 2.0**63).all():
         raise InvalidConfigError(
             f"qstep {qstep} is too small: a quantized coefficient does not fit in int64"
         )
-    return QuantizedStream(qstep=qstep, dc_q=int(dc), highs_q=highs.astype(np.int64))
+    return q.astype(np.int64)
 
 
-def dequantize(qs: QuantizedStream) -> CoefficientStream:
-    """Reconstruct coefficients at the quantization lattice points."""
-    return CoefficientStream(dc=qs.dc_q * qs.qstep, highs=qs.highs_q * qs.qstep)
+def dequantize(ints: Sequence[int] | np.ndarray, qstep: float) -> CoefficientStream:
+    """Reconstruct coefficients in coding order at the quantization lattice points."""
+    values = np.asarray(ints, dtype=np.int64) * qstep
+    return CoefficientStream(dc=values[0], highs=values[1:])
 
 
 def _zigzag(x: int) -> int:
@@ -163,58 +94,66 @@ def _unzigzag(u: int) -> int:
     return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
-def _code_gr(w: _BitWriter, val: int, krp: int, limit: int) -> int:
-    """Golomb-Rice code ``limit`` >= ``val`` >= 0 with parameter krp >> 3;
-    returns new krp."""
-    kr = krp >> _LSGR
-    vk = val >> kr
-    if vk < _ESC:
-        w.write_bits((1 << vk) - 1, vk)  # vk ones
-        w.write_bits(0, 1)
-        if kr:
-            w.write_bits(val & ((1 << kr) - 1), kr)
-    else:
-        w.write_bits((1 << _ESC) - 1, _ESC)  # escape: full prefix, no terminator
-        if val > limit:
-            raise InvalidInputError("value outside the int64 range")
-        m = val.bit_length()
-        w.write_bits(m, 8)
-        w.write_bits(val, m)
+def _adapt(krp: int, vk: int) -> int:
+    """Golomb-Rice parameter update from a unary prefix of length vk."""
     if vk == 0:
-        krp = max(0, krp - _KRP_DOWN)
-    elif vk > 1:
-        krp = min(_KPMAX, krp + vk)
+        return max(0, krp - _KRP_DOWN)
+    if vk > 1:
+        return min(_KPMAX, krp + vk)
     return krp
 
 
-def _decode_gr(r: _BitReader, krp: int, limit: int) -> tuple[int, int]:
-    """Inverse of _code_gr; returns (value, new krp)."""
+def _code_gr(out: list[str], val: int, krp: int, limit: int) -> int:
+    """Append the Golomb-Rice code of ``limit`` >= ``val`` >= 0 with
+    parameter krp >> 3 to ``out``; returns new krp."""
     kr = krp >> _LSGR
-    vk = 0
-    while vk < _ESC and r.read_bit() == 1:
-        vk += 1
-    if vk == _ESC:
-        m = r.read_bits(8)
+    vk = val >> kr
+    if vk < _ESC:
+        out.append("1" * vk + "0")
+        if kr:
+            out.append(format(val & ((1 << kr) - 1), f"0{kr}b"))
+    else:
+        if val > limit:
+            raise InvalidInputError("value outside the int64 range")
+        # escape: full prefix, no terminator, 8-bit length, raw bits
+        out.append("1" * _ESC + format(val.bit_length(), "08b") + format(val, "b"))
+    return _adapt(krp, vk)
+
+
+def _exhausted(pos: int) -> CorruptStreamError:
+    return CorruptStreamError(f"payload exhausted at bit offset {pos}", offset=pos)
+
+
+def _decode_gr(bits: str, pos: int, krp: int, limit: int) -> tuple[int, int, int]:
+    """Inverse of _code_gr at bit ``pos``; returns (value, new krp, new pos)."""
+    end = len(bits)
+    kr = krp >> _LSGR
+    zero = bits.find("0", pos, pos + _ESC)
+    if zero >= 0:
+        vk = zero - pos
+        pos = zero + 1 + kr
+        if pos > end:
+            raise _exhausted(end)
+        val = ((vk << kr) | int(bits[zero + 1 : pos], 2)) if kr else vk
+    else:
+        pos += _ESC + 8
+        if pos > end:  # the prefix or the length runs off the end
+            raise _exhausted(end)
+        m = int(bits[pos - 8 : pos], 2)
         if m == 0:
             raise CorruptStreamError(
-                f"escape code with zero bit-length at bit offset {r.position}",
-                offset=r.position,
+                f"escape code with zero bit-length at bit offset {pos}", offset=pos
             )
-        val = r.read_bits(m)
+        pos += m
+        if pos > end:
+            raise _exhausted(end)
+        val = int(bits[pos - m : pos], 2)
         if val > limit:
             raise CorruptStreamError(
-                f"escaped value beyond the int64 range at bit offset {r.position}",
-                offset=r.position,
+                f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
             )
         vk = val >> kr
-    else:
-        low = r.read_bits(kr) if kr else 0
-        val = (vk << kr) | low
-    if vk == 0:
-        krp = max(0, krp - _KRP_DOWN)
-    elif vk > 1:
-        krp = min(_KPMAX, krp + vk)
-    return val, krp
+    return val, _adapt(krp, vk), pos
 
 
 def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPayload:
@@ -223,7 +162,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
         values = values.tolist()
     else:
         values = [int(v) for v in values]
-    w = _BitWriter()
+    out: list[str] = []  # '0'/'1' pieces, packed once at the end
     kp = krp = _K_INIT
     i = 0
     n = len(values)
@@ -231,7 +170,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
         k = kp >> _LSGR
         if k == 0:
             u = _zigzag(values[i])
-            krp = _code_gr(w, u, krp, _ZIGZAG_MAX)
+            krp = _code_gr(out, u, krp, _ZIGZAG_MAX)
             if u == 0:
                 kp = min(_KPMAX, kp + _UQ_GR)
             else:
@@ -244,36 +183,38 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
             j += 1
         run = j - i
         while run >= (1 << k):
-            w.write_bits(0, 1)
+            out.append("0")
             run -= 1 << k
             kp = min(_KPMAX, kp + _UP_GR)
             k = kp >> _LSGR
         if j == n:
             if run:  # dangling zeros; the decoder stops once count is reached
-                w.write_bits(1, 1)
-                w.write_bits(run, k)
+                out.append("1" + format(run, f"0{k}b"))
             i = j
             continue
-        w.write_bits(1, 1)
-        w.write_bits(run, k)
         val = values[j]
-        w.write_bits(1 if val < 0 else 0, 1)
-        krp = _code_gr(w, abs(val) - 1, krp, _NEG_MAX if val < 0 else _POS_MAX)
+        out.append("1" + format(run, f"0{k}b") + ("1" if val < 0 else "0"))
+        krp = _code_gr(out, abs(val) - 1, krp, _NEG_MAX if val < 0 else _POS_MAX)
         kp = max(0, kp - _DN_GR)
         i = j + 1
-    return RlgrPayload(data=w.getvalue(), count=n)
+    bits = "".join(out)
+    pad = -len(bits) % 8
+    data = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    return RlgrPayload(data=data, count=n)
 
 
 def rlgr_decode(payload: RlgrPayload) -> list[int]:
     """Exact inverse of rlgr_encode; raises CorruptStreamError on bad payloads."""
-    r = _BitReader(payload.data)
+    end = 8 * len(payload.data)
+    bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
+    pos = 0
     n = payload.count
     out: list[int] = []
     kp = krp = _K_INIT
     while len(out) < n:
         k = kp >> _LSGR
         if k == 0:
-            u, krp = _decode_gr(r, krp, _ZIGZAG_MAX)
+            u, krp, pos = _decode_gr(bits, pos, krp, _ZIGZAG_MAX)
             out.append(_unzigzag(u))
             if u == 0:
                 kp = min(_KPMAX, kp + _UQ_GR)
@@ -283,43 +224,46 @@ def rlgr_decode(payload: RlgrPayload) -> list[int]:
         # run mode episode
         saw_marker = False
         while len(out) < n:
-            if r.read_bit():
+            if pos == end:
+                raise _exhausted(pos)
+            pos += 1
+            if bits[pos - 1] == "1":
                 saw_marker = True
                 break
             full = 1 << k
             if full > n - len(out):
                 raise CorruptStreamError(
-                    f"zero run exceeds remaining count at bit offset {r.position}",
-                    offset=r.position,
+                    f"zero run exceeds remaining count at bit offset {pos}", offset=pos
                 )
             out.extend([0] * full)
             kp = min(_KPMAX, kp + _UP_GR)
             k = kp >> _LSGR
         if not saw_marker:
             break
-        partial = r.read_bits(k)
+        pos += k
+        if pos > end:
+            raise _exhausted(end)
+        partial = int(bits[pos - k : pos], 2)
         if partial > n - len(out):
             raise CorruptStreamError(
-                f"zero run exceeds remaining count at bit offset {r.position}",
-                offset=r.position,
+                f"zero run exceeds remaining count at bit offset {pos}", offset=pos
             )
         out.extend([0] * partial)
         if len(out) == n:
             break
-        sign = r.read_bit()
-        mag, krp = _decode_gr(r, krp, _NEG_MAX if sign else _POS_MAX)
+        if pos == end:
+            raise _exhausted(pos)
+        sign = bits[pos] == "1"
+        mag, krp, pos = _decode_gr(bits, pos + 1, krp, _NEG_MAX if sign else _POS_MAX)
         mag += 1
         out.append(-mag if sign else mag)
         kp = max(0, kp - _DN_GR)
-    if r.bits_remaining >= 8:
+    if end - pos >= 8:
         raise CorruptStreamError(
-            f"{r.bits_remaining} unread bits after decoding {n} values "
-            f"at bit offset {r.position}",
-            offset=r.position,
+            f"{end - pos} unread bits after decoding {n} values at bit offset {pos}",
+            offset=pos,
         )
-    while r.bits_remaining:
-        if r.read_bit():
-            raise CorruptStreamError(
-                f"nonzero padding bit at offset {r.position - 1}", offset=r.position - 1
-            )
+    one = bits.find("1", pos)
+    if one >= 0:
+        raise CorruptStreamError(f"nonzero padding bit at offset {one}", offset=one)
     return out

@@ -136,6 +136,18 @@ def _parse_ply_header(f, path):
     return is_binary, elements
 
 
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
+def _ascii_rows_fit(rows: int, n_props: int, left: int) -> bool:
+    """Whether ``rows`` ASCII rows of ``n_props`` values can fit in ``left``
+    bytes: each value takes at least one byte and one separator, and the
+    last row may lack its newline. A count the file cannot hold is
+    rejected before anything is read or allocated."""
+    return rows == 0 or max(2 * n_props, 1) * rows - 1 <= left
+
+
 def load_ply(path) -> PointCloud:
     """Read an ASCII or binary-little-endian PLY with x, y, z and intensity."""
     with open(path, "rb") as f:
@@ -158,30 +170,37 @@ def load_ply(path) -> PointCloud:
                 raise MalformedFileError(
                     f"{path}: cannot skip element '{name}' with list properties"
                 )
+            left = _bytes_left(f)
+            size = n * sum(np.dtype("<" + t).itemsize for _, t in eprops)
+            fits = size <= left if is_binary else _ascii_rows_fit(n, len(eprops), left)
+            if not fits:
+                raise MalformedFileError(
+                    f"{path}: element '{name}' declares {n} rows but only "
+                    f"{left} bytes follow"
+                )
             if is_binary:
-                f.seek(n * sum(np.dtype("<" + t).itemsize for _, t in eprops), os.SEEK_CUR)
+                f.seek(size, os.SEEK_CUR)
             else:
-                for _ in range(n):
-                    f.readline()
+                for i in range(n):
+                    if not f.readline():
+                        raise MalformedFileError(
+                            f"{path}: element '{name}' ends after {i} of {n} rows"
+                        )
+        left = _bytes_left(f)
         if is_binary:
             dtype = np.dtype([(p[0], "<" + p[1]) for p in props])
-            raw = f.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            size = count * dtype.itemsize
+            if size > left:
                 raise MalformedFileError(
-                    f"{path}: vertex data truncated "
-                    f"({len(raw)} of {count * dtype.itemsize} bytes)"
+                    f"{path}: vertex data truncated ({left} of {size} bytes)"
                 )
-            data = np.frombuffer(raw, dtype=dtype)
+            data = np.frombuffer(f.read(size), dtype=dtype)
             columns = {name: data[name].astype(np.float64) for name in names}
         else:
-            # each row holds len(props) tokens, each of at least one byte and
-            # one separator, so a count the file cannot hold is rejected here
-            # rather than allocated
-            remaining = os.fstat(f.fileno()).st_size - f.tell()
-            if count and 2 * len(props) * count - 1 > remaining:
+            if not _ascii_rows_fit(count, len(props), left):
                 raise MalformedFileError(
                     f"{path}: header declares {count} vertices but only "
-                    f"{remaining} bytes of vertex data follow"
+                    f"{left} bytes of vertex data follow"
                 )
             rows = np.empty((count, len(props)))
             for i in range(count):

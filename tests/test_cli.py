@@ -291,6 +291,25 @@ def test_exit_code_3_on_vertex_count_beyond_ascii_file_size(tmp_path, capsys):
     assert "declares 100000000000000 vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt,count",
+    [("ascii", "3000000"), ("binary_little_endian", "99999999999999999999")],
+    ids=["ascii", "binary"],
+)
+def test_exit_code_3_on_skipped_element_count_beyond_file_size(tmp_path, capsys, fmt, count):
+    bad = tmp_path / "face.ply"
+    bad.write_bytes(
+        f"ply\nformat {fmt} 1.0\nelement face {count}\nproperty float a\n"
+        "element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+        "property float intensity\nend_header\n".encode()
+        + (b"1 2 3 4\n" if fmt == "ascii" else bytes(16))
+    )
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    err = capsys.readouterr().err
+    assert f"element 'face' declares {count} rows but only" in err
+    assert not (tmp_path / "x.cyl").exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["encode"])  # missing required --out and input

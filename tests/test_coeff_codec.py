@@ -24,22 +24,23 @@ from cylpc import (
 
 
 def test_zero_stays_zero():
-    qs = quantize(CoefficientStream(dc=0.0, highs=np.zeros(5)), 17.3)
-    assert qs.dc_q == 0
-    assert (qs.highs_q == 0).all()
+    q = quantize(CoefficientStream(dc=0.0, highs=np.zeros(5)), 17.3)
+    assert q.dtype == np.int64
+    assert q.shape == (6,)
+    assert (q == 0).all()
 
 
 def test_round_half_away_from_zero():
-    qs = quantize(CoefficientStream(dc=7.4, highs=np.array([-7.4, 3.0, -3.0, 2.5])), 2.0)
-    assert qs.dc_q == 4  # 7.4 / 2 = 3.7 -> 4
-    assert qs.highs_q.tolist() == [-4, 2, -2, 1]  # 2.5/2 = 1.25 -> 1; 3/2 = 1.5 -> 2
+    q = quantize(CoefficientStream(dc=7.4, highs=np.array([-7.4, 3.0, -3.0, 2.5])), 2.0)
+    # DC first: 7.4 / 2 = 3.7 -> 4; 2.5/2 = 1.25 -> 1; 3/2 = 1.5 -> 2
+    assert q.tolist() == [4, -4, 2, -2, 1]
 
 
 def test_quantizer_bound():
     rng = np.random.default_rng(0)
     coeffs = CoefficientStream(dc=rng.uniform(-500, 500), highs=rng.uniform(-500, 500, 1000))
     for qstep in (0.25, 1.0, 7.7, 64.0):
-        back = dequantize(quantize(coeffs, qstep))
+        back = dequantize(quantize(coeffs, qstep), qstep)
         assert abs(back.dc - coeffs.dc) <= qstep / 2.0
         assert np.abs(back.highs - coeffs.highs).max() <= qstep / 2.0
 
@@ -47,8 +48,7 @@ def test_quantizer_bound():
 def test_dequantize_is_identity_on_lattice():
     qstep = 3.5
     coeffs = CoefficientStream(dc=7.0, highs=np.array([-10.5, 0.0, 3.5]))
-    qs = quantize(coeffs, qstep)
-    back = dequantize(qs)
+    back = dequantize(quantize(coeffs, qstep), qstep)
     assert back.dc == coeffs.dc
     np.testing.assert_array_equal(back.highs, coeffs.highs)
 
@@ -72,9 +72,8 @@ def test_qstep_that_overflows_int64_rejected():
 
 def test_largest_int64_magnitudes_kept_exactly():
     top = 2.0**63 - 1024  # the largest float64 below 2^63
-    qs = quantize(CoefficientStream(dc=-top, highs=np.array([top, 2.0**62])), 1.0)
-    assert qs.dc_q == -(2**63 - 1024)
-    assert qs.highs_q.tolist() == [2**63 - 1024, 2**62]
+    q = quantize(CoefficientStream(dc=-top, highs=np.array([top, 2.0**62])), 1.0)
+    assert q.tolist() == [-(2**63 - 1024), 2**63 - 1024, 2**62]
     with pytest.raises(InvalidConfigError):
         quantize(CoefficientStream(dc=0.0, highs=np.array([2.0**63])), 1.0)
 

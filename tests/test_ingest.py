@@ -189,16 +189,64 @@ def test_ascii_vertex_count_checked_against_file_size(tmp_path):
         load_ply(path)
 
 
+def _ply_with_face(fmt: str, faces: int) -> bytes:
+    """A header with a one-property ``face`` element stored ahead of the vertices."""
+    return (
+        f"ply\nformat {fmt} 1.0\nelement face {faces}\nproperty uchar a\n"
+        "element vertex 1\nproperty float x\nproperty float y\n"
+        "property float z\nproperty float intensity\nend_header\n"
+    ).encode()
+
+
+def test_skipped_ascii_element_count_checked_against_file_size(tmp_path):
+    path = tmp_path / "face.ply"
+    body = b"7\n8\n1 2 3 4\n"  # 12 bytes: two face rows, one vertex row
+    path.write_bytes(_ply_with_face("ascii", 2) + body)
+    assert load_ply(path).xyz.tolist() == [[1.0, 2.0, 3.0]]
+    # six one-value rows fit in 11 bytes, but the file holds three lines
+    path.write_bytes(_ply_with_face("ascii", 6) + body)
+    with pytest.raises(MalformedFileError, match="element 'face' ends after 3 of 6 rows"):
+        load_ply(path)
+    for count in (7, 3000000):
+        path.write_bytes(_ply_with_face("ascii", count) + body)
+        with pytest.raises(
+            MalformedFileError,
+            match=f"element 'face' declares {count} rows but only 12 bytes follow",
+        ):
+            load_ply(path)
+
+
+def test_skipped_binary_element_count_checked_against_file_size(tmp_path):
+    path = tmp_path / "face.ply"
+    body = b"\x07\x08" + struct.pack("<4f", 1, 2, 3, 4)  # 18 bytes
+    path.write_bytes(_ply_with_face("binary_little_endian", 2) + body)
+    assert load_ply(path).xyz.tolist() == [[1.0, 2.0, 3.0]]
+    path.write_bytes(_ply_with_face("binary_little_endian", 18) + body)
+    with pytest.raises(MalformedFileError, match=r"vertex data truncated \(0 of 16 bytes\)"):
+        load_ply(path)
+    for count in (19, 99999999999999999999):
+        path.write_bytes(_ply_with_face("binary_little_endian", count) + body)
+        with pytest.raises(
+            MalformedFileError,
+            match=f"element 'face' declares {count} rows but only 18 bytes follow",
+        ):
+            load_ply(path)
+
+
 def test_ply_truncated_binary_rejected(tmp_path):
     path = tmp_path / "short.ply"
     header = (
-        b"ply\nformat binary_little_endian 1.0\nelement vertex 4\n"
-        b"property double x\nproperty double y\nproperty double z\n"
-        b"property double intensity\nend_header\n"
+        "ply\nformat binary_little_endian 1.0\nelement vertex {}\n"
+        "property double x\nproperty double y\nproperty double z\n"
+        "property double intensity\nend_header\n"
     )
-    path.write_bytes(header + b"\x00" * 40)
-    with pytest.raises(MalformedFileError, match="truncated"):
-        load_ply(path)
+    # a count whose size no file offset can hold is rejected the same way
+    for count in (4, 99999999999999999999):
+        path.write_bytes(header.format(count).encode() + b"\x00" * 40)
+        with pytest.raises(
+            MalformedFileError, match=rf"truncated \(40 of {32 * count} bytes\)"
+        ):
+            load_ply(path)
 
 
 def test_ply_normalized_intensity_scales_to_255(tmp_path):
