@@ -6,7 +6,7 @@ Golomb-Rice coding -> one self-contained bitstream. A rate-distortion
 harness (PSNR, bits per point, Bjontegaard deltas) and a CLI sit on top.
 """
 
-from .bitstream import DecodedCloud, EncodeSummary, decode_cloud, encode_cloud
+from .bitstream import EncodeSummary, decode_cloud, encode_cloud
 from .coeff_codec import (
     RlgrPayload,
     dequantize,
@@ -23,7 +23,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .geometry import (
-    BoundingCylinder,
     CartesianPoint,
     CylindricalPoint,
     PointCloud,
@@ -41,12 +40,7 @@ from .metrics import (
     read_rd_csv,
     write_rd_csv,
 )
-from .octree import (
-    Octree,
-    deserialize,
-    octree_from_leaf_codes,
-    serialize,
-)
+from .octree import deserialize, octree_from_leaf_codes, serialize
 from .raht import (
     CoefficientStream,
     raht_forward_arrays,
@@ -56,7 +50,6 @@ from .voxelizer import (
     CoordinateSystem,
     ErrorModel,
     VoxelGridConfig,
-    VoxelizedCloud,
     assign_codes,
     expected_error_cartesian,
     expected_error_cylindrical,
@@ -64,7 +57,6 @@ from .voxelizer import (
     make_config,
     occupancy_stats,
     voxel_centers,
-    voxelization_error_cartesian,
     voxelization_error_cylindrical,
     voxelize,
 )

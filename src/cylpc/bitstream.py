@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptStreamError, CylpcError
+from .errors import CorruptStreamError, CylpcError, InvalidConfigError
 from .geometry import BoundingCylinder, PointCloud
 from .morton import MAX_DEPTH
 from .octree import deserialize, octree_from_leaf_codes, serialize
@@ -57,6 +57,17 @@ _HEADER = struct.Struct("<6sBBBB7dQd")
 HEADER_BYTES = _HEADER.size  # 82
 # container overhead: fixed header + two section lengths + coefficient count
 OVERHEAD_BYTES = HEADER_BYTES + 8 + 8 + 8
+
+# Finest qstep the encoder accepts. float64 holds an attribute below
+# 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
+# transform round trip adds about one such error per step: 3 butterfly
+# passes per level each way plus quantize and dequantize, at most
+# 6 * MAX_DEPTH + 2 = 128 = 2^7 steps, or 2^-38 in all. From 2^-35 on that
+# is at most qstep/8; added to the qstep/sqrt(12) RMS of uniform
+# quantization it keeps the RMS error under qstep/2, so MSE <= qstep^2/4.
+# Measured: rounding alone leaves an RMS error near 1e-13, and at qstep
+# 1e-13 the MSE reaches 5x the bound.
+QSTEP_MIN = 2.0**-35
 
 
 @dataclass(frozen=True)
@@ -200,6 +211,11 @@ class Encoder:
 
     def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, RlgrPayload]:
         """Return (bitstream, summary, the attribute payload packed into it)."""
+        if 0.0 < qstep < QSTEP_MIN:
+            raise InvalidConfigError(
+                f"qstep {qstep} is too small: below {QSTEP_MIN:g}, float64 rounding"
+                " breaks MSE <= qstep^2/4"
+            )
         payload = rlgr_encode(quantize(self.coeffs, qstep))
         data = pack_stream(
             self.voxels.config, self.n_points, qstep, self.occupancy, payload

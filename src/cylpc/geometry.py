@@ -103,14 +103,13 @@ class BoundingCylinder:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned cube [origin, origin + side)^3 enclosing a cloud."""
+    """Axis-aligned cube [origin, origin + side)^3 enclosing a cloud.
+
+    Built only by ``bounding_box``, whose padding keeps ``side`` >= PAD_REL.
+    """
 
     origin: tuple[float, float, float]
     side: float
-
-    def __post_init__(self):
-        if not self.side > 0.0:
-            raise InvalidInputError("bounding box must have positive side")
 
 
 def to_cartesian(p: CylindricalPoint) -> CartesianPoint:

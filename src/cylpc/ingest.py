@@ -244,6 +244,13 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
                 f.write(f"{x:.17g} {y:.17g} {z:.17g} {a:.17g}\n".encode())
 
 
+# Largest sweep synth_sweep makes, counted in ray-surface tests: rays (beams
+# x azimuth steps) times surfaces (the ground plane and each box). The
+# default sweep makes 655,360 of them. At about 130 bytes of arrays per
+# ray, the cap keeps a sweep under about 2 GiB.
+MAX_SWEEP_TESTS = 1 << 24
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Geometry of a synthetic spinning-scanner sweep over a simple scene.
@@ -271,13 +278,22 @@ class SweepSpec:
             raise InvalidInputError("azimuth_step must be positive")
         if not self.max_range > 0.0:
             raise InvalidInputError("max_range must be positive")
-        if self.noise_sigma < 0.0:
-            raise InvalidInputError("noise_sigma must be >= 0")
+        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
+            raise InvalidInputError(
+                f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}"
+            )
         if self.box_count < 0:
             raise InvalidInputError("box_count must be >= 0")
         if self.intensity_model not in ("constant", "range-decay", "checker"):
             raise InvalidInputError(
                 f"unknown intensity model '{self.intensity_model}'"
+            )
+        # before anything is allocated; an int-float comparison cannot overflow
+        azimuths = max(1.0, 2.0 * math.pi / self.azimuth_step)
+        if self.beam_count * (self.box_count + 1) > MAX_SWEEP_TESTS / azimuths:
+            raise InvalidInputError(
+                f"sweep of {self.beam_count} beams x {azimuths:.0f} azimuths x "
+                f"{self.box_count + 1} surfaces exceeds {MAX_SWEEP_TESTS} ray tests"
             )
 
 

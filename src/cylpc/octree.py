@@ -5,6 +5,11 @@ Every occupied internal node contributes exactly one occupancy byte; bit
 (axis0, axis1, axis2) is occupied. Nodes are emitted level by level from
 the root, each level sorted by interleaved code, so the stream is a pure
 function of the occupied-voxel set.
+
+Validation lives where data enters: ``octree_from_leaf_codes`` checks the
+depth and the leaf codes, ``deserialize`` checks the depth and the bytes.
+Both build every level strictly increasing and closed under ``>> 3`` by
+construction, so ``Octree`` itself is a plain holder of the level arrays.
 """
 
 from __future__ import annotations
@@ -37,24 +42,6 @@ class Octree:
     depth: int
     levels: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise InvalidInputError(f"depth {self.depth} outside [1, {MAX_DEPTH}]")
-        if len(self.levels) != self.depth + 1:
-            raise InvalidInputError(
-                f"expected {self.depth + 1} levels, got {len(self.levels)}"
-            )
-        if self.levels[0].shape != (1,) or self.levels[0][0] != 0:
-            raise InvalidInputError("level 0 must be the single root node")
-        for lvl, codes in enumerate(self.levels[1:], start=1):
-            if codes.size == 0 or (np.diff(codes) <= 0).any():
-                raise InvalidInputError(f"level {lvl} codes must be strictly increasing")
-            parents = _parents(codes)
-            if parents.size != self.levels[lvl - 1].size or (
-                parents != self.levels[lvl - 1]
-            ).any():
-                raise InvalidInputError(f"level {lvl} violates parent closure")
-
     @property
     def leaves(self) -> np.ndarray:
         return self.levels[self.depth]
@@ -69,6 +56,8 @@ class OccupancyStream:
 
 def octree_from_leaf_codes(codes: np.ndarray, depth: int) -> Octree:
     """Build the tree whose leaf set is ``codes`` via successive right-shifts."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     if codes.size == 0:
         raise InvalidInputError("octree needs at least one occupied voxel")

@@ -34,15 +34,13 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class CoefficientStream:
-    """DC coefficient plus high-pass coefficients in emission order."""
+    """DC coefficient plus high-pass coefficients in emission order.
+
+    ``raht_forward_arrays`` and ``dequantize`` build it with float64 highs.
+    """
 
     dc: float
     highs: np.ndarray
-
-    def __post_init__(self):
-        highs = np.ascontiguousarray(self.highs, dtype=np.float64)
-        highs.setflags(write=False)
-        object.__setattr__(self, "highs", highs)
 
     @property
     def count(self) -> int:
@@ -67,9 +65,10 @@ def _merge_plan(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[_Pas
     weights = np.array(weights, dtype=np.float64)  # mutated below, keep a copy
     if codes.size == 0:
         raise InvalidInputError("transform needs at least one leaf")
-    if (np.diff(codes) < 0).any():
+    steps = np.diff(codes)
+    if (steps < 0).any():
         raise InvalidInputError("leaves must be sorted by interleaved index")
-    if (np.diff(codes) == 0).any():
+    if (steps == 0).any():
         raise InvalidInputError("duplicate leaf indices")
     if weights.min() < 1:
         raise InvalidInputError("leaf weights must be >= 1")

@@ -87,28 +87,17 @@ class VoxelGridConfig:
 
 @dataclass(frozen=True)
 class VoxelizedCloud:
-    """Occupied voxels: sorted interleaved codes, mean attributes, point counts."""
+    """Occupied voxels: sorted interleaved codes, mean attributes, point counts.
+
+    ``voxelize`` is the only constructor: its codes come from ``np.unique``
+    (strictly increasing int64) and its weights from ``np.bincount`` over
+    them (each >= 1), so the fields need no checks of their own.
+    """
 
     config: VoxelGridConfig
     codes: np.ndarray
     attributes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.int64)
-        attrs = np.ascontiguousarray(self.attributes, dtype=np.float64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.int64)
-        if not (codes.shape == attrs.shape == weights.shape) or codes.ndim != 1:
-            raise InvalidInputError("codes, attributes and weights must be 1-D and aligned")
-        if codes.size == 0:
-            raise InvalidInputError("voxelized cloud must contain at least one voxel")
-        if (np.diff(codes) <= 0).any():
-            raise InvalidInputError("voxel codes must be strictly increasing")
-        if weights.min() < 1:
-            raise InvalidInputError("voxel weights must be positive point counts")
-        for name, arr in (("codes", codes), ("attributes", attrs), ("weights", weights)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -234,14 +223,6 @@ def voxel_centers(cfg: VoxelGridConfig, codes: np.ndarray) -> np.ndarray:
     if cfg.log_radial:
         centers[:, 0] = np.exp(centers[:, 0])
     return cylindrical_to_cartesian(centers)
-
-
-def voxelization_error_cartesian(p, p_hat) -> float:
-    """Squared Euclidean distance between a point and its reconstruction."""
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(p_hat, dtype=np.float64)
-    d = a - b
-    return float(np.dot(d, d))
 
 
 def voxelization_error_cylindrical(r, e1, e2, e3):

@@ -21,7 +21,7 @@ from cylpc import (
     voxel_centers,
     voxelize,
 )
-from cylpc.bitstream import HEADER_BYTES, MAGIC
+from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +84,44 @@ def test_attribute_mse_bound_over_qsteps(cloud, qstep):
 
 def test_qstep_too_fine_for_int64_rejected(cloud):
     # at 1e-20 the quantized coefficients wrapped on the int64 cast and
-    # decoded voxel means came back off by tens of intensity levels
-    with pytest.raises(InvalidConfigError, match="does not fit in int64"):
+    # decoded voxel means came back off by tens of intensity levels; the
+    # qstep floor rejects such a step before the quantizer sees it
+    with pytest.raises(InvalidConfigError, match="qstep 1e-20 is too small: below"):
         encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=1e-20)
+
+
+def _voxel_mse(cloud, system, depth, log_radial, qstep):
+    data, _ = encode_cloud(cloud, system, depth, qstep=qstep, log_radial=log_radial)
+    vc = voxelize(cloud, make_config(cloud, system, depth, log_radial=log_radial))
+    return float(np.mean((decode_cloud(data).leaf_attributes - vc.attributes) ** 2))
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_attribute_mse_bound_holds_at_qstep_floor(cloud, system, depth, log_radial):
+    # float64 rounding broke the bound at qstep 1e-13 (MSE 1.5-5x of it)
+    assert _voxel_mse(cloud, system, depth, log_radial, QSTEP_MIN) <= QSTEP_MIN**2 / 4.0
+
+
+@pytest.mark.parametrize(
+    "intensity,system,depth,log_radial",
+    [
+        ("range-decay", CoordinateSystem.CYLINDRICAL, 13, True),
+        ("range-decay", CoordinateSystem.CARTESIAN, 16, False),
+        ("range-decay", CoordinateSystem.CARTESIAN, 21, False),
+        ("checker", CoordinateSystem.CYLINDRICAL, 21, False),
+    ],
+)
+def test_attribute_mse_bound_holds_at_qstep_floor_on_full_frames(
+    intensity, system, depth, log_radial
+):
+    frame = synth_sweep(SweepSpec(intensity_model=intensity), seed=7)
+    assert _voxel_mse(frame, system, depth, log_radial, QSTEP_MIN) <= QSTEP_MIN**2 / 4.0
+
+
+def test_qstep_just_below_floor_rejected(cloud):
+    below = float(np.nextafter(QSTEP_MIN, 0.0))
+    with pytest.raises(InvalidConfigError, match=f"qstep {below} is too small"):
+        encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=below)
 
 
 def test_encode_is_deterministic(cloud):

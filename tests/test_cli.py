@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from cylpc import (
     read_rd_csv,
     write_ply,
 )
-from cylpc.bitstream import Encoder, pack_stream
+from cylpc.bitstream import QSTEP_MIN, Encoder, pack_stream
 from cylpc.cli import main
 from cylpc.voxelizer import assign_codes
 
@@ -52,6 +53,28 @@ def small_ply(tmp_path_factory):
 def test_synth_writes_loadable_ply(small_ply, capsys):
     pc = load_ply(small_ply)
     assert len(pc) > 1000
+
+
+def test_exit_code_2_on_oversized_synth_without_allocating(tmp_path, capsys):
+    # 5.1e11 ray tests: the spec must refuse them before numpy is asked
+    # for terabytes of arrays
+    tracemalloc.start()
+    try:
+        code = run("synth", "--beams", "100000000", "--out", tmp_path / "x.ply")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert capsys.readouterr().err.startswith("error: sweep of 100000000 beams x 1280")
+    assert not (tmp_path / "x.ply").exists()
+
+
+def test_exit_code_2_on_nan_noise_sigma(tmp_path, capsys):
+    # NaN noise would drop every return and blame the sweep for having none
+    assert run("synth", "--noise-sigma", "nan", "--out", tmp_path / "x.ply") == 2
+    assert capsys.readouterr().err == "error: noise_sigma must be a finite number >= 0, got nan\n"
+    assert not (tmp_path / "x.ply").exists()
 
 
 def test_encode_decode_chain(tmp_path, small_ply, capsys):
@@ -257,6 +280,17 @@ def test_exit_code_2_on_qstep_too_fine_for_int64(tmp_path, small_ply, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: qstep 1e-20 is too small")
     assert not (tmp_path / "x.cyl").exists()
+
+
+def test_exit_code_2_just_below_qstep_floor(tmp_path, small_ply, capsys):
+    below = float(np.nextafter(QSTEP_MIN, 0.0))
+    assert run("encode", small_ply, "--qstep", repr(QSTEP_MIN), "--out", tmp_path / "x.cyl") == 0
+    capsys.readouterr()
+    assert run("encode", small_ply, "--qstep", repr(below), "--out", tmp_path / "y.cyl") == 2
+    assert capsys.readouterr().err.startswith(f"error: qstep {below} is too small")
+    assert not (tmp_path / "y.cyl").exists()
+    assert run("rd-sweep", small_ply, "--qsteps", f"8,4,2,{below!r}",
+               "--csv", tmp_path / "x.csv") == 2
 
 
 PLY_TAIL = (

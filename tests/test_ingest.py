@@ -19,6 +19,7 @@ from cylpc import (
     synth_sweep,
     write_ply,
 )
+from cylpc.ingest import MAX_SWEEP_TESTS
 
 
 # ------------------------------------------------------------------ kitti
@@ -381,3 +382,19 @@ def test_spec_validation():
         SweepSpec(intensity_model="plasma")
     with pytest.raises(InvalidInputError):
         SweepSpec(box_count=-1)
+    for sigma in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(InvalidInputError, match="noise_sigma must be a finite number >= 0"):
+            SweepSpec(noise_sigma=sigma)
+
+
+def test_spec_size_bound_edge():
+    # pi/512 steps give exactly 1024 azimuths; 3 boxes plus the ground are
+    # 4 surfaces, so 4096 beams make exactly MAX_SWEEP_TESTS ray tests
+    assert MAX_SWEEP_TESTS == 4096 * 1024 * 4
+    SweepSpec(beam_count=4096, azimuth_step=math.pi / 512)
+    with pytest.raises(InvalidInputError, match="exceeds 16777216 ray tests"):
+        SweepSpec(beam_count=4097, azimuth_step=math.pi / 512)
+    with pytest.raises(InvalidInputError, match="x 5 surfaces exceeds"):
+        SweepSpec(beam_count=4096, azimuth_step=math.pi / 512, box_count=4)
+    with pytest.raises(InvalidInputError, match="x inf azimuths"):
+        SweepSpec(azimuth_step=5e-324)

@@ -7,7 +7,6 @@ from cylpc import (
     CoordinateSystem,
     CorruptStreamError,
     InvalidInputError,
-    Octree,
     PointCloud,
     deserialize,
     encode_cloud,
@@ -16,6 +15,7 @@ from cylpc import (
     serialize,
     voxelize,
 )
+from cylpc.octree import Octree
 
 
 def random_leaf_codes(rng, depth, max_n):
@@ -66,6 +66,18 @@ def test_octree_leaves_are_the_voxel_codes():
     np.testing.assert_array_equal(ot.leaves, vc.codes)
 
 
+def _assert_sorted_and_closed(ot, depth):
+    # what deserialize builds by construction: one root, then strictly
+    # increasing levels where every node has a parent and every parent a child
+    assert ot.depth == depth and len(ot.levels) == depth + 1
+    np.testing.assert_array_equal(ot.levels[0], [0])
+    for lvl in range(1, depth + 1):
+        codes = ot.levels[lvl]
+        assert codes.dtype == np.int64 and codes.size >= 1
+        assert (np.diff(codes) > 0).all(), f"level {lvl} not strictly increasing"
+        np.testing.assert_array_equal(np.unique(codes >> 3), ot.levels[lvl - 1])
+
+
 def test_round_trip_500_random_sets():
     rng = np.random.default_rng(2)
     for _ in range(500):
@@ -74,6 +86,7 @@ def test_round_trip_500_random_sets():
         stream = serialize(octree_from_leaf_codes(codes, depth))
         back = deserialize(stream, depth)
         np.testing.assert_array_equal(back.leaves, codes)
+        _assert_sorted_and_closed(back, depth)
 
 
 def test_round_trip_restores_every_level():
@@ -133,7 +146,7 @@ def test_bit_flip_fuzz_never_crashes():
         data[pos] ^= 1 << rng.integers(0, 8)
         try:
             back = deserialize(bytes(data), depth)
-            assert back.leaves.size >= 1
+            _assert_sorted_and_closed(back, depth)
             hits["ok"] += 1
         except CorruptStreamError:
             hits["corrupt"] += 1
@@ -172,25 +185,21 @@ def test_octree_accepts_a_closed_tree():
 
 @pytest.mark.parametrize("level", [[2, 1], [1, 1]])
 def test_octree_rejects_non_increasing_level(level):
-    with pytest.raises(InvalidInputError, match="level 1 codes must be strictly increasing"):
-        Octree(depth=1, levels=levels([0], level))
-    with pytest.raises(InvalidInputError, match="level 2 codes must be strictly increasing"):
-        Octree(depth=2, levels=levels([0], [1], [i + 8 for i in level]))
+    # octree_from_leaf_codes is the boundary for codes: it checks the leaf
+    # level, and every level above it is strictly increasing by construction
+    with pytest.raises(InvalidInputError, match="leaf codes must be strictly increasing"):
+        octree_from_leaf_codes(np.array(level), 1)
+    with pytest.raises(InvalidInputError, match="leaf codes must be strictly increasing"):
+        octree_from_leaf_codes(np.array([i + 8 for i in level]), 2)
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        ([0], [1], [2, 9]),  # leaf 2 has parent 0, absent from level 1
-        ([0], [1], [2]),  # same node count, wrong parent
-        ([0], [1, 2], [9]),  # node 2 has no child
-    ],
-)
-def test_octree_rejects_levels_that_are_not_closed(tree):
-    with pytest.raises(InvalidInputError, match="level 2 violates parent closure"):
-        Octree(depth=2, levels=levels(*tree))
+def test_octree_from_leaf_codes_rejects_negative_codes():
+    with pytest.raises(InvalidInputError, match=r"leaf codes outside \[0, 8\^2\)"):
+        octree_from_leaf_codes(np.array([-1, 5]), 2)
 
 
-def test_octree_rejects_a_level_above_the_root():
-    with pytest.raises(InvalidInputError, match="level 1 violates parent closure"):
-        Octree(depth=1, levels=levels([0], [8]))
+@pytest.mark.parametrize("depth", [0, 22])
+def test_octree_from_leaf_codes_rejects_depth_outside_range(depth):
+    with pytest.raises(InvalidInputError) as exc:
+        octree_from_leaf_codes(np.array([0]), depth)
+    assert str(exc.value) == f"depth {depth} outside [1, 21]"

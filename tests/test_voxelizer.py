@@ -21,7 +21,6 @@ from cylpc import (
     occupancy_stats,
     to_cartesian,
     voxel_centers,
-    voxelization_error_cartesian,
     voxelization_error_cylindrical,
     voxelize,
 )
@@ -253,14 +252,6 @@ def test_realized_cylindrical_error_matches_formula():
 
 
 # ------------------------------------------------------------ error models
-
-
-def test_cartesian_error_examples():
-    assert voxelization_error_cartesian((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
-    assert voxelization_error_cartesian((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)) == pytest.approx(3.0)
-    e = (0.3, -0.2, 0.7)
-    assert voxelization_error_cartesian((1.0, 2.0, 3.0),
-                                        (1.3, 1.8, 3.7)) == pytest.approx(sum(x * x for x in e))
 
 
 def test_cylindrical_error_examples():
