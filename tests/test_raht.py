@@ -1,5 +1,6 @@
 """Hierarchical attribute transform: orthonormality, inversion, ordering."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -193,3 +194,51 @@ def test_duplicate_and_unsorted_leaves_rejected():
         raht_forward_arrays(np.array([3, 1]), np.ones(2), np.ones(2), 1)
     with pytest.raises(InvalidInputError):
         raht_forward_arrays(np.array([], dtype=np.int64), np.array([]), np.array([]), 1)
+
+
+def _golden_instances(kind, rng):
+    """Seeded leaf sets: shallow trees with integer or float weights, or
+    deep trees at unit weights whose codes reach 0 and 8^depth - 1."""
+    if kind in ("int", "float"):
+        for depth in range(1, 9):
+            for _ in range(25):
+                n = int(rng.integers(1, 300))
+                codes = np.unique(rng.integers(0, 8**depth, n))
+                if kind == "int":
+                    weights = rng.integers(1, 51, codes.size)
+                else:
+                    weights = rng.uniform(1.0, 50.0, codes.size)
+                yield codes, rng.uniform(0.0, 255.0, codes.size), weights, depth
+        return
+    for depth in range(16, 22):
+        top = 8**depth - 1
+        for clustered in (False, True):
+            if clustered:
+                base = rng.integers(0, top - 4096, 6)
+                codes = (base[:, None] + rng.integers(0, 4096, (6, 200))).ravel()
+            else:
+                codes = rng.integers(0, top, 1500, dtype=np.int64)
+            codes = np.unique(np.r_[0, codes, top])
+            attrs = rng.uniform(0.0, 255.0, codes.size)
+            yield codes, attrs, np.ones(codes.size), depth
+
+
+# sha256 over the dc, the highs and the inverse output of every instance,
+# as the per-pass compacting transform produced them
+_TRANSFORM_DIGESTS = {
+    "int": "16e5dbb3608224237d6f4b3ab6dc26fa02b513974032c3df70c11718788378fd",
+    "float": "2a96b174b5d943959c457b9ef469ef7b732579bb03fe60c2e0a962a0f02c384a",
+    "deep": "76784f8b371afb30eec86bd39a726a57bf6e34058d8498fc0dcc758f945ce7f8",
+}
+
+
+@pytest.mark.parametrize("kind", list(_TRANSFORM_DIGESTS))
+def test_transform_output_is_pinned(kind):
+    rng = np.random.default_rng(list(_TRANSFORM_DIGESTS).index(kind))
+    h = hashlib.sha256()
+    for codes, attrs, weights, depth in _golden_instances(kind, rng):
+        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+        h.update(np.float64(coeffs.dc).tobytes())
+        h.update(coeffs.highs.tobytes())
+        h.update(raht_inverse_arrays(coeffs, codes, weights, depth).tobytes())
+    assert h.hexdigest() == _TRANSFORM_DIGESTS[kind]
