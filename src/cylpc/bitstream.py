@@ -166,7 +166,8 @@ def _config_from_header(
         cylinder = BoundingCylinder(radius=bounds[0], height=bounds[1], h_min=bounds[2])
         return config_from_cylinder(cylinder, depth, log_radial, r_min)
     except CylpcError as exc:
-        raise CorruptStreamError(f"invalid bounds in header: {exc}") from exc
+        # r_min and the six bounds fields start at byte 10
+        raise CorruptStreamError(f"invalid bounds in header: {exc}", offset=10) from exc
 
 
 def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,

@@ -90,15 +90,15 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class BoundingCylinder:
-    """Axis-aligned cylinder r <= R, h_min <= h <= h_min + H enclosing a cloud."""
+    """Axis-aligned cylinder r <= R, h_min <= h <= h_min + H enclosing a cloud.
+
+    ``bounding_cylinder`` pads R and H to >= PAD_REL; for decoded headers,
+    ``config_from_cylinder`` and ``VoxelGridConfig`` reject R or H <= 0.
+    """
 
     radius: float
     height: float
     h_min: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and self.height > 0.0):
-            raise InvalidInputError("bounding cylinder must have positive radius and height")
 
 
 @dataclass(frozen=True)

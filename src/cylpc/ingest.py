@@ -274,6 +274,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.beam_count < 1:
             raise InvalidInputError(f"beam_count must be >= 1, got {self.beam_count}")
+        for name in ("azimuth_step", "max_range", "sensor_height", "elevation_range"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.azimuth_step > 0.0:
             raise InvalidInputError("azimuth_step must be positive")
         if not self.max_range > 0.0:

@@ -1,23 +1,32 @@
 """Weight-adaptive hierarchical transform over octree leaf attributes.
 
 Leaves are given as aligned arrays: strictly increasing interleaved
-codes, one attribute and one positive weight per leaf. The transform walks the tree from the leaves to the root. Each octree
-level is processed as three pairing passes, one per axis in the fixed
-order axis0, axis1, axis2 (x, y, z for Cartesian grids; r, theta, h
-for cylindrical ones). Because interleaved codes place axis0 in the least
-significant bit, one pass simply merges nodes whose codes agree after
-dropping that bit:
+codes, one attribute and one positive weight per leaf. The transform walks
+the tree from the leaves to the root. Each octree level is processed as
+three pairing passes, one per axis in the fixed order axis0, axis1, axis2
+(x, y, z for Cartesian grids; r, theta, h for cylindrical ones). Because
+interleaved codes place axis0 in the least significant bit, pass k
+(counted from 1) merges the pairs of nodes whose leaf codes agree once
+their k lowest bits are dropped:
 
     low  = ( sqrt(w1) * a1 + sqrt(w2) * a2) / sqrt(w1 + w2)
     high = (-sqrt(w2) * a1 + sqrt(w1) * a2) / sqrt(w1 + w2)
 
 The 2x2 butterfly is orthonormal for any positive weights, so the
 transform preserves energy exactly and the inverse is its transpose.
-Unpaired nodes pass through unchanged. High-pass coefficients are
-emitted deepest pass first, in ascending code order within a pass; the
-surviving low-pass value at the root is the DC coefficient. The decoder
-replays the identical schedule from the leaf codes and weights alone,
-so only the coefficients need to be transmitted.
+Unpaired nodes pass through unchanged.
+
+A node is a run [l, r] of consecutive leaves. The boundary between leaves
+i and i + 1 closes in exactly one pass, k = bit_length(c[i] ^ c[i + 1]),
+where it joins the run ending at i with the run starting at i + 1; the
+boundaries that close in one pass are disjoint. The schedule is the
+boundaries stably sorted by pass. Each run keeps its low-pass value and
+its weight at both of its ends, so a pass reads leaves i and i + 1 and
+writes l and r, and no array is ever compacted. High-pass coefficients
+are emitted in schedule order: deepest pass first, ascending code within
+a pass. The low-pass value of the root run is the DC coefficient. The
+decoder replays the schedule backwards from the leaf codes and weights
+alone, so only the coefficients need to be transmitted.
 
 Everything here consumes only the interleaved codes: identical leaf
 codes produce identical coefficients in either coordinate system.
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .morton import MAX_DEPTH
 
 
 @dataclass(frozen=True)
@@ -47,55 +57,42 @@ class CoefficientStream:
         return self.highs.size + 1
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """One pairing pass: node count on entry, pair positions, the mask of
-    nodes that survive the pass and the butterfly gains."""
-
-    size: int
-    left: np.ndarray
-    keep: np.ndarray
-    sw1: np.ndarray
-    sw2: np.ndarray
-
-
-def _merge_plan(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[_Pass]:
-    """Schedule of the 3 * depth pairing passes for the given leaf set."""
+def _schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[tuple]:
+    """Per-pass (boundaries i, run ends l and r, gains sw1 and sw2), in order."""
     codes = np.asarray(codes, dtype=np.int64)
-    weights = np.array(weights, dtype=np.float64)  # mutated below, keep a copy
+    weights = np.array(weights, dtype=np.float64)  # running run weights
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     if codes.size == 0:
         raise InvalidInputError("transform needs at least one leaf")
-    steps = np.diff(codes)
-    if (steps < 0).any():
+    if weights.shape != (codes.size,):
+        raise InvalidInputError(f"weights of shape {weights.shape} for {codes.size} leaves")
+    if (codes[1:] < codes[:-1]).any():
         raise InvalidInputError("leaves must be sorted by interleaved index")
-    if (steps == 0).any():
+    if (codes[1:] == codes[:-1]).any():
         raise InvalidInputError("duplicate leaf indices")
+    if not np.isfinite(weights).all():
+        raise InvalidInputError("leaf weights must be finite")
     if weights.min() < 1:
         raise InvalidInputError("leaf weights must be >= 1")
-    plan = []
-    for _ in range(3 * depth):
-        shifted = codes >> 1
-        pair = np.r_[shifted[:-1] == shifted[1:], False]
-        left = np.flatnonzero(pair)
-        keep = np.ones(codes.size, dtype=bool)
-        keep[left + 1] = False
-        w1 = weights[left]
-        w2 = weights[left + 1]
-        scale = np.sqrt(w1 + w2)
-        plan.append(
-            _Pass(
-                size=codes.size,
-                left=left,
-                keep=keep,
-                sw1=np.sqrt(w1) / scale,
-                sw2=np.sqrt(w2) / scale,
-            )
-        )
-        weights[left] = w1 + w2
-        codes = shifted[keep]
-        weights = weights[keep]
-    if codes.size != 1:
+    diff = codes[:-1] ^ codes[1:]
+    if (diff >> 3 * depth).any():  # >> keeps the sign, so a sign change shows too
         raise InvalidInputError("leaf codes did not reduce to a single root")
+    # exact bit length: frexp is exact on 32-bit halves, not on all of int64
+    high_bits = np.frexp(diff >> 32)[1]
+    passes = np.where(high_bits > 0, high_bits + 32, np.frexp(diff & 0xFFFFFFFF)[1])
+    order = np.argsort(passes.astype(np.int8), kind="stable")
+    head = np.arange(codes.size)  # at a run's right end: its left end
+    tail = head.copy()  # at a run's left end: its right end
+    plan = []
+    for i in np.split(order, np.flatnonzero(np.diff(passes[order])) + 1):
+        l, r = head[i], tail[i + 1]
+        w1, w2 = weights[i], weights[i + 1]
+        scale = np.sqrt(w1 + w2)
+        plan.append((i, l, r, np.sqrt(w1) / scale, np.sqrt(w2) / scale))
+        weights[l] = weights[r] = w1 + w2
+        tail[l] = r
+        head[r] = l
     return plan
 
 
@@ -103,39 +100,35 @@ def raht_forward_arrays(
     codes: np.ndarray, attributes: np.ndarray, weights: np.ndarray, depth: int
 ) -> CoefficientStream:
     """Forward transform of per-leaf attributes into one DC and n-1 highs."""
-    plan = _merge_plan(codes, weights, depth)
-    values = np.asarray(attributes, dtype=np.float64).copy()
+    values = np.array(attributes, dtype=np.float64)  # low-pass values at run ends
+    if values.shape != (np.size(codes),):
+        raise InvalidInputError(
+            f"attributes of shape {values.shape} for {np.size(codes)} leaves"
+        )
     highs = []
-    for p in plan:
-        a1 = values[p.left]
-        a2 = values[p.left + 1]
-        values[p.left] = p.sw1 * a1 + p.sw2 * a2
-        highs.append(-p.sw2 * a1 + p.sw1 * a2)
-        values = values[p.keep]
-    return CoefficientStream(
-        dc=float(values[0]),
-        highs=np.concatenate(highs) if highs else np.empty(0),
-    )
+    for i, l, r, sw1, sw2 in _schedule(codes, weights, depth):
+        a1 = values[i]
+        a2 = values[i + 1]
+        values[l] = values[r] = sw1 * a1 + sw2 * a2
+        highs.append(-sw2 * a1 + sw1 * a2)
+    return CoefficientStream(dc=float(values[0]), highs=np.concatenate(highs))
 
 
 def raht_inverse_arrays(
     coeffs: CoefficientStream, codes: np.ndarray, weights: np.ndarray, depth: int
 ) -> np.ndarray:
     """Exact inverse: rebuild leaf attributes from coefficients and geometry."""
-    plan = _merge_plan(codes, weights, depth)
+    plan = _schedule(codes, weights, depth)
     if coeffs.count != np.size(codes):
         raise InvalidInputError(
             f"{coeffs.count} coefficients for {np.size(codes)} leaves"
         )
-    bounds = np.cumsum([0] + [p.left.size for p in plan])
-    values = np.array([coeffs.dc])
-    for d in range(len(plan) - 1, -1, -1):
-        p = plan[d]
-        old = np.empty(p.size)
-        old[p.keep] = values
-        low = old[p.left]
-        high = coeffs.highs[bounds[d] : bounds[d + 1]]
-        old[p.left] = p.sw1 * low - p.sw2 * high
-        old[p.left + 1] = p.sw2 * low + p.sw1 * high
-        values = old
+    values = np.full(np.size(codes), coeffs.dc, dtype=np.float64)
+    end = coeffs.highs.size
+    for i, l, r, sw1, sw2 in reversed(plan):
+        low = values[l]
+        high = coeffs.highs[end - i.size : end]
+        end -= i.size
+        values[l] = values[i] = sw1 * low - sw2 * high
+        values[i + 1] = values[r] = sw2 * low + sw1 * high
     return values

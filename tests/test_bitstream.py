@@ -205,6 +205,23 @@ def test_bounds_that_break_voxel_centers_are_corrupt(cloud, system, patches):
     assert exc.value.offset == 18
 
 
+@pytest.mark.parametrize("log_radial", [False, True])
+@pytest.mark.parametrize(
+    "offset,value",
+    [(18, 0.0), (18, -1.0), (18, math.nan), (26, 0.0), (26, -2.0), (26, math.nan)],
+)  # cylinder radius at 18, height at 26
+def test_non_positive_cylinder_bounds_are_corrupt(cloud, log_radial, offset, value):
+    data, _ = encode_cloud(
+        cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0, log_radial=log_radial
+    )
+    data = data[:offset] + struct.pack("<d", value) + data[offset + 8:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptStreamError, match="invalid bounds in header") as exc:
+            decode_cloud(data)
+    assert exc.value.offset == 10
+
+
 def test_truncations_are_corrupt(cloud):
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
     for cut in (0, 10, HEADER_BYTES - 1, HEADER_BYTES + 3, len(data) // 2, len(data) - 1):

@@ -387,6 +387,24 @@ def test_spec_validation():
             SweepSpec(noise_sigma=sigma)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_range", math.inf),
+        ("max_range", math.nan),
+        ("sensor_height", math.nan),
+        ("sensor_height", -math.inf),
+        ("azimuth_step", math.inf),
+        ("azimuth_step", math.nan),
+        ("elevation_range", (math.nan, 0.0)),
+        ("elevation_range", (-0.1, math.inf)),
+    ],
+)
+def test_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+        SweepSpec(**{field: value})
+
+
 def test_spec_size_bound_edge():
     # pi/512 steps give exactly 1024 azimuths; 3 boxes plus the ground are
     # 4 surfaces, so 4096 beams make exactly MAX_SWEEP_TESTS ray tests

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,3 +243,42 @@ def test_transform_output_is_pinned(kind):
         h.update(coeffs.highs.tobytes())
         h.update(raht_inverse_arrays(coeffs, codes, weights, depth).tobytes())
     assert h.hexdigest() == _TRANSFORM_DIGESTS[kind]
+
+
+def test_misaligned_arrays_rejected():
+    codes = np.array([0, 1, 2])
+    with pytest.raises(InvalidInputError, match=r"attributes of shape \(2,\) for 3 leaves"):
+        raht_forward_arrays(codes, np.ones(2), np.ones(3), 1)
+    with pytest.raises(InvalidInputError, match=r"weights of shape \(4,\) for 3 leaves"):
+        raht_forward_arrays(codes, np.ones(3), np.ones(4), 1)
+    coeffs = raht_forward_arrays(codes, np.ones(3), np.ones(3), 1)
+    with pytest.raises(InvalidInputError, match=r"weights of shape \(2,\) for 3 leaves"):
+        raht_inverse_arrays(coeffs, codes, np.ones(2), 1)
+    with pytest.raises(InvalidInputError, match=r"weights of shape \(3, 1\) for 3 leaves"):
+        raht_forward_arrays(codes, np.ones(3), np.ones((3, 1)), 1)
+
+
+@pytest.mark.parametrize("depth", [-1, 0, 22, 30])
+def test_depth_outside_octree_range_rejected(depth):
+    with pytest.raises(InvalidInputError, match=rf"depth {depth} outside \[1, 21\]"):
+        raht_forward_arrays(np.array([0, 1]), np.ones(2), np.ones(2), depth)
+    with pytest.raises(InvalidInputError, match=rf"depth {depth} outside \[1, 21\]"):
+        raht_inverse_arrays(
+            CoefficientStream(dc=1.0, highs=np.zeros(1)), np.array([0, 1]), np.ones(2), depth
+        )
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (0.5, ">= 1")],
+)
+def test_bad_weights_rejected(bad, message):
+    weights = np.array([1.0, bad, 2.0])
+    with pytest.raises(InvalidInputError, match=f"leaf weights must be {message}"):
+        raht_forward_arrays(np.array([0, 1, 2]), np.ones(3), weights, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"leaf weights must be {message}"):
+            raht_inverse_arrays(
+                CoefficientStream(dc=1.0, highs=np.zeros(2)), np.array([0, 1, 2]), weights, 1
+            )
