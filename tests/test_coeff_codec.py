@@ -168,6 +168,46 @@ def test_accepts_numpy_arrays():
     assert rlgr_decode(rlgr_encode(v)) == v.tolist()
 
 
+def _encoder_corpus() -> list[np.ndarray]:
+    """Seeded vectors that reach every branch of the encoder: Golomb-Rice
+    literals (dense), complete and partial zero runs (sparse), a run that
+    ends the input (trailing zeros), escapes (wide magnitudes) and the
+    int64 extremes in both modes."""
+    top, bottom = 2**63 - 1, -(2**63)
+    rng = np.random.default_rng(12)
+    cases = [
+        np.array(v, dtype=np.int64)
+        for v in ([], [0], [top], [bottom], [top, bottom, 0, 0, 0, bottom, top],
+                  [0] * 1000, [0] * 777 + [1], [1] + [0] * 5)
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 300))
+        v = np.zeros(n, dtype=np.int64)
+        hot = rng.random(n) < rng.choice([0.02, 0.2, 0.6, 1.0])
+        half = 2 ** int(rng.integers(0, 63))
+        v[hot] = rng.integers(-half, half, hot.sum(), endpoint=True)
+        extreme = rng.random(n) < 0.01
+        v[extreme] = rng.choice([top, bottom], extreme.sum())
+        if rng.random() < 0.3:
+            v = np.r_[v, np.zeros(int(rng.integers(1, 200)), dtype=np.int64)]
+        cases.append(v)
+    return cases
+
+
+# sha256 over count and bytes of rlgr_encode on each corpus vector, first as
+# a list and then as an int64 array, as the string-building encoder wrote them
+_ENCODER_DIGEST = "e90bedb9b51ac5c9f1d24ea80524cc0afc7e0b66fa6e739c3feb3157388f2d53"
+
+
+def test_encoder_bytes_are_pinned():
+    h = hashlib.sha256()
+    for v in _encoder_corpus():
+        for values in (v.tolist(), v):
+            payload = rlgr_encode(values)
+            h.update(payload.count.to_bytes(8, "little") + payload.data)
+    assert h.hexdigest() == _ENCODER_DIGEST
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     v = rng.integers(-100, 100, 2000).tolist()
