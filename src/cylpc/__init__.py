@@ -45,6 +45,7 @@ from .raht import (
     CoefficientStream,
     raht_forward_arrays,
     raht_inverse_arrays,
+    raht_schedule,
 )
 from .voxelizer import (
     CoordinateSystem,

@@ -39,7 +39,7 @@ from .geometry import BoundingCylinder, PointCloud
 from .morton import MAX_DEPTH
 from .octree import deserialize, octree_from_leaf_codes, serialize
 from .coeff_codec import RlgrPayload, dequantize, quantize, rlgr_decode, rlgr_encode
-from .raht import CoefficientStream, raht_forward_arrays, raht_inverse_arrays
+from .raht import RahtSchedule, raht_forward_arrays, raht_inverse_arrays, raht_schedule
 from .voxelizer import (
     CoordinateSystem,
     VoxelGridConfig,
@@ -115,30 +115,27 @@ class DecodedCloud:
     n_points: int
 
 
-def _transform(vc: VoxelizedCloud) -> CoefficientStream:
-    """Forward transform of the voxel means at the wire's unit leaf weights."""
-    return raht_forward_arrays(
-        vc.codes, vc.attributes, np.ones(len(vc), dtype=np.int64), vc.config.depth
-    )
+def wire_schedule(codes: np.ndarray, depth: int) -> RahtSchedule:
+    """Transform schedule of the leaf codes at the wire's unit leaf weights."""
+    return raht_schedule(codes, np.ones(codes.size, dtype=np.int64), depth)
 
 
 def attribute_ints(vc: VoxelizedCloud, qstep: float) -> np.ndarray:
     """Transform and quantize the attribute coefficients, in coding order."""
-    return quantize(_transform(vc), qstep)
+    schedule = wire_schedule(vc.codes, vc.config.depth)
+    return quantize(raht_forward_arrays(schedule, vc.attributes), qstep)
 
 
 def decode_attributes(
-    ints: Sequence[int] | np.ndarray, codes: np.ndarray, depth: int, qstep: float
+    ints: Sequence[int] | np.ndarray, schedule: RahtSchedule, qstep: float
 ) -> np.ndarray:
-    """Inverse of attribute_ints given the leaf codes; clamps to [0, 255].
+    """Inverse of attribute_ints given the leaves' wire_schedule; clamps to [0, 255].
 
     Raises CorruptStreamError when the coefficients reconstruct to values
     that are not finite, which only a corrupt stream can cause.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        attrs = raht_inverse_arrays(
-            dequantize(ints, qstep), codes, np.ones(codes.size, dtype=np.int64), depth
-        )
+        attrs = raht_inverse_arrays(dequantize(ints, qstep), schedule)
     if not np.isfinite(attrs).all():
         raise CorruptStreamError(
             f"coefficients at qstep {qstep:g} reconstruct to non-finite attributes"
@@ -197,9 +194,10 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
 class Encoder:
     """One point cloud voxelized on one grid, ready to encode at any qstep.
 
-    Voxelization, the occupancy bytes and the forward transform do not
-    depend on the qstep, so they run once here; each ``encode`` only
-    quantizes, entropy-codes and packs.
+    Voxelization, the occupancy bytes, the transform schedule and the
+    forward transform do not depend on the qstep, so they run once here;
+    each ``encode`` only quantizes, entropy-codes and packs. The schedule
+    also serves every inverse transform of a sweep over this geometry.
     """
 
     def __init__(self, pc: PointCloud, system: CoordinateSystem, depth: int,
@@ -208,7 +206,8 @@ class Encoder:
         self.n_points = len(pc)
         self.voxels = voxelize(pc, cfg)
         self.occupancy = serialize(octree_from_leaf_codes(self.voxels.codes, depth)).data
-        self.coeffs = _transform(self.voxels)
+        self.schedule = wire_schedule(self.voxels.codes, depth)
+        self.coeffs = raht_forward_arrays(self.schedule, self.voxels.attributes)
 
     def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, RlgrPayload]:
         """Return (bitstream, summary, the attribute payload packed into it)."""
@@ -310,7 +309,7 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         )
     payload = RlgrPayload(data=data[pos : pos + attr_len], count=int(count))
     try:
-        attrs = decode_attributes(rlgr_decode(payload), codes, depth, qstep)
+        attrs = decode_attributes(rlgr_decode(payload), wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
             f"attribute section: {exc}", offset=exc.offset

@@ -79,7 +79,7 @@ def _sweep(pc: PointCloud, system: CoordinateSystem, depth: int, qsteps,
     points = []
     for qstep in sorted(qsteps, reverse=True):
         _, summary, payload = encoder.encode(qstep)
-        decoded = decode_attributes(rlgr_decode(payload), vc.codes, depth, qstep)
+        decoded = decode_attributes(rlgr_decode(payload), encoder.schedule, qstep)
         psnr = psnr_attribute(pc.attributes, decoded[point_slot])
         points.append((qstep, RatePoint(bpp=summary.attribute_bpp, psnr_db=psnr)))
     return points, summary.geometry_bpp

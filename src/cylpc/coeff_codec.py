@@ -21,10 +21,22 @@ switch to an escape form (32 ones, 8-bit bit-length m, m raw bits).
 Values are int64: the encoder rejects, and the decoder reports as
 corrupt, any escaped magnitude that leaves that range. Bits are packed
 MSB-first and the final byte is zero-padded.
+
+Both directions run one inlined event loop; an event is either one k = 0
+literal or one whole k > 0 episode (its complete runs, the marker and
+remainder, and the terminating value). The encoder takes the nonzero
+positions once, so an episode jumps straight to the next nonzero instead
+of scanning zeros. It writes each code word with integer shifts into a
+small Python int and flushes whole bytes about every 1 kbit. The decoder
+reads the bit string: one ``find`` locates the next "1" marker, zeros
+are counted, not stored, and only the (position, value) pairs of the
+nonzeros are kept. The ``count``-long output is built once the bits have
+accounted for every value, so memory stays bounded by the payload size.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,181 +95,211 @@ def quantize(coeffs: CoefficientStream, qstep: float) -> np.ndarray:
 def dequantize(ints: Sequence[int] | np.ndarray, qstep: float) -> CoefficientStream:
     """Reconstruct coefficients in coding order at the quantization lattice points."""
     values = np.asarray(ints, dtype=np.int64) * qstep
+    if values.size == 0:
+        raise InvalidInputError("no coefficients to dequantize: the DC is missing")
     return CoefficientStream(dc=values[0], highs=values[1:])
-
-
-def _zigzag(x: int) -> int:
-    return 2 * x if x >= 0 else -2 * x - 1
-
-
-def _unzigzag(u: int) -> int:
-    return u // 2 if u % 2 == 0 else -(u + 1) // 2
-
-
-def _adapt(krp: int, vk: int) -> int:
-    """Golomb-Rice parameter update from a unary prefix of length vk."""
-    if vk == 0:
-        return max(0, krp - _KRP_DOWN)
-    if vk > 1:
-        return min(_KPMAX, krp + vk)
-    return krp
-
-
-def _code_gr(out: list[str], val: int, krp: int, limit: int) -> int:
-    """Append the Golomb-Rice code of ``limit`` >= ``val`` >= 0 with
-    parameter krp >> 3 to ``out``; returns new krp."""
-    kr = krp >> _LSGR
-    vk = val >> kr
-    if vk < _ESC:
-        out.append("1" * vk + "0")
-        if kr:
-            out.append(format(val & ((1 << kr) - 1), f"0{kr}b"))
-    else:
-        if val > limit:
-            raise InvalidInputError("value outside the int64 range")
-        # escape: full prefix, no terminator, 8-bit length, raw bits
-        out.append("1" * _ESC + format(val.bit_length(), "08b") + format(val, "b"))
-    return _adapt(krp, vk)
 
 
 def _exhausted(pos: int) -> CorruptStreamError:
     return CorruptStreamError(f"payload exhausted at bit offset {pos}", offset=pos)
 
 
-def _decode_gr(bits: str, pos: int, krp: int, limit: int) -> tuple[int, int, int]:
-    """Inverse of _code_gr at bit ``pos``; returns (value, new krp, new pos)."""
-    end = len(bits)
-    kr = krp >> _LSGR
-    zero = bits.find("0", pos, pos + _ESC)
-    if zero >= 0:
-        vk = zero - pos
-        pos = zero + 1 + kr
-        if pos > end:
-            raise _exhausted(end)
-        val = ((vk << kr) | int(bits[zero + 1 : pos], 2)) if kr else vk
-    else:
-        pos += _ESC + 8
-        if pos > end:  # the prefix or the length runs off the end
-            raise _exhausted(end)
-        m = int(bits[pos - 8 : pos], 2)
-        if m == 0:
-            raise CorruptStreamError(
-                f"escape code with zero bit-length at bit offset {pos}", offset=pos
-            )
-        pos += m
-        if pos > end:
-            raise _exhausted(end)
-        val = int(bits[pos - m : pos], 2)
-        if val > limit:
-            raise CorruptStreamError(
-                f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
-            )
-        vk = val >> kr
-    return val, _adapt(krp, vk), pos
+def _run_overflow(pos: int) -> CorruptStreamError:
+    return CorruptStreamError(
+        f"zero run exceeds remaining count at bit offset {pos}", offset=pos
+    )
 
 
 def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPayload:
-    """Losslessly encode a signed integer sequence; total and deterministic."""
+    """Losslessly encode a signed integer sequence; total and deterministic.
+
+    Raises InvalidInputError on a value that is not an integer or lies
+    outside the int64 range.
+    """
     if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "biu":
+            raise InvalidInputError(
+                f"values must be a 1-D integer array, got {values.dtype}"
+                f" of shape {values.shape}"
+            )
+        nonzero = np.flatnonzero(values).tolist()
         values = values.tolist()
     else:
-        values = [int(v) for v in values]
-    out: list[str] = []  # '0'/'1' pieces, packed once at the end
-    kp = krp = _K_INIT
-    i = 0
+        try:
+            values = [operator.index(v) for v in values]
+        except TypeError as exc:
+            raise InvalidInputError(f"values must be integers: {exc}") from exc
+        nonzero = [i for i, v in enumerate(values) if v]
+    zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     n = len(values)
+    nonzero.append(n)  # a run that reaches the end stops here
+    chunks: list[bytes] = []
+    acc = nbits = 0  # pending bits, MSB-first, and how many
+    kp = krp = _K_INIT
+    i = t = 0  # next value to code; nonzero[t] is the first nonzero from i on
     while i < n:
-        k = kp >> _LSGR
-        if k == 0:
-            u = _zigzag(values[i])
-            krp = _code_gr(out, u, krp, _ZIGZAG_MAX)
-            if u == 0:
-                kp = min(_KPMAX, kp + _UQ_GR)
-            else:
-                kp = max(0, kp - _DQ_GR)
+        if kp < _K_INIT:  # k = 0: a zigzag-mapped Golomb-Rice literal
+            val = values[i]
             i += 1
-            continue
-        # run mode: count zeros from here
-        j = i
-        while j < n and values[j] == 0:
-            j += 1
-        run = j - i
-        while run >= (1 << k):
-            out.append("0")
-            run -= 1 << k
-            kp = min(_KPMAX, kp + _UP_GR)
+            if val:
+                t += 1
+                kp = kp - _DQ_GR if kp > _DQ_GR else 0
+                val = 2 * val if val > 0 else -2 * val - 1
+            else:
+                kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+            limit = zigzag_max
+        else:  # k > 0: the zero run up to the next nonzero, then that value
+            j = nonzero[t]
+            run = j - i
             k = kp >> _LSGR
-        if j == n:
-            if run:  # dangling zeros; the decoder stops once count is reached
-                out.append("1" + format(run, f"0{k}b"))
-            i = j
-            continue
-        val = values[j]
-        out.append("1" + format(run, f"0{k}b") + ("1" if val < 0 else "0"))
-        krp = _code_gr(out, abs(val) - 1, krp, _NEG_MAX if val < 0 else _POS_MAX)
-        kp = max(0, kp - _DN_GR)
-        i = j + 1
-    bits = "".join(out)
-    pad = -len(bits) % 8
-    data = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
-    return RlgrPayload(data=data, count=n)
+            full = 0
+            while run >> k:  # each complete run of 2^k zeros is one "0" bit
+                run -= 1 << k
+                full += 1
+                kp += _UP_GR
+                if kp > _KPMAX:
+                    kp = _KPMAX
+                k = kp >> _LSGR
+            if j == n:  # dangling zeros: no terminator, the decoder stops at n
+                acc <<= full
+                nbits += full
+                if run:
+                    acc = (acc << k + 1) | (1 << k) | run
+                    nbits += k + 1
+                break
+            val = values[j]
+            i = j + 1
+            t += 1
+            kp = kp - _DN_GR if kp > _DN_GR else 0
+            # the "0" bits, a "1" marker, the k-bit remainder and a sign bit
+            acc = (acc << full + k + 2) | (1 << k + 1) | (run << 1)
+            nbits += full + k + 2
+            if val < 0:
+                acc |= 1
+                val = -val - 1
+                limit = neg_max
+            else:
+                val -= 1
+                limit = pos_max
+        # Golomb-Rice code of val >= 0: unary prefix vk, a "0", kr low bits
+        kr = krp >> _LSGR
+        vk = val >> kr
+        if vk < _ESC:
+            nb = vk + 1 + kr
+            acc = (acc << nb) | (((1 << vk) - 1) << kr + 1) | (val & ((1 << kr) - 1))
+            nbits += nb
+        else:
+            if val > limit:
+                raise InvalidInputError("value outside the int64 range")
+            # escape: full prefix, no terminator, 8-bit length m, m raw bits
+            m = val.bit_length()
+            acc = (acc << _ESC + 8 + m) | (((1 << _ESC) - 1) << 8 + m) | (m << m) | val
+            nbits += _ESC + 8 + m
+        if vk == 0:
+            krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
+        elif vk > 1:
+            krp += vk
+            if krp > _KPMAX:
+                krp = _KPMAX
+        if nbits > 1024:  # flush whole bytes; keeps acc a small int
+            rest = nbits & 7
+            chunks.append((acc >> rest).to_bytes(nbits >> 3, "big"))
+            acc &= (1 << rest) - 1
+            nbits = rest
+    pad = -nbits % 8
+    chunks.append((acc << pad).to_bytes((nbits + pad) // 8, "big"))
+    return RlgrPayload(data=b"".join(chunks), count=n)
 
 
 def rlgr_decode(payload: RlgrPayload) -> list[int]:
     """Exact inverse of rlgr_encode; raises CorruptStreamError on bad payloads."""
+    zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     end = 8 * len(payload.data)
     bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
-    pos = 0
     n = payload.count
-    out: list[int] = []
+    where: list[int] = []  # positions and values of the nonzeros
+    nonzero: list[int] = []
+    pos = filled = 0  # next bit; values decoded so far
     kp = krp = _K_INIT
-    while len(out) < n:
-        k = kp >> _LSGR
-        if k == 0:
-            u, krp, pos = _decode_gr(bits, pos, krp, _ZIGZAG_MAX)
-            out.append(_unzigzag(u))
-            if u == 0:
-                kp = min(_KPMAX, kp + _UQ_GR)
-            else:
-                kp = max(0, kp - _DQ_GR)
-            continue
-        # run mode episode
-        saw_marker = False
-        while len(out) < n:
+    while filled < n:
+        literal = kp < _K_INIT
+        if literal:  # k = 0: a zigzag-mapped Golomb-Rice literal
+            limit = zigzag_max
+        else:  # k > 0: complete runs, then a marker or the end of the count
+            k = kp >> _LSGR
+            one = bits.find("1", pos)
+            stop = end if one < 0 else one
+            while pos < stop and filled < n:  # "0": a complete run of 2^k zeros
+                pos += 1
+                if 1 << k > n - filled:
+                    raise _run_overflow(pos)
+                filled += 1 << k
+                kp += _UP_GR
+                if kp > _KPMAX:
+                    kp = _KPMAX
+                k = kp >> _LSGR
+            if filled == n:
+                break
+            if one < 0:
+                raise _exhausted(end)
+            pos = one + 1 + k
+            if pos > end:
+                raise _exhausted(end)
+            run = int(bits[one + 1 : pos], 2)
+            if run > n - filled:
+                raise _run_overflow(pos)
+            filled += run
+            if filled == n:
+                break
             if pos == end:
                 raise _exhausted(pos)
+            negative = bits[pos] == "1"
             pos += 1
-            if bits[pos - 1] == "1":
-                saw_marker = True
-                break
-            full = 1 << k
-            if full > n - len(out):
+            limit = neg_max if negative else pos_max
+        # Golomb-Rice code: unary prefix vk < 32, a "0", kr low bits; or escape
+        kr = krp >> _LSGR
+        zero = bits.find("0", pos, pos + _ESC)
+        if zero >= 0:
+            vk = zero - pos
+            pos = zero + 1 + kr
+            if pos > end:
+                raise _exhausted(end)
+            val = ((vk << kr) | int(bits[zero + 1 : pos], 2)) if kr else vk
+        else:
+            pos += _ESC + 8
+            if pos > end:  # the prefix or the length runs off the end
+                raise _exhausted(end)
+            m = int(bits[pos - 8 : pos], 2)
+            if m == 0:
                 raise CorruptStreamError(
-                    f"zero run exceeds remaining count at bit offset {pos}", offset=pos
+                    f"escape code with zero bit-length at bit offset {pos}", offset=pos
                 )
-            out.extend([0] * full)
-            kp = min(_KPMAX, kp + _UP_GR)
-            k = kp >> _LSGR
-        if not saw_marker:
-            break
-        pos += k
-        if pos > end:
-            raise _exhausted(end)
-        partial = int(bits[pos - k : pos], 2)
-        if partial > n - len(out):
-            raise CorruptStreamError(
-                f"zero run exceeds remaining count at bit offset {pos}", offset=pos
-            )
-        out.extend([0] * partial)
-        if len(out) == n:
-            break
-        if pos == end:
-            raise _exhausted(pos)
-        sign = bits[pos] == "1"
-        mag, krp, pos = _decode_gr(bits, pos + 1, krp, _NEG_MAX if sign else _POS_MAX)
-        mag += 1
-        out.append(-mag if sign else mag)
-        kp = max(0, kp - _DN_GR)
+            pos += m
+            if pos > end:
+                raise _exhausted(end)
+            val = int(bits[pos - m : pos], 2)
+            if val > limit:
+                raise CorruptStreamError(
+                    f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
+                )
+            vk = val >> kr
+        if vk == 0:
+            krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
+        elif vk > 1:
+            krp += vk
+            if krp > _KPMAX:
+                krp = _KPMAX
+        if not literal:
+            where.append(filled)
+            nonzero.append(-val - 1 if negative else val + 1)
+            kp = kp - _DN_GR if kp > _DN_GR else 0
+        elif val:
+            where.append(filled)
+            nonzero.append((val >> 1) ^ -(val & 1))  # unzigzag
+            kp = kp - _DQ_GR if kp > _DQ_GR else 0
+        else:
+            kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+        filled += 1
     if end - pos >= 8:
         raise CorruptStreamError(
             f"{end - pos} unread bits after decoding {n} values at bit offset {pos}",
@@ -266,4 +308,7 @@ def rlgr_decode(payload: RlgrPayload) -> list[int]:
     one = bits.find("1", pos)
     if one >= 0:
         raise CorruptStreamError(f"nonzero padding bit at offset {one}", offset=one)
+    out = [0] * n  # the bits have accounted for all n values
+    for i, val in zip(where, nonzero):
+        out[i] = val
     return out

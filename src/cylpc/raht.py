@@ -26,7 +26,9 @@ writes l and r, and no array is ever compacted. High-pass coefficients
 are emitted in schedule order: deepest pass first, ascending code within
 a pass. The low-pass value of the root run is the DC coefficient. The
 decoder replays the schedule backwards from the leaf codes and weights
-alone, so only the coefficients need to be transmitted.
+alone, so only the coefficients need to be transmitted. ``raht_schedule``
+validates a leaf set and builds its schedule once; the forward transform
+and every inverse over that leaf set take the schedule.
 
 Everything here consumes only the interleaved codes: identical leaf
 codes produce identical coefficients in either coordinate system.
@@ -57,8 +59,21 @@ class CoefficientStream:
         return self.highs.size + 1
 
 
-def _schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[tuple]:
-    """Per-pass (boundaries i, run ends l and r, gains sw1 and sw2), in order."""
+@dataclass(frozen=True)
+class RahtSchedule:
+    """The pass schedule of one leaf set: per pass, the boundaries i, the
+    run ends l and r and the gains sw1 and sw2, in pass order.
+
+    It depends only on the leaf codes, weights and depth, so one schedule
+    serves the forward transform and any number of inverses.
+    """
+
+    leaves: int
+    passes: list[tuple[np.ndarray, ...]]
+
+
+def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSchedule:
+    """Validate a leaf set and build its schedule."""
     codes = np.asarray(codes, dtype=np.int64)
     weights = np.array(weights, dtype=np.float64)  # running run weights
     if not 1 <= depth <= MAX_DEPTH:
@@ -93,20 +108,20 @@ def _schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> list[tuple]
         weights[l] = weights[r] = w1 + w2
         tail[l] = r
         head[r] = l
-    return plan
+    return RahtSchedule(leaves=codes.size, passes=plan)
 
 
 def raht_forward_arrays(
-    codes: np.ndarray, attributes: np.ndarray, weights: np.ndarray, depth: int
+    schedule: RahtSchedule, attributes: np.ndarray
 ) -> CoefficientStream:
     """Forward transform of per-leaf attributes into one DC and n-1 highs."""
     values = np.array(attributes, dtype=np.float64)  # low-pass values at run ends
-    if values.shape != (np.size(codes),):
+    if values.shape != (schedule.leaves,):
         raise InvalidInputError(
-            f"attributes of shape {values.shape} for {np.size(codes)} leaves"
+            f"attributes of shape {values.shape} for {schedule.leaves} leaves"
         )
     highs = []
-    for i, l, r, sw1, sw2 in _schedule(codes, weights, depth):
+    for i, l, r, sw1, sw2 in schedule.passes:
         a1 = values[i]
         a2 = values[i + 1]
         values[l] = values[r] = sw1 * a1 + sw2 * a2
@@ -114,18 +129,15 @@ def raht_forward_arrays(
     return CoefficientStream(dc=float(values[0]), highs=np.concatenate(highs))
 
 
-def raht_inverse_arrays(
-    coeffs: CoefficientStream, codes: np.ndarray, weights: np.ndarray, depth: int
-) -> np.ndarray:
+def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np.ndarray:
     """Exact inverse: rebuild leaf attributes from coefficients and geometry."""
-    plan = _schedule(codes, weights, depth)
-    if coeffs.count != np.size(codes):
+    if coeffs.count != schedule.leaves:
         raise InvalidInputError(
-            f"{coeffs.count} coefficients for {np.size(codes)} leaves"
+            f"{coeffs.count} coefficients for {schedule.leaves} leaves"
         )
-    values = np.full(np.size(codes), coeffs.dc, dtype=np.float64)
+    values = np.full(schedule.leaves, coeffs.dc, dtype=np.float64)
     end = coeffs.highs.size
-    for i, l, r, sw1, sw2 in reversed(plan):
+    for i, l, r, sw1, sw2 in reversed(schedule.passes):
         low = values[l]
         high = coeffs.highs[end - i.size : end]
         end -= i.size

@@ -29,6 +29,7 @@ from cylpc import (
     psnr_attribute,
     raht_forward_arrays,
     raht_inverse_arrays,
+    raht_schedule,
     rlgr_decode,
     rlgr_encode,
     serialize,
@@ -37,7 +38,7 @@ from cylpc import (
     voxelization_error_cylindrical,
     voxelize,
 )
-from cylpc.bitstream import attribute_ints, decode_attributes
+from cylpc.bitstream import attribute_ints, decode_attributes, wire_schedule
 from cylpc.geometry import CylindricalPoint
 from cylpc.metrics import LOSSLESS
 from cylpc.voxelizer import assign_codes
@@ -72,7 +73,7 @@ def test_criterion_1_raht_orthonormality(raht_instances):
     start = time.monotonic()
     worst = 0.0
     for codes, attrs, weights, depth in raht_instances:
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+        coeffs = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
         e_in = float(np.dot(attrs, attrs))
         e_out = coeffs.dc**2 + float(np.dot(coeffs.highs, coeffs.highs))
         worst = max(worst, abs(e_out - e_in) / e_in)
@@ -89,8 +90,9 @@ def test_criterion_1_raht_orthonormality(raht_instances):
 def test_criterion_2_raht_round_trip(raht_instances):
     worst = 0.0
     for codes, attrs, weights, depth in raht_instances:
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
-        back = raht_inverse_arrays(coeffs, codes, weights, depth)
+        schedule = raht_schedule(codes, weights, depth)
+        coeffs = raht_forward_arrays(schedule, attrs)
+        back = raht_inverse_arrays(coeffs, schedule)
         worst = max(worst, float(np.abs(back - attrs).max()))
     assert worst <= 1e-9, f"worst per-attribute error {worst:.3e}"
     report(
@@ -267,10 +269,11 @@ def test_criterion_8_bjontegaard_sanity():
 
 def _rd_points(pc, vc, depth):
     slot = np.searchsorted(vc.codes, assign_codes(pc, vc.config))
+    schedule = wire_schedule(vc.codes, depth)
     points = []
     for qstep in QSTEPS:
         payload = rlgr_encode(attribute_ints(vc, qstep))
-        decoded = decode_attributes(rlgr_decode(payload), vc.codes, depth, qstep)
+        decoded = decode_attributes(rlgr_decode(payload), schedule, qstep)
         points.append(
             RatePoint(
                 bpp=8.0 * len(payload.data) / len(pc),

@@ -53,6 +53,13 @@ def test_dequantize_is_identity_on_lattice():
     np.testing.assert_array_equal(back.highs, coeffs.highs)
 
 
+def test_dequantize_needs_a_dc():
+    with pytest.raises(InvalidInputError, match="DC"):
+        dequantize([], 2.0)
+    with pytest.raises(InvalidInputError, match="DC"):
+        dequantize(np.zeros(0, dtype=np.int64), 2.0)
+
+
 def test_invalid_qstep():
     coeffs = CoefficientStream(dc=1.0, highs=np.zeros(1))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -160,6 +167,28 @@ def test_escaped_values_outside_int64_are_corrupt(values, unchecked_rlgr_encode)
     with pytest.raises(CorruptStreamError, match="beyond the int64 range") as exc:
         rlgr_decode(payload)
     assert 0 < exc.value.offset <= 8 * len(payload.data)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.7, 0], [0, 0, 2.0], [np.float64(3.0)], ["1"], [None],
+     np.array([1.5, 0.0]), np.array([1.0, 2.0]), np.array([1 + 2j]),
+     np.array(["1"]), np.array([1, 2], dtype=object), np.array([[1, 2]]), np.array(3)],
+    ids=["float-item", "integral-float-item", "numpy-float-item", "str-item", "none-item",
+         "float-array", "integral-float-array", "complex-array", "str-array",
+         "object-array", "2d-array", "0d-array"],
+)
+def test_non_integer_values_rejected_by_encoder(values):
+    with pytest.raises(InvalidInputError):
+        rlgr_encode(values)
+
+
+def test_integer_like_values_accepted_by_encoder():
+    values = [np.int32(5), np.int64(-3), 0, True]
+    assert rlgr_decode(rlgr_encode(values)) == [5, -3, 0, 1]
+    for dtype in (np.int8, np.uint16, np.int32, bool):
+        v = np.array([1, 0, 0, 1], dtype=dtype)
+        assert rlgr_decode(rlgr_encode(v)) == [1, 0, 0, 1]
 
 
 def test_accepts_numpy_arrays():
@@ -316,6 +345,14 @@ def test_decoder_error_messages_and_offsets(payload, message, offset):
         rlgr_decode(payload)
     assert str(exc.value) == message
     assert exc.value.offset == offset
+
+
+def test_decoder_memory_is_bounded_by_the_payload():
+    # a huge count must not be allocated before the bits account for it
+    with pytest.raises(CorruptStreamError) as exc:
+        rlgr_decode(RlgrPayload(b"\x00", count=2**40))
+    assert str(exc.value) == "payload exhausted at bit offset 8"
+    assert exc.value.offset == 8
 
 
 def _corrupted_payloads(kind: str, rng) -> list[RlgrPayload]:

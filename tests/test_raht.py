@@ -14,6 +14,7 @@ from cylpc import (
     octree_from_leaf_codes,
     raht_forward_arrays,
     raht_inverse_arrays,
+    raht_schedule,
     serialize,
 )
 from cylpc.morton import morton_encode
@@ -35,7 +36,7 @@ def leaf_codes(indices, depth):
 
 def test_single_leaf_is_pure_dc():
     coeffs = raht_forward_arrays(
-        leaf_codes([(1, 2, 3)], 4), np.array([77.5]), np.array([9]), 4
+        raht_schedule(leaf_codes([(1, 2, 3)], 4), np.array([9]), 4), np.array([77.5])
     )
     assert coeffs.dc == 77.5
     assert coeffs.highs.size == 0
@@ -43,7 +44,7 @@ def test_single_leaf_is_pure_dc():
 
 def test_two_sibling_butterfly_hand_values():
     codes = leaf_codes([(0, 0, 0), (1, 0, 0)], 1)
-    coeffs = raht_forward_arrays(codes, np.array([4.0, 8.0]), np.ones(2), 1)
+    coeffs = raht_forward_arrays(raht_schedule(codes, np.ones(2), 1), np.array([4.0, 8.0]))
     assert coeffs.dc == pytest.approx(12.0 / math.sqrt(2.0), rel=1e-12)  # 8.485281
     assert coeffs.highs[0] == pytest.approx(4.0 / math.sqrt(2.0), rel=1e-12)  # 2.828427
     assert coeffs.dc == pytest.approx(8.485281, abs=1e-6)
@@ -56,7 +57,7 @@ def test_constant_signal_is_pure_dc():
     codes = np.unique(rng.integers(0, 8**depth, 100))
     n = codes.size
     a = 31.25
-    coeffs = raht_forward_arrays(codes, np.full(n, a), np.ones(n), depth)
+    coeffs = raht_forward_arrays(raht_schedule(codes, np.ones(n), depth), np.full(n, a))
     assert coeffs.dc == pytest.approx(a * math.sqrt(n), rel=1e-12)
     np.testing.assert_allclose(coeffs.highs, 0.0, atol=1e-9)
 
@@ -65,7 +66,9 @@ def test_weighted_butterfly_sign_convention():
     # low = (sqrt(w1) a1 + sqrt(w2) a2) / sqrt(w1 + w2),
     # high = (-sqrt(w2) a1 + sqrt(w1) a2) / sqrt(w1 + w2)
     codes = leaf_codes([(0, 0, 0), (1, 0, 0)], 1)
-    coeffs = raht_forward_arrays(codes, np.array([10.0, 20.0]), np.array([3, 1]), 1)
+    coeffs = raht_forward_arrays(
+        raht_schedule(codes, np.array([3, 1]), 1), np.array([10.0, 20.0])
+    )
     s3, s1, s4 = math.sqrt(3.0), 1.0, math.sqrt(4.0)
     assert coeffs.dc == pytest.approx((s3 * 10.0 + s1 * 20.0) / s4, rel=1e-12)
     assert coeffs.highs[0] == pytest.approx((-s1 * 10.0 + s3 * 20.0) / s4, rel=1e-12)
@@ -75,7 +78,7 @@ def test_orthonormality_random_instances():
     rng = np.random.default_rng(1)
     for _ in range(200):
         codes, attrs, weights, depth = random_instance(rng)
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+        coeffs = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
         energy_in = float(np.dot(attrs, attrs))
         energy_out = coeffs.dc**2 + float(np.dot(coeffs.highs, coeffs.highs))
         assert abs(energy_out - energy_in) / energy_in <= 1e-9
@@ -86,8 +89,9 @@ def test_round_trip_random_instances():
     rng = np.random.default_rng(2)
     for _ in range(200):
         codes, attrs, weights, depth = random_instance(rng)
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
-        back = raht_inverse_arrays(coeffs, codes, weights, depth)
+        schedule = raht_schedule(codes, weights, depth)
+        coeffs = raht_forward_arrays(schedule, attrs)
+        back = raht_inverse_arrays(coeffs, schedule)
         assert np.abs(back - attrs).max() <= 1e-9
 
 
@@ -97,7 +101,7 @@ def test_dc_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(50):
         codes, attrs, weights, depth = random_instance(rng, max_n=100)
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+        coeffs = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
         expected = float(np.dot(np.sqrt(weights), attrs)) / math.sqrt(float(weights.sum()))
         assert coeffs.dc == pytest.approx(expected, rel=1e-9)
 
@@ -107,7 +111,7 @@ def test_dc_is_scaled_mean_at_unit_weights():
     codes = np.unique(rng.integers(0, 8**4, 200))
     attrs = rng.uniform(0.0, 255.0, codes.size)
     ones = np.ones(codes.size)
-    coeffs = raht_forward_arrays(codes, attrs, ones, 4)
+    coeffs = raht_forward_arrays(raht_schedule(codes, ones, 4), attrs)
     expected = float(attrs.sum()) / math.sqrt(codes.size)
     assert coeffs.dc == pytest.approx(expected, rel=1e-12)
 
@@ -118,9 +122,10 @@ def test_linearity():
     x = rng.uniform(-100.0, 100.0, codes.size)
     y = rng.uniform(-100.0, 100.0, codes.size)
     alpha, beta = 2.5, -0.75
-    tx = raht_forward_arrays(codes, x, weights, depth)
-    ty = raht_forward_arrays(codes, y, weights, depth)
-    tz = raht_forward_arrays(codes, alpha * x + beta * y, weights, depth)
+    schedule = raht_schedule(codes, weights, depth)
+    tx = raht_forward_arrays(schedule, x)
+    ty = raht_forward_arrays(schedule, y)
+    tz = raht_forward_arrays(schedule, alpha * x + beta * y)
     assert tz.dc == pytest.approx(alpha * tx.dc + beta * ty.dc, rel=1e-9, abs=1e-9)
     np.testing.assert_allclose(
         tz.highs, alpha * tx.highs + beta * ty.highs, rtol=1e-9, atol=1e-9
@@ -132,8 +137,10 @@ def test_transform_depends_only_on_index_structure():
     # byte-identical coefficients; the transform never sees the config
     rng = np.random.default_rng(5)
     codes, attrs, weights, depth = random_instance(rng, max_n=150)
-    a = raht_forward_arrays(codes, attrs, weights, depth)
-    b = raht_forward_arrays(codes.copy(), attrs.copy(), weights.copy(), depth)
+    a = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
+    b = raht_forward_arrays(
+        raht_schedule(codes.copy(), weights.copy(), depth), attrs.copy()
+    )
     assert a.dc == b.dc
     np.testing.assert_array_equal(a.highs, b.highs)
 
@@ -144,9 +151,9 @@ def test_inverse_through_octree_geometry():
     codes = np.unique(rng.integers(0, 8**depth, 300))
     attrs = rng.uniform(0.0, 255.0, codes.size)
     weights = rng.integers(1, 20, codes.size)
-    coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+    coeffs = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
     leaves = octree_from_leaf_codes(codes, depth).leaves
-    back = raht_inverse_arrays(coeffs, leaves, weights, depth)
+    back = raht_inverse_arrays(coeffs, raht_schedule(leaves, weights, depth))
     assert back.size == codes.size
     np.testing.assert_allclose(back, attrs, atol=1e-9)
 
@@ -157,9 +164,9 @@ def test_geometry_only_octree_implies_unit_weights():
     depth = 3
     codes = np.unique(rng.integers(0, 8**depth, 40))
     attrs = rng.uniform(0.0, 255.0, codes.size)
-    coeffs = raht_forward_arrays(codes, attrs, np.ones(codes.size), depth)
+    coeffs = raht_forward_arrays(raht_schedule(codes, np.ones(codes.size), depth), attrs)
     leaves = deserialize(serialize(octree_from_leaf_codes(codes, depth)), depth).leaves
-    got = raht_inverse_arrays(coeffs, leaves, np.ones(leaves.size), depth)
+    got = raht_inverse_arrays(coeffs, raht_schedule(leaves, np.ones(leaves.size), depth))
     np.testing.assert_allclose(got, attrs, atol=1e-9)
 
 
@@ -168,7 +175,9 @@ def test_high_pass_emission_order_is_deepest_axis0_first():
     # highs come from those pairs in ascending code order
     codes = leaf_codes([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 1)
     np.testing.assert_array_equal(codes, [0, 1, 2, 3])
-    coeffs = raht_forward_arrays(codes, np.array([1.0, 5.0, 2.0, 10.0]), np.ones(4), 1)
+    coeffs = raht_forward_arrays(
+        raht_schedule(codes, np.ones(4), 1), np.array([1.0, 5.0, 2.0, 10.0])
+    )
     r2 = math.sqrt(2.0)
     assert coeffs.highs[0] == pytest.approx((5.0 - 1.0) / r2, rel=1e-12)
     assert coeffs.highs[1] == pytest.approx((10.0 - 2.0) / r2, rel=1e-12)
@@ -182,19 +191,18 @@ def test_count_mismatch_rejected():
     leaves = octree_from_leaf_codes(np.array([0, 1, 2]), 1).leaves
     with pytest.raises(InvalidInputError, match="2 coefficients for 3 leaves"):
         raht_inverse_arrays(
-            CoefficientStream(dc=1.0, highs=np.zeros(1)), leaves, np.ones(3), 1
+            CoefficientStream(dc=1.0, highs=np.zeros(1)),
+            raht_schedule(leaves, np.ones(3), 1),
         )
 
 
 def test_duplicate_and_unsorted_leaves_rejected():
     with pytest.raises(InvalidInputError, match="duplicate"):
-        raht_forward_arrays(
-            leaf_codes([(0, 0, 0), (0, 0, 0)], 1), np.array([1.0, 2.0]), np.ones(2), 1
-        )
+        raht_schedule(leaf_codes([(0, 0, 0), (0, 0, 0)], 1), np.ones(2), 1)
     with pytest.raises(InvalidInputError):
-        raht_forward_arrays(np.array([3, 1]), np.ones(2), np.ones(2), 1)
+        raht_schedule(np.array([3, 1]), np.ones(2), 1)
     with pytest.raises(InvalidInputError):
-        raht_forward_arrays(np.array([], dtype=np.int64), np.array([]), np.array([]), 1)
+        raht_schedule(np.array([], dtype=np.int64), np.array([]), 1)
 
 
 def _golden_instances(kind, rng):
@@ -238,34 +246,30 @@ def test_transform_output_is_pinned(kind):
     rng = np.random.default_rng(list(_TRANSFORM_DIGESTS).index(kind))
     h = hashlib.sha256()
     for codes, attrs, weights, depth in _golden_instances(kind, rng):
-        coeffs = raht_forward_arrays(codes, attrs, weights, depth)
+        schedule = raht_schedule(codes, weights, depth)
+        coeffs = raht_forward_arrays(schedule, attrs)
         h.update(np.float64(coeffs.dc).tobytes())
         h.update(coeffs.highs.tobytes())
-        h.update(raht_inverse_arrays(coeffs, codes, weights, depth).tobytes())
+        h.update(raht_inverse_arrays(coeffs, schedule).tobytes())
     assert h.hexdigest() == _TRANSFORM_DIGESTS[kind]
 
 
 def test_misaligned_arrays_rejected():
     codes = np.array([0, 1, 2])
     with pytest.raises(InvalidInputError, match=r"attributes of shape \(2,\) for 3 leaves"):
-        raht_forward_arrays(codes, np.ones(2), np.ones(3), 1)
+        raht_forward_arrays(raht_schedule(codes, np.ones(3), 1), np.ones(2))
     with pytest.raises(InvalidInputError, match=r"weights of shape \(4,\) for 3 leaves"):
-        raht_forward_arrays(codes, np.ones(3), np.ones(4), 1)
-    coeffs = raht_forward_arrays(codes, np.ones(3), np.ones(3), 1)
+        raht_schedule(codes, np.ones(4), 1)
     with pytest.raises(InvalidInputError, match=r"weights of shape \(2,\) for 3 leaves"):
-        raht_inverse_arrays(coeffs, codes, np.ones(2), 1)
+        raht_schedule(codes, np.ones(2), 1)
     with pytest.raises(InvalidInputError, match=r"weights of shape \(3, 1\) for 3 leaves"):
-        raht_forward_arrays(codes, np.ones(3), np.ones((3, 1)), 1)
+        raht_schedule(codes, np.ones((3, 1)), 1)
 
 
 @pytest.mark.parametrize("depth", [-1, 0, 22, 30])
 def test_depth_outside_octree_range_rejected(depth):
     with pytest.raises(InvalidInputError, match=rf"depth {depth} outside \[1, 21\]"):
-        raht_forward_arrays(np.array([0, 1]), np.ones(2), np.ones(2), depth)
-    with pytest.raises(InvalidInputError, match=rf"depth {depth} outside \[1, 21\]"):
-        raht_inverse_arrays(
-            CoefficientStream(dc=1.0, highs=np.zeros(1)), np.array([0, 1]), np.ones(2), depth
-        )
+        raht_schedule(np.array([0, 1]), np.ones(2), depth)
 
 
 @pytest.mark.parametrize(
@@ -275,10 +279,6 @@ def test_depth_outside_octree_range_rejected(depth):
 def test_bad_weights_rejected(bad, message):
     weights = np.array([1.0, bad, 2.0])
     with pytest.raises(InvalidInputError, match=f"leaf weights must be {message}"):
-        raht_forward_arrays(np.array([0, 1, 2]), np.ones(3), weights, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError, match=f"leaf weights must be {message}"):
-            raht_inverse_arrays(
-                CoefficientStream(dc=1.0, highs=np.zeros(2)), np.array([0, 1, 2]), weights, 1
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raht_schedule(np.array([0, 1, 2]), weights, 1)
