@@ -31,7 +31,8 @@ small Python int and flushes whole bytes about every 1 kbit. The decoder
 reads the bit string: one ``find`` locates the next "1" marker, zeros
 are counted, not stored, and only the (position, value) pairs of the
 nonzeros are kept. The ``count``-long output is built once the bits have
-accounted for every value, so memory stays bounded by the payload size.
+accounted for every value; no bit stands for more than 2^10 values, so
+memory stays bounded by the payload size.
 """
 
 from __future__ import annotations
