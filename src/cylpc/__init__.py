@@ -26,8 +26,6 @@ from .geometry import (
     CartesianPoint,
     CylindricalPoint,
     PointCloud,
-    bounding_box,
-    bounding_cylinder,
     to_cartesian,
 )
 from .ingest import SweepSpec, load_kitti_bin, load_ply, synth_sweep, write_ply

@@ -7,12 +7,14 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
     6        1    version (1)
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
-    9        1    flags: bit 0 = log-radial partition
+    9        1    flags: bit 0 = log-radial partition (cylindrical only)
     10       8    r_min (meters; meaningful when log-radial)
-    18      48    bounds, 6 doubles:
+    18      48    bounds, 6 doubles (VoxelGridConfig.bounds):
                     Cartesian:   origin_x, origin_y, origin_z, side, 0, 0
                     cylindrical: radius, height, h_min, 0, 0, 0
-    66       8    original point count N
+                  radius is the padded bounding R in meters, also on
+                  log-radial grids
+    66       8    original point count N (>= the occupied leaf count)
     74       8    quantization step
     82       8    geometry section length G
     90       G    octree occupancy bytes
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, CylpcError, InvalidConfigError
-from .geometry import BoundingCylinder, PointCloud
+from .geometry import PointCloud
 from .morton import MAX_DEPTH
 from .octree import deserialize, octree_from_leaf_codes, serialize
 from .coeff_codec import RlgrPayload, dequantize, quantize, rlgr_decode, rlgr_encode
@@ -44,7 +46,6 @@ from .voxelizer import (
     CoordinateSystem,
     VoxelGridConfig,
     VoxelizedCloud,
-    config_from_cylinder,
     make_config,
     voxel_centers,
     voxelize,
@@ -143,25 +144,12 @@ def decode_attributes(
     return np.clip(attrs, 0.0, 255.0)
 
 
-def _bounds_fields(cfg: VoxelGridConfig) -> tuple[float, ...]:
-    if cfg.system is CoordinateSystem.CARTESIAN:
-        return (*cfg.origin, cfg.extents[0], 0.0, 0.0)
-    return (cfg.radius, cfg.extents[2], cfg.origin[2], 0.0, 0.0, 0.0)
-
-
 def _config_from_header(
     coords: int, depth: int, log_radial: bool, r_min: float, bounds: tuple[float, ...]
 ) -> VoxelGridConfig:
+    system = CoordinateSystem.CARTESIAN if coords == 0 else CoordinateSystem.CYLINDRICAL
     try:
-        if coords == 0:
-            return VoxelGridConfig(
-                system=CoordinateSystem.CARTESIAN,
-                depth=depth,
-                origin=bounds[:3],
-                extents=(bounds[3],) * 3,
-            )
-        cylinder = BoundingCylinder(radius=bounds[0], height=bounds[1], h_min=bounds[2])
-        return config_from_cylinder(cylinder, depth, log_radial, r_min)
+        return VoxelGridConfig(system, depth, bounds, log_radial, r_min)
     except CylpcError as exc:
         # r_min and the six bounds fields start at byte 10
         raise CorruptStreamError(f"invalid bounds in header: {exc}", offset=10) from exc
@@ -176,7 +164,7 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
         cfg.depth,
         1 if cfg.log_radial else 0,
         cfg.r_min,
-        *_bounds_fields(cfg),
+        *cfg.bounds,
         n_points,
         qstep,
     )
@@ -262,8 +250,8 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError(f"depth {depth} outside [1, {MAX_DEPTH}]", offset=8)
     if flags & ~1:
         raise CorruptStreamError(f"unknown flags 0x{flags:02x}", offset=9)
-    if n_points < 1:
-        raise CorruptStreamError(f"point count {n_points} must be >= 1", offset=66)
+    if flags and coords == 0:
+        raise CorruptStreamError("log-radial flag on a Cartesian stream", offset=9)
     if not (qstep > 0.0 and np.isfinite(qstep)):
         raise CorruptStreamError(f"invalid qstep {qstep}", offset=74)
     cfg = _config_from_header(
@@ -287,6 +275,11 @@ def decode_cloud(data: bytes) -> DecodedCloud:
             offset=pos + (exc.offset if exc.offset is not None else 0),
         ) from exc
     pos += geom_len
+    codes = octree.leaves
+    if n_points < codes.size:
+        raise CorruptStreamError(
+            f"point count {n_points} is below the {codes.size} occupied leaves", offset=66
+        )
 
     if len(data) < pos + 16:
         raise CorruptStreamError("truncated attribute section header", offset=len(data))
@@ -301,7 +294,6 @@ def decode_cloud(data: bytes) -> DecodedCloud:
             f"{len(data) - pos - attr_len} trailing bytes after attribute section",
             offset=pos + attr_len,
         )
-    codes = octree.leaves
     if count != codes.size:
         raise CorruptStreamError(
             f"coefficient count {count} does not match {codes.size} occupied leaves",

@@ -1,12 +1,10 @@
-"""Point types, Cartesian/cylindrical conversion and bounding volumes.
+"""Point types and Cartesian/cylindrical conversion.
 
 Conventions:
   * theta is the full-quadrant angle of (y, x) canonicalized to the
     half-open interval [-pi, pi); a computed +pi wraps to -pi so that
     angular binning is unambiguous.
   * theta = 0 at the axis (x = y = 0), keeping the conversion total.
-  * Bounding extents are padded by a relative 1e-9 so that maximal
-    points land strictly inside a half-open partition of the volume.
 
 All types are immutable values and all functions are pure.
 """
@@ -19,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-
-# Relative padding applied to bounding extents.
-PAD_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,30 +83,6 @@ class PointCloud:
         return self.xyz.shape[0]
 
 
-@dataclass(frozen=True)
-class BoundingCylinder:
-    """Axis-aligned cylinder r <= R, h_min <= h <= h_min + H enclosing a cloud.
-
-    ``bounding_cylinder`` pads R and H to >= PAD_REL; for decoded headers,
-    ``config_from_cylinder`` and ``VoxelGridConfig`` reject R or H <= 0.
-    """
-
-    radius: float
-    height: float
-    h_min: float
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned cube [origin, origin + side)^3 enclosing a cloud.
-
-    Built only by ``bounding_box``, whose padding keeps ``side`` >= PAD_REL.
-    """
-
-    origin: tuple[float, float, float]
-    side: float
-
-
 def to_cartesian(p: CylindricalPoint) -> CartesianPoint:
     """Convert one cylindrical point back to Cartesian coordinates."""
     return CartesianPoint(p.r * math.cos(p.theta), p.r * math.sin(p.theta), p.h)
@@ -133,34 +104,3 @@ def cylindrical_to_cartesian(rth: np.ndarray) -> np.ndarray:
     return np.column_stack(
         (rth[:, 0] * np.cos(rth[:, 1]), rth[:, 0] * np.sin(rth[:, 1]), rth[:, 2])
     )
-
-
-def _padded_span(lo: float, hi: float) -> float:
-    """Half-open span covering [lo, hi], padded so hi falls strictly inside."""
-    span = hi - lo
-    pad = PAD_REL * max(span, abs(lo), abs(hi), 1.0)
-    return span + pad
-
-
-def bounding_cylinder(pc: PointCloud) -> BoundingCylinder:
-    """Tight padded cylinder around a cloud (R = max radius, H = height span)."""
-    if len(pc) == 0:
-        raise InvalidInputError("cannot bound an empty point cloud")
-    r = np.hypot(pc.xyz[:, 0], pc.xyz[:, 1])
-    h = pc.xyz[:, 2]
-    h_min = float(h.min())
-    return BoundingCylinder(
-        radius=_padded_span(0.0, float(r.max())),
-        height=_padded_span(h_min, float(h.max())),
-        h_min=h_min,
-    )
-
-
-def bounding_box(pc: PointCloud) -> BoundingBox:
-    """Tight padded cube around a cloud: per-axis minima, side = max extent."""
-    if len(pc) == 0:
-        raise InvalidInputError("cannot bound an empty point cloud")
-    lo = pc.xyz.min(axis=0)
-    hi = pc.xyz.max(axis=0)
-    side = max(_padded_span(float(a), float(b)) for a, b in zip(lo, hi))
-    return BoundingBox(origin=(float(lo[0]), float(lo[1]), float(lo[2])), side=side)

@@ -22,15 +22,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
-from .geometry import (
-    BoundingCylinder,
-    PointCloud,
-    bounding_box,
-    bounding_cylinder,
-    cartesian_to_cylindrical,
-    cylindrical_to_cartesian,
-)
+from .geometry import PointCloud, cartesian_to_cylindrical, cylindrical_to_cartesian
 from .morton import MAX_DEPTH, morton_decode, morton_encode
+
+# Relative padding applied to bounding extents, so that maximal points
+# land strictly inside the half-open grid.
+PAD_REL = 1e-9
 
 
 class CoordinateSystem(enum.Enum):
@@ -40,49 +37,64 @@ class CoordinateSystem(enum.Enum):
 
 @dataclass(frozen=True)
 class VoxelGridConfig:
-    """Geometry of one voxel partition.
+    """Geometry of one voxel partition, held as the stream header holds it.
 
-    ``origin`` and ``extents`` describe the three axis intervals in the
-    (possibly log-transformed) axis domain:
+    ``bounds`` are the header's six doubles:
 
-      Cartesian:    origin = box minima,              extents = (W, W, W)
+      Cartesian:    (x0, y0, z0, W, 0, 0)   the cube [x0, x0 + W) x ... x [z0, z0 + W)
+      cylindrical:  (R, H, h_min, 0, 0, 0)  r < R, h in [h_min, h_min + H), in meters
+
+    R is the padded bounding radius also on log-radial grids. ``origin``
+    and ``extents`` are derived from them and give the three axis
+    intervals in the (possibly log-transformed) axis domain:
+
+      Cartesian:    origin = (x0, y0, z0),           extents = (W, W, W)
       cylindrical:  origin = (0, -pi, h_min),         extents = (R, 2*pi, H)
-      cyl. + log:   origin = (ln r_min, -pi, h_min),  extents = (ln(R/r_min), 2*pi, H)
+      cyl. + log:   origin = (ln r_min, -pi, h_min),  extents = (ln R - ln r_min, 2*pi, H)
 
     The per-axis quantization step is extents[a] / 2**depth.
     """
 
     system: CoordinateSystem
     depth: int
-    origin: tuple[float, float, float]
-    extents: tuple[float, float, float]
+    bounds: tuple[float, float, float, float, float, float]
     log_radial: bool = False
     r_min: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise InvalidConfigError(f"depth {self.depth} outside [1, {MAX_DEPTH}]")
-        if any(not (e > 0.0) for e in self.extents):
-            raise InvalidConfigError(f"axis extents must be positive, got {self.extents}")
         if self.log_radial:
             if self.system is not CoordinateSystem.CYLINDRICAL:
                 raise InvalidConfigError("log_radial requires the cylindrical system")
-            if not self.r_min > 0.0:
-                raise InvalidConfigError(f"log_radial requires r_min > 0, got {self.r_min}")
+            # before any ln R: the radial extent takes logs of both
+            if not 0.0 < self.r_min < self.bounds[0]:
+                raise InvalidConfigError(
+                    f"log_radial requires 0 < r_min < R, got r_min {self.r_min},"
+                    f" R {self.bounds[0]}"
+                )
+        if any(not (e > 0.0) for e in self.extents):
+            raise InvalidConfigError(f"axis extents must be positive, got {self.extents}")
+
+    @property
+    def origin(self) -> tuple[float, float, float]:
+        b = self.bounds
+        if self.system is CoordinateSystem.CARTESIAN:
+            return (b[0], b[1], b[2])
+        return (math.log(self.r_min) if self.log_radial else 0.0, -math.pi, b[2])
+
+    @property
+    def extents(self) -> tuple[float, float, float]:
+        b = self.bounds
+        if self.system is CoordinateSystem.CARTESIAN:
+            return (b[3], b[3], b[3])
+        radial = math.log(b[0]) - math.log(self.r_min) if self.log_radial else b[0]
+        return (radial, 2.0 * math.pi, b[1])
 
     @property
     def steps(self) -> tuple[float, float, float]:
         n = 1 << self.depth
         return (self.extents[0] / n, self.extents[1] / n, self.extents[2] / n)
-
-    @property
-    def radius(self) -> float:
-        """Outer cylinder radius R (meters), undoing the log transform."""
-        if self.system is not CoordinateSystem.CYLINDRICAL:
-            raise InvalidConfigError("radius is only defined for cylindrical grids")
-        if self.log_radial:
-            return math.exp(self.origin[0] + self.extents[0])
-        return self.extents[0]
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,13 @@ class ErrorModel:
             raise InvalidInputError("variances must be non-negative")
 
 
+def _padded_span(lo: float, hi: float) -> float:
+    """Half-open span covering [lo, hi], padded so hi falls strictly inside."""
+    span = hi - lo
+    pad = PAD_REL * max(span, abs(lo), abs(hi), 1.0)
+    return span + pad
+
+
 def make_config(
     pc: PointCloud,
     system: CoordinateSystem,
@@ -128,44 +147,17 @@ def make_config(
     r_min: float = 1.0,
 ) -> VoxelGridConfig:
     """Build a grid config whose bounds tightly (plus padding) enclose ``pc``."""
+    if len(pc) == 0:
+        raise InvalidInputError("cannot bound an empty point cloud")
     if system is CoordinateSystem.CARTESIAN:
-        if log_radial:
-            raise InvalidConfigError("log_radial is only meaningful for cylindrical grids")
-        bb = bounding_box(pc)
-        return VoxelGridConfig(
-            system=system,
-            depth=depth,
-            origin=bb.origin,
-            extents=(bb.side, bb.side, bb.side),
-        )
-    bc = bounding_cylinder(pc)
-    return config_from_cylinder(bc, depth, log_radial, r_min)
-
-
-def config_from_cylinder(
-    bc: BoundingCylinder, depth: int, log_radial: bool = False, r_min: float = 1.0
-) -> VoxelGridConfig:
-    """Cylindrical grid config from explicit bounds (also used by the decoder)."""
-    if log_radial:
-        if r_min <= 0.0:
-            raise InvalidConfigError(f"r_min must be positive, got {r_min}")
-        if r_min >= bc.radius:
-            raise InvalidConfigError(
-                f"r_min {r_min} must be smaller than the cylinder radius {bc.radius}"
-            )
-        radial_origin = math.log(r_min)
-        radial_extent = math.log(bc.radius) - radial_origin
-    else:
-        radial_origin = 0.0
-        radial_extent = bc.radius
-    return VoxelGridConfig(
-        system=CoordinateSystem.CYLINDRICAL,
-        depth=depth,
-        origin=(radial_origin, -math.pi, bc.h_min),
-        extents=(radial_extent, 2.0 * math.pi, bc.height),
-        log_radial=log_radial,
-        r_min=r_min,
-    )
+        lo, hi = pc.xyz.min(axis=0).tolist(), pc.xyz.max(axis=0).tolist()
+        side = max(_padded_span(a, b) for a, b in zip(lo, hi))
+        # r_min shapes only cylindrical grids; Cartesian headers keep the default
+        return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial)
+    h_min, h_max = float(pc.xyz[:, 2].min()), float(pc.xyz[:, 2].max())
+    radius = _padded_span(0.0, float(np.hypot(pc.xyz[:, 0], pc.xyz[:, 1]).max()))
+    bounds = (radius, _padded_span(h_min, h_max), h_min, 0.0, 0.0, 0.0)
+    return VoxelGridConfig(system, depth, bounds, log_radial, r_min)
 
 
 def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:

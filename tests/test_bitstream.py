@@ -62,6 +62,7 @@ def test_decode_matches_devoxelized_pipeline(cloud, system, depth, log_radial):
     decoded = decode_cloud(data)
     cfg = make_config(cloud, system, depth, log_radial=log_radial)
     vc = voxelize(cloud, cfg)
+    assert decoded.config == cfg
     np.testing.assert_array_equal(decoded.cloud.xyz, voxel_centers(cfg, vc.codes))
     np.testing.assert_array_equal(decoded.codes, vc.codes)
     assert decoded.n_points == len(cloud)
@@ -69,6 +70,49 @@ def test_decode_matches_devoxelized_pipeline(cloud, system, depth, log_radial):
     # attribute distortion bounded by the quantizer step
     mse = float(np.mean((decoded.leaf_attributes - vc.attributes) ** 2))
     assert mse <= 4.0**2 / 4.0
+
+
+# (max point radius, r_min) of sub-metre log-radial clouds on which the
+# header once stored exp(ln r_min + (ln R - ln r_min)) for R: the decoded
+# radial extent came out 1 ulp off the encoder's, and so did the centers
+SUB_METRE = [(0.6676573693985973, 0.37), (0.9708998517624436, 0.5),
+             (0.6683711931873194, 0.1)]
+
+
+def sub_metre_cloud(rmax, r_min):
+    xyz = np.array([[rmax, 0.0, 0.0], [0.0, -r_min, 0.5], [-0.3, 0.2, 0.25]])
+    return PointCloud(xyz, np.array([10.0, 200.0, 90.0]))
+
+
+@pytest.mark.parametrize("rmax,r_min", SUB_METRE)
+def test_decoder_rebuilds_the_encoder_grid_on_sub_metre_clouds(rmax, r_min):
+    pc = sub_metre_cloud(rmax, r_min)
+    data, _ = encode_cloud(pc, CoordinateSystem.CYLINDRICAL, 13, qstep=4.0,
+                           log_radial=True, r_min=r_min)
+    decoded = decode_cloud(data)
+    cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 13, log_radial=True, r_min=r_min)
+    assert decoded.config == cfg
+    np.testing.assert_array_equal(decoded.cloud.xyz, voxel_centers(cfg, decoded.codes))
+
+
+@pytest.mark.parametrize("rmax,r_min", SUB_METRE)
+def test_streams_with_the_derived_radius_still_decode(rmax, r_min):
+    # earlier encoders wrote the radius of a log-radial grid as
+    # exp(ln r_min + (ln R - ln r_min)), which may differ from R by an ulp
+    data, _ = encode_cloud(sub_metre_cloud(rmax, r_min), CoordinateSystem.CYLINDRICAL,
+                           13, qstep=4.0, log_radial=True, r_min=r_min)
+    (radius,) = struct.unpack_from("<d", data, 18)
+    derived = math.exp(math.log(r_min) + (math.log(radius) - math.log(r_min)))
+    assert derived != radius
+    old = decode_cloud(data[:18] + struct.pack("<d", derived) + data[26:])
+    new = decode_cloud(data)
+    np.testing.assert_array_equal(old.codes, new.codes)
+    np.testing.assert_array_equal(old.leaf_attributes, new.leaf_attributes)
+    # the radial extent moves by at most 1 ulp, so each point by at most 1 ulp
+    # of its radius
+    np.testing.assert_array_max_ulp(old.config.extents[0], new.config.extents[0], 1)
+    r = np.hypot(new.cloud.xyz[:, 0], new.cloud.xyz[:, 1])
+    assert (np.abs(old.cloud.xyz - new.cloud.xyz) <= np.spacing(r)[:, None]).all()
 
 
 @pytest.mark.parametrize("qstep", [64.0, 8.0, 1.0, 0.25])
@@ -176,10 +220,26 @@ def test_header_field_validation(cloud):
         decode_cloud(patch(8, b"\x40"))
     with pytest.raises(CorruptStreamError, match="flags"):
         decode_cloud(patch(9, b"\x80"))
+    # a log-radial flag on this Cartesian stream was once ignored
+    with pytest.raises(CorruptStreamError, match="log-radial flag on a Cartesian") as exc:
+        decode_cloud(patch(9, b"\x01"))
+    assert exc.value.offset == 9
     with pytest.raises(CorruptStreamError, match="qstep"):
         decode_cloud(patch(74, struct.pack("<d", -1.0)))
     with pytest.raises(CorruptStreamError, match="bounds"):
         decode_cloud(patch(18, struct.pack("<6d", 0, 0, 0, -5.0, 0, 0)))
+
+
+def test_point_count_below_leaf_count_is_corrupt(cloud):
+    data, summary = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
+    for n_points in (summary.n_voxels, len(cloud)):
+        patched = data[:66] + struct.pack("<Q", n_points) + data[74:]
+        assert decode_cloud(patched).n_points == n_points
+    for n_points in (0, 1, summary.n_voxels - 1):
+        patched = data[:66] + struct.pack("<Q", n_points) + data[74:]
+        with pytest.raises(CorruptStreamError, match="point count") as exc:
+            decode_cloud(patched)
+        assert exc.value.offset == 66
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -232,6 +233,27 @@ def test_exit_code_4_on_corrupt_bitstream(tmp_path, small_ply, capsys):
     truncated = tmp_path / "short.cyl"
     truncated.write_bytes(stream.read_bytes()[:40])
     assert run("decode", truncated, "--out", tmp_path / "out.ply") == 4
+
+
+@pytest.mark.parametrize(
+    "offset,field,message",
+    [
+        (9, b"\x01", "log-radial flag on a Cartesian stream"),  # flags
+        (66, struct.pack("<Q", 1), "point count 1 is below the"),  # point count
+    ],
+)
+def test_exit_code_4_on_inconsistent_header(tmp_path, small_ply, capsys, offset, field,
+                                            message):
+    # both once decoded: as plain Cartesian, and with source_points=1
+    stream = tmp_path / "ok.cyl"
+    run("encode", small_ply, "--coords", "cartesian", "--depth", "8", "--out", stream)
+    data = stream.read_bytes()
+    bad = tmp_path / "bad.cyl"
+    bad.write_bytes(data[:offset] + field + data[offset + len(field):])
+    capsys.readouterr()
+    assert run("decode", bad, "--out", tmp_path / "out.ply") == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.ply").exists()
 
 
 @pytest.mark.parametrize(

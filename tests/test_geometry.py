@@ -1,4 +1,4 @@
-"""Point types, coordinate conversions and bounding volumes."""
+"""Point types, coordinate conversions and the padded bounds of a grid."""
 
 import math
 
@@ -7,14 +7,24 @@ import pytest
 
 from cylpc import (
     CartesianPoint,
+    CoordinateSystem,
     CylindricalPoint,
     InvalidInputError,
     PointCloud,
-    bounding_box,
-    bounding_cylinder,
+    make_config,
     to_cartesian,
 )
 from cylpc.geometry import cartesian_to_cylindrical, cylindrical_to_cartesian
+
+
+def box_bounds(pc):
+    """(x0, y0, z0, W, 0, 0) of the Cartesian grid around ``pc``."""
+    return make_config(pc, CoordinateSystem.CARTESIAN, 1).bounds
+
+
+def cylinder_bounds(pc):
+    """(R, H, h_min, 0, 0, 0) of the cylindrical grid around ``pc``."""
+    return make_config(pc, CoordinateSystem.CYLINDRICAL, 1).bounds
 
 
 def cyl(x, y, z):
@@ -111,28 +121,30 @@ def test_point_cloud_validation():
 
 def test_bounding_cylinder_single_point():
     pc = PointCloud(np.array([[3.0, 4.0, 2.0]]), np.array([7.0]))
-    bc = bounding_cylinder(pc)
-    assert bc.radius == pytest.approx(5.0, rel=1e-6)
-    assert bc.radius > 5.0  # padded
-    assert bc.h_min == 2.0
-    assert 0.0 < bc.height < 1e-6
+    radius, height, h_min, *rest = cylinder_bounds(pc)
+    assert radius == pytest.approx(5.0, rel=1e-6)
+    assert radius > 5.0  # padded
+    assert h_min == 2.0
+    assert 0.0 < height < 1e-6
+    assert rest == [0.0, 0.0, 0.0]
 
 
 def test_bounding_cylinder_two_points():
     pc = PointCloud(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 5.0]]), np.array([0.0, 0.0]))
-    bc = bounding_cylinder(pc)
-    assert bc.radius == pytest.approx(2.0, rel=1e-6)
-    assert bc.h_min == 0.0
-    assert bc.height == pytest.approx(5.0, rel=1e-6)
-    assert bc.height > 5.0
+    radius, height, h_min, *_ = cylinder_bounds(pc)
+    assert radius == pytest.approx(2.0, rel=1e-6)
+    assert h_min == 0.0
+    assert height == pytest.approx(5.0, rel=1e-6)
+    assert height > 5.0
 
 
 def test_bounding_box_two_points():
     pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), np.array([0.0, 0.0]))
-    bb = bounding_box(pc)
-    assert bb.origin == (0.0, 0.0, 0.0)
-    assert bb.side == pytest.approx(3.0, rel=1e-6)
-    assert bb.side > 3.0
+    x0, y0, z0, side, *rest = box_bounds(pc)
+    assert (x0, y0, z0) == (0.0, 0.0, 0.0)
+    assert side == pytest.approx(3.0, rel=1e-6)
+    assert side > 3.0
+    assert rest == [0.0, 0.0]
 
 
 def test_bounding_volumes_contain_all_points():
@@ -141,19 +153,19 @@ def test_bounding_volumes_contain_all_points():
         n = rng.integers(1, 200)
         xyz = rng.normal(0.0, rng.uniform(0.1, 50.0), (n, 3))
         pc = PointCloud(xyz, np.full(n, 100.0))
-        bb = bounding_box(pc)
-        bc = bounding_cylinder(pc)
-        assert (xyz >= np.asarray(bb.origin) - 1e-12).all()
-        assert (xyz < np.asarray(bb.origin) + bb.side).all()
+        x0, y0, z0, side, *_ = box_bounds(pc)
+        radius, height, h_min, *_ = cylinder_bounds(pc)
+        assert (xyz >= np.array([x0, y0, z0]) - 1e-12).all()
+        assert (xyz < np.array([x0, y0, z0]) + side).all()
         r = np.hypot(xyz[:, 0], xyz[:, 1])
-        assert (r <= bc.radius).all()
-        assert (xyz[:, 2] >= bc.h_min).all()
-        assert (xyz[:, 2] <= bc.h_min + bc.height).all()
+        assert (r <= radius).all()
+        assert (xyz[:, 2] >= h_min).all()
+        assert (xyz[:, 2] <= h_min + height).all()
 
 
 def test_empty_cloud_rejected_by_bounds():
     empty = PointCloud(np.empty((0, 3)), np.empty(0))
     with pytest.raises(InvalidInputError):
-        bounding_box(empty)
+        box_bounds(empty)
     with pytest.raises(InvalidInputError):
-        bounding_cylinder(empty)
+        cylinder_bounds(empty)

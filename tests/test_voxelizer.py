@@ -54,8 +54,7 @@ def test_log_radial_bin_edges_grow_geometrically():
     cfg = VoxelGridConfig(
         system=CoordinateSystem.CYLINDRICAL,
         depth=8,
-        origin=(math.log(0.5), -math.pi, 0.0),
-        extents=(math.log(128.0) - math.log(0.5), 2.0 * math.pi, 1.0),
+        bounds=(128.0, 1.0, 0.0, 0.0, 0.0, 0.0),
         log_radial=True,
         r_min=0.5,
     )
