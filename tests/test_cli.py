@@ -138,16 +138,28 @@ def test_rd_sweep_csv(tmp_path, small_ply, capsys):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
-def test_rd_sweep_reports_what_encode_writes(tmp_path, small_ply, capsys):
+@pytest.mark.parametrize(
+    "system,depth,log_radial",
+    [
+        (CoordinateSystem.CARTESIAN, 10, False),
+        (CoordinateSystem.CYLINDRICAL, 9, False),
+        (CoordinateSystem.CYLINDRICAL, 9, True),
+    ],
+    ids=["cart-d10", "cyl-d9", "cyl-log-d9"],
+)
+def test_rd_sweep_reports_what_encode_writes(tmp_path, small_ply, capsys, system, depth,
+                                             log_radial):
     # rd-sweep and encode share one encoder: same rates, and the sweep's
     # PSNR is that of the decoded container mapped back to the points
     qsteps = (64, 16, 4, 1)
-    grid = ("--depth", "9", "--log-radial")
+    grid = ("--coords", system.value, "--depth", depth) + (
+        ("--log-radial",) if log_radial else ()
+    )
     assert run("rd-sweep", small_ply, *grid, "--qsteps", ",".join(map(str, qsteps)),
                "--csv", tmp_path / "curve.csv") == 0
     sweep = parse_kv(capsys)
     pc = load_ply(small_ply)
-    cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 9, log_radial=True)
+    cfg = make_config(pc, system, depth, log_radial=log_radial)
     points = assign_codes(pc, cfg)
     for qstep in qsteps:
         stream = tmp_path / f"q{qstep}.cyl"
