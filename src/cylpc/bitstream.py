@@ -13,7 +13,8 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
                     Cartesian:   origin_x, origin_y, origin_z, side, 0, 0
                     cylindrical: radius, height, h_min, 0, 0, 0
                   radius is the padded bounding R in meters, also on
-                  log-radial grids
+                  log-radial grids; each 0 field is reserved and must be
+                  eight zero bytes (+0.0)
     66       8    original point count N (>= the occupied leaf count)
     74       8    quantization step
     82       8    geometry section length G
@@ -184,38 +185,38 @@ class Encoder:
 
     Voxelization, the occupancy bytes, the transform schedule and the
     forward transform do not depend on the qstep, so they run once here;
-    each ``encode`` only quantizes, entropy-codes and packs. The schedule
-    also serves every inverse transform of a sweep over this geometry.
+    each ``encode`` only quantizes, entropy-codes and packs. A sweep rebuilds
+    each qstep from the ints it returns, this schedule and ``voxels.slots``.
     """
 
     def __init__(self, pc: PointCloud, system: CoordinateSystem, depth: int,
                  log_radial: bool = False, r_min: float = 1.0):
         cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
-        self.n_points = len(pc)
         self.voxels = voxelize(pc, cfg)
         self.occupancy = serialize(octree_from_leaf_codes(self.voxels.codes, depth)).data
         self.schedule = wire_schedule(self.voxels.codes, depth)
         self.coeffs = raht_forward_arrays(self.schedule, self.voxels.attributes)
 
-    def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, RlgrPayload]:
-        """Return (bitstream, summary, the attribute payload packed into it)."""
+    def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, np.ndarray]:
+        """Return (bitstream, summary, the int64 coefficients RLGR coded into it)."""
         if 0.0 < qstep < QSTEP_MIN:
             raise InvalidConfigError(
                 f"qstep {qstep} is too small: below {QSTEP_MIN:g}, float64 rounding"
                 " breaks MSE <= qstep^2/4"
             )
-        payload = rlgr_encode(quantize(self.coeffs, qstep))
+        ints = quantize(self.coeffs, qstep)
+        payload = rlgr_encode(ints)
         data = pack_stream(
-            self.voxels.config, self.n_points, qstep, self.occupancy, payload
+            self.voxels.config, self.voxels.n_points, qstep, self.occupancy, payload
         )
         summary = EncodeSummary(
-            n_points=self.n_points,
+            n_points=self.voxels.n_points,
             n_voxels=len(self.voxels),
             geometry_bytes=len(self.occupancy),
             attribute_bytes=len(payload.data),
             total_bytes=len(data),
         )
-        return data, summary, payload
+        return data, summary, ints
 
 
 def encode_cloud(
@@ -254,6 +255,12 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError("log-radial flag on a Cartesian stream", offset=9)
     if not (qstep > 0.0 and np.isfinite(qstep)):
         raise CorruptStreamError(f"invalid qstep {qstep}", offset=74)
+    for field in range(4 if coords == 0 else 3, 6):
+        offset = 18 + 8 * field
+        if data[offset : offset + 8] != bytes(8):
+            raise CorruptStreamError(
+                f"reserved bounds field {field} is not eight zero bytes", offset=offset
+            )
     cfg = _config_from_header(
         coords, depth, bool(flags & 1), r_min, (b0, b1, b2, b3, b4, b5)
     )

@@ -14,17 +14,13 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bitstream import Encoder, decode_attributes, decode_cloud, encode_cloud
-from .coeff_codec import rlgr_decode
 from .errors import CorruptStreamError, CylpcError, InvalidInputError, MalformedFileError
 from .geometry import PointCloud
 from .ingest import SweepSpec, load_kitti_bin, load_ply, synth_sweep, write_ply
 from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute, write_rd_csv
 from .voxelizer import (
     CoordinateSystem,
-    assign_codes,
     knn_mean_distance,
     make_config,
     occupancy_stats,
@@ -70,17 +66,16 @@ def _sweep(pc: PointCloud, system: CoordinateSystem, depth: int, qsteps,
     """Encode once per qstep over a shared geometry.
 
     Returns (rate points ordered by qstep descending, geometry bpp).
-    PSNR is measured per original point: each point is compared against
-    the decoded value of the voxel it fell into.
+    PSNR is measured per original point against its voxel's value, which
+    is rebuilt from the coded ints: the decoder recovers exactly those from
+    the stream, so a sweep runs no entropy decode of its own.
     """
     encoder = Encoder(pc, system, depth, log_radial, r_min)
-    vc = encoder.voxels
-    point_slot = np.searchsorted(vc.codes, assign_codes(pc, vc.config))
     points = []
     for qstep in sorted(qsteps, reverse=True):
-        _, summary, payload = encoder.encode(qstep)
-        decoded = decode_attributes(rlgr_decode(payload), encoder.schedule, qstep)
-        psnr = psnr_attribute(pc.attributes, decoded[point_slot])
+        _, summary, ints = encoder.encode(qstep)
+        decoded = decode_attributes(ints, encoder.schedule, qstep)
+        psnr = psnr_attribute(pc.attributes, decoded[encoder.voxels.slots])
         points.append((qstep, RatePoint(bpp=summary.attribute_bpp, psnr_db=psnr)))
     return points, summary.geometry_bpp
 

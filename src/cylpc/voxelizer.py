@@ -99,24 +99,29 @@ class VoxelGridConfig:
 
 @dataclass(frozen=True)
 class VoxelizedCloud:
-    """Occupied voxels: sorted interleaved codes, mean attributes, point counts.
+    """Occupied voxels: sorted interleaved codes, mean attributes, point slots.
 
     ``voxelize`` is the only constructor: its codes come from ``np.unique``
-    (strictly increasing int64) and its weights from ``np.bincount`` over
-    them (each >= 1), so the fields need no checks of their own.
+    (strictly increasing int64) and ``slots``, each point's index into
+    ``codes``, is that call's inverse, so the fields need no checks.
     """
 
     config: VoxelGridConfig
     codes: np.ndarray
     attributes: np.ndarray
-    weights: np.ndarray
+    slots: np.ndarray
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
     @property
+    def weights(self) -> np.ndarray:
+        """Point count of each voxel (each >= 1)."""
+        return np.bincount(self.slots, minlength=len(self.codes))
+
+    @property
     def n_points(self) -> int:
-        return int(self.weights.sum())
+        return self.slots.size
 
 
 @dataclass(frozen=True)
@@ -190,14 +195,14 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
 def voxelize(pc: PointCloud, cfg: VoxelGridConfig) -> VoxelizedCloud:
     """Bin every point of ``pc`` and average attributes per occupied voxel."""
     codes = assign_codes(pc, cfg)
-    unique, inverse = np.unique(codes, return_inverse=True)
-    weights = np.bincount(inverse, minlength=unique.size)
-    sums = np.bincount(inverse, weights=pc.attributes, minlength=unique.size)
+    unique, slots = np.unique(codes, return_inverse=True)
+    weights = np.bincount(slots, minlength=unique.size)
+    sums = np.bincount(slots, weights=pc.attributes, minlength=unique.size)
     return VoxelizedCloud(
         config=cfg,
         codes=unique,
         attributes=sums / weights,
-        weights=weights,
+        slots=slots,
     )
 
 

@@ -21,7 +21,7 @@ from cylpc import (
     voxel_centers,
     voxelize,
 )
-from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN
+from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN, Encoder, decode_attributes
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,18 @@ SUB_METRE = [(0.6676573693985973, 0.37), (0.9708998517624436, 0.5),
 def sub_metre_cloud(rmax, r_min):
     xyz = np.array([[rmax, 0.0, 0.0], [0.0, -r_min, 0.5], [-0.3, 0.2, 0.25]])
     return PointCloud(xyz, np.array([10.0, 200.0, 90.0]))
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_coded_ints_reconstruct_what_the_decoder_decodes(cloud, system, depth, log_radial):
+    # rd-sweep and compare take their PSNR from these ints, not from the stream
+    enc = Encoder(cloud, system, depth, log_radial)
+    for qstep in (64.0, 8.0, 1.0, 0.25):
+        data, _, ints = enc.encode(qstep)
+        assert ints.dtype == np.int64
+        assert np.array_equal(
+            decode_attributes(ints, enc.schedule, qstep), decode_cloud(data).leaf_attributes
+        )
 
 
 @pytest.mark.parametrize("rmax,r_min", SUB_METRE)
@@ -228,6 +240,17 @@ def test_header_field_validation(cloud):
         decode_cloud(patch(74, struct.pack("<d", -1.0)))
     with pytest.raises(CorruptStreamError, match="bounds"):
         decode_cloud(patch(18, struct.pack("<6d", 0, 0, 0, -5.0, 0, 0)))
+    # reserved bounds doubles must be eight zero bytes; 7.5 there once
+    # decoded into config.bounds
+    cyl, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=8.0,
+                          log_radial=True)
+    for stream, offsets in ((data, (50, 58)), (cyl, (42, 50, 58))):
+        for offset in offsets:
+            for value in (7.5, -0.0, math.nan):
+                bad = stream[:offset] + struct.pack("<d", value) + stream[offset + 8:]
+                with pytest.raises(CorruptStreamError, match="reserved bounds") as exc:
+                    decode_cloud(bad)
+                assert exc.value.offset == offset
 
 
 def test_point_count_below_leaf_count_is_corrupt(cloud):

@@ -252,11 +252,13 @@ def test_exit_code_4_on_corrupt_bitstream(tmp_path, small_ply, capsys):
     [
         (9, b"\x01", "log-radial flag on a Cartesian stream"),  # flags
         (66, struct.pack("<Q", 1), "point count 1 is below the"),  # point count
+        (50, struct.pack("<d", 7.5), "reserved bounds field 4"),  # bounds[4]
     ],
 )
 def test_exit_code_4_on_inconsistent_header(tmp_path, small_ply, capsys, offset, field,
                                             message):
-    # both once decoded: as plain Cartesian, and with source_points=1
+    # each once decoded: as plain Cartesian, with source_points=1, and
+    # with 7.5 in the grid's bounds
     stream = tmp_path / "ok.cyl"
     run("encode", small_ply, "--coords", "cartesian", "--depth", "8", "--out", stream)
     data = stream.read_bytes()
@@ -286,7 +288,7 @@ def test_exit_code_4_on_corrupt_attribute_section(
     payload = unchecked_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
     bad = tmp_path / "bad.cyl"
     bad.write_bytes(pack_stream(
-        encoder.voxels.config, encoder.n_points, qstep, encoder.occupancy, payload
+        encoder.voxels.config, encoder.voxels.n_points, qstep, encoder.occupancy, payload
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -176,6 +176,29 @@ def test_weight_conservation_and_mean_bounds():
             assert members.min() - 1e-12 <= mean <= members.max() + 1e-12
 
 
+@pytest.mark.parametrize(
+    "system,log_radial",
+    [
+        (CoordinateSystem.CARTESIAN, False),
+        (CoordinateSystem.CYLINDRICAL, False),
+        (CoordinateSystem.CYLINDRICAL, True),
+    ],
+)
+def test_slots_index_each_points_voxel(system, log_radial):
+    pc = random_cloud(np.random.default_rng(11), 400)
+    # every tenth point twice: those voxels hold at least 2 points
+    pc = PointCloud(np.vstack([pc.xyz, pc.xyz[::10]]),
+                    np.concatenate([pc.attributes, pc.attributes[::10]]))
+    cfg = make_config(pc, system, 6, log_radial=log_radial)
+    vc = voxelize(pc, cfg)
+    codes = assign_codes(pc, cfg)
+    np.testing.assert_array_equal(vc.codes[vc.slots], codes)
+    counts = np.array([np.count_nonzero(codes == code) for code in vc.codes])
+    np.testing.assert_array_equal(vc.weights, counts)
+    assert vc.weights.max() > 1
+    assert vc.n_points == counts.sum() == len(pc)
+
+
 def test_duplicate_points_add_weight():
     pc = PointCloud(np.array([[1.0, 1.0, 1.0]] * 4 + [[5.0, 5.0, 5.0]]),
                     np.array([8.0, 8.0, 8.0, 8.0, 1.0]))
