@@ -44,7 +44,7 @@ def _compact(v: np.ndarray) -> np.ndarray:
 
 
 def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
-    """Interleave (N, 3) per-axis bin indices into (N,) int64 codes."""
+    """Interleave (N, 3) per-axis bin indices (any strides) into (N,) int64 codes."""
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     ijk = np.asarray(ijk, dtype=np.int64)
@@ -56,9 +56,10 @@ def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
 
 
 def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
-    """Inverse of morton_encode: (N,) codes -> (N, 3) per-axis indices."""
+    """Inverse of morton_encode: (N,) codes -> (N, 3) per-axis indices,
+    the transpose of a (3, N) array so that each axis is contiguous."""
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     codes = np.asarray(codes, dtype=np.int64)
     keep = (1 << depth) - 1  # bits above 3 * depth are not part of the code
-    return np.column_stack([_compact(codes >> axis) & keep for axis in range(3)])
+    return np.stack([_compact(codes >> axis) & keep for axis in range(3)]).T

@@ -6,6 +6,11 @@ Every occupied internal node contributes exactly one occupancy byte; bit
 the root, each level sorted by interleaved code, so the stream is a pure
 function of the occupied-voxel set.
 
+Deep levels of a sparse cloud are single-child: ``serialize`` writes
+``1 << (child & 7)`` when a level has as many children as parents, and
+``deserialize`` appends each byte's one set bit to its parent's code when
+no byte of the level has two bits set. Bytes and checks are the same.
+
 Validation lives where data enters: ``octree_from_leaf_codes`` checks the
 depth and the leaf codes, ``deserialize`` checks the depth and the bytes.
 Both build every level strictly increasing and closed under ``>> 3`` by
@@ -20,6 +25,9 @@ import numpy as np
 
 from .errors import CorruptStreamError, InvalidInputError
 from .morton import MAX_DEPTH
+
+# child offset of each one-bit occupancy byte (entry 0 is never read)
+_LOWEST_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
 
 
 def _parents(codes: np.ndarray) -> np.ndarray:
@@ -77,15 +85,14 @@ def serialize(ot: Octree) -> OccupancyStream:
     out = bytearray()
     for level in range(ot.depth):
         children = ot.levels[level + 1]
-        parent_of_child = children >> 3
-        child_bit = (children & 7).astype(np.uint8)
-        starts = np.flatnonzero(
-            np.r_[True, parent_of_child[1:] != parent_of_child[:-1]]
-        )
-        occupancy = np.bitwise_or.reduceat(
-            np.left_shift(np.uint8(1), child_bit), starts
-        )
-        out += occupancy.astype(np.uint8).tobytes()
+        child_bits = np.left_shift(np.uint8(1), (children & 7).astype(np.uint8))
+        if children.size > ot.levels[level].size:
+            parent_of_child = children >> 3
+            starts = np.flatnonzero(
+                np.r_[True, parent_of_child[1:] != parent_of_child[:-1]]
+            )
+            child_bits = np.bitwise_or.reduceat(child_bits, starts)
+        out += child_bits.tobytes()
     return OccupancyStream(bytes(out))
 
 
@@ -116,8 +123,11 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
                 offset=pos + int(zero[0]),
             )
         pos += nodes.size
+        if not (occupancy & (occupancy - 1)).any():
+            levels.append((nodes << 3) | _LOWEST_BIT[occupancy])
+            continue
         # bit 8*i + b is child b of node i: parents and bits come out ascending
-        flat = np.flatnonzero(np.unpackbits(occupancy, bitorder="little"))
+        flat = np.flatnonzero(np.unpackbits(occupancy, bitorder="little").view(bool))
         levels.append((nodes[flat >> 3] << 3) | (flat & 7))
     if pos != len(data):
         raise CorruptStreamError(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
-from .geometry import PointCloud, cartesian_to_cylindrical, cylindrical_to_cartesian
+from .geometry import PointCloud, cartesian_to_cylindrical
 from .morton import MAX_DEPTH, morton_decode, morton_encode
 
 # Relative padding applied to bounding extents, so that maximal points
@@ -155,7 +155,7 @@ def make_config(
     if len(pc) == 0:
         raise InvalidInputError("cannot bound an empty point cloud")
     if system is CoordinateSystem.CARTESIAN:
-        lo, hi = pc.xyz.min(axis=0).tolist(), pc.xyz.max(axis=0).tolist()
+        lo, hi = [float(c.min()) for c in pc.xyz.T], [float(c.max()) for c in pc.xyz.T]
         side = max(_padded_span(a, b) for a, b in zip(lo, hi))
         # r_min shapes only cylindrical grids; Cartesian headers keep the default
         return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial)
@@ -171,7 +171,6 @@ def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
         return pc.xyz
     rth = cartesian_to_cylindrical(pc.xyz)
     if cfg.log_radial:
-        rth = rth.copy()
         rth[:, 0] = np.log(np.maximum(rth[:, 0], cfg.r_min))
     return rth
 
@@ -181,15 +180,18 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
     if len(pc) == 0:
         raise InvalidInputError("cannot voxelize an empty point cloud")
     coords = _axis_coordinates(pc, cfg)
-    steps = np.asarray(cfg.steps)
-    idx = np.floor((coords - np.asarray(cfg.origin)) / steps).astype(np.int64)
-    bad = (idx < 0) | (idx >= (1 << cfg.depth))
+    # one contiguous row per axis; a negative index wraps to >= 2^depth as uint64
+    idx = np.empty((3, len(pc)), dtype=np.int64)
+    bad = np.zeros(len(pc), dtype=bool)
+    for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)):
+        idx[a] = np.floor((coords[:, a] - lo) / step)
+        bad |= idx[a].view(np.uint64) >= (1 << cfg.depth)
     if bad.any():
-        first = int(np.flatnonzero(bad.any(axis=1))[0])
+        first = int(np.flatnonzero(bad)[0])
         raise OutOfRangeError(
             f"point {first} at {tuple(pc.xyz[first])} falls outside the voxel grid"
         )
-    return morton_encode(idx, cfg.depth)
+    return morton_encode(idx.T, cfg.depth)
 
 
 def voxelize(pc: PointCloud, cfg: VoxelGridConfig) -> VoxelizedCloud:
@@ -214,12 +216,13 @@ def voxel_centers(cfg: VoxelGridConfig, codes: np.ndarray) -> np.ndarray:
     exponentiated, i.e. the geometric center of the shell.
     """
     ijk = morton_decode(np.asarray(codes, dtype=np.int64), cfg.depth)
-    centers = np.asarray(cfg.origin) + (ijk + 0.5) * np.asarray(cfg.steps)
+    u, v, w = (lo + (ijk[:, a] + 0.5) * step
+               for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)))
     if cfg.system is CoordinateSystem.CARTESIAN:
-        return centers
+        return np.column_stack((u, v, w))
     if cfg.log_radial:
-        centers[:, 0] = np.exp(centers[:, 0])
-    return cylindrical_to_cartesian(centers)
+        u = np.exp(u)
+    return np.column_stack((u * np.cos(v), u * np.sin(v), w))
 
 
 def voxelization_error_cylindrical(r, e1, e2, e3):

@@ -8,6 +8,7 @@ from cylpc import (
     CorruptStreamError,
     InvalidInputError,
     PointCloud,
+    decode_cloud,
     deserialize,
     encode_cloud,
     make_config,
@@ -15,6 +16,7 @@ from cylpc import (
     serialize,
     voxelize,
 )
+from cylpc.bitstream import HEADER_BYTES
 from cylpc.octree import Octree
 
 
@@ -139,7 +141,7 @@ def test_bit_flip_fuzz_never_crashes():
     rng = np.random.default_rng(4)
     hits = {"ok": 0, "corrupt": 0}
     for _ in range(300):
-        depth = int(rng.integers(1, 6))
+        depth = int(rng.integers(1, 22))
         codes = random_leaf_codes(rng, depth, 60)
         data = bytearray(serialize(octree_from_leaf_codes(codes, depth)).data)
         pos = rng.integers(0, len(data))
@@ -151,6 +153,84 @@ def test_bit_flip_fuzz_never_crashes():
         except CorruptStreamError:
             hits["corrupt"] += 1
     assert hits["ok"] > 0 and hits["corrupt"] > 0
+
+
+# ------------------------------------------------ single-child levels
+
+
+def reference_bytes(ot):
+    """Occupancy bytes built parent by parent, without any level shortcut."""
+    out = bytearray()
+    for level in range(ot.depth):
+        children = ot.levels[level + 1]
+        _, parent = np.unique(children >> 3, return_inverse=True)
+        occupancy = np.zeros(ot.levels[level].size, dtype=np.uint8)
+        np.bitwise_or.at(occupancy, parent, np.uint8(1) << (children & 7).astype(np.uint8))
+        out += occupancy.tobytes()
+    return bytes(out)
+
+
+def single_child_levels(ot):
+    return [lvl for lvl in range(ot.depth) if ot.levels[lvl + 1].size == ot.levels[lvl].size]
+
+
+def test_depth_21_sparse_sets_round_trip_every_level():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        codes = random_leaf_codes(rng, 21, 300)
+        ot = octree_from_leaf_codes(codes, 21)
+        # a few hundred leaves split by level 10 at the latest: the rest is single-child
+        assert set(range(10, 21)) <= set(single_child_levels(ot))
+        stream = serialize(ot)
+        assert stream.data == reference_bytes(ot)
+        back = deserialize(stream, 21)
+        for built, decoded in zip(ot.levels, back.levels, strict=True):
+            assert decoded.dtype == np.int64
+            np.testing.assert_array_equal(decoded, built)
+
+
+@pytest.mark.parametrize("twin", [0, 37, 99])
+def test_level_single_child_but_for_one_byte_round_trips(twin):
+    # 100 parents at level 4 with one child each, except parent ``twin`` with two
+    rng = np.random.default_rng(twin)
+    parents = np.sort(rng.choice(8**4, 100, replace=False))
+    offsets = rng.integers(0, 7, 100)
+    leaves = np.sort(np.r_[(parents << 3) | offsets, (parents[twin] << 3) | 7])
+    ot = octree_from_leaf_codes(leaves, 5)
+    stream = serialize(ot)
+    assert stream.data == reference_bytes(ot)
+    last = np.frombuffer(stream.data[-100:], dtype=np.uint8)
+    assert np.flatnonzero(last & (last - 1)).tolist() == [twin]
+    back = deserialize(stream, 5)
+    for built, decoded in zip(ot.levels, back.levels, strict=True):
+        np.testing.assert_array_equal(decoded, built)
+
+
+def test_zero_byte_in_single_child_level_names_its_offset():
+    rng = np.random.default_rng(8)
+    codes = random_leaf_codes(rng, 12, 200)
+    ot = octree_from_leaf_codes(codes, 12)
+    assert 11 in single_child_levels(ot)
+    data = bytearray(serialize(ot).data)
+    at = len(data) - ot.levels[11].size // 2  # inside the last, single-child level
+    data[at] = 0
+    with pytest.raises(CorruptStreamError, match=f"zero occupancy byte at offset {at}") as exc:
+        deserialize(bytes(data), 12)
+    assert exc.value.offset == at
+
+
+def test_zero_byte_in_single_child_level_of_a_stream_names_its_offset():
+    rng = np.random.default_rng(9)
+    pc = PointCloud(rng.normal(0, 5, (300, 3)), rng.uniform(0, 255, 300))
+    data, summary = encode_cloud(pc, CoordinateSystem.CARTESIAN, 14, qstep=8.0)
+    vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 14))
+    ot = octree_from_leaf_codes(vc.codes, 14)
+    assert 13 in single_child_levels(ot)
+    at = HEADER_BYTES + 8 + summary.geometry_bytes - 5  # 5th-last occupancy byte
+    patched = data[:at] + b"\x00" + data[at + 1:]
+    with pytest.raises(CorruptStreamError, match="^geometry section: zero occupancy") as exc:
+        decode_cloud(patched)
+    assert exc.value.offset == at
 
 
 def test_geometry_bpp():

@@ -1,16 +1,21 @@
-"""Every layer the benchmark tracer times is still found in cylpc.
+"""Every layer the benchmark tracer times is still found, and called, in cylpc.
 
 The tracer in ``perfbench/spans.py`` wraps each layer function where its
 callers look it up (``cylpc.<module>.<attr>``) and skips a site it cannot
-find. A renamed or moved function would make that layer read zero in a
-traced run; this test fails instead.
+find. A renamed or moved function, or a caller that stops going through
+the wrapped name, would make that layer read zero in a traced run; these
+tests fail instead.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
+
+from cylpc import CoordinateSystem, bitstream
+from cylpc.ingest import SweepSpec, synth_sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +43,41 @@ def test_span_resolves_to_a_cylpc_function(span):
         if callable(getattr(importlib.import_module(f"cylpc.{module}"), attr, None))
     ]
     assert found, f"no site of span {span!r} exists: {sites}"
+
+
+# spans that every encode_cloud + decode_cloud of a frame passes through
+FRAME_SPANS = [
+    "voxelizer.voxelize", "morton.encode", "morton.decode", "octree.build",
+    "octree.serialize", "octree.deserialize", "voxelizer.centers", "raht.forward",
+    "raht.inverse", "coeff_codec.quantize", "coeff_codec.rlgr_encode",
+    "coeff_codec.rlgr_decode",
+]
+
+
+@pytest.mark.parametrize("system,depth,log_radial", [
+    ("cartesian", 9, False), ("cylindrical", 8, False), ("cylindrical", 8, True),
+])
+def test_frame_calls_every_traced_site(monkeypatch, system, depth, log_radial):
+    # a site the codec stops calling through (say, a direct _spread call in
+    # place of morton_encode) still resolves, but its span would read zero
+    calls = dict.fromkeys(LAYER_FUNCTIONS, 0)
+
+    def counted(span, fn):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for span, (_, sites) in LAYER_FUNCTIONS.items():
+        for mod_name, attr in sites:
+            module = importlib.import_module(f"cylpc.{mod_name}")
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counted(span, getattr(module, attr)))
+
+    pc = synth_sweep(SweepSpec(beam_count=8, azimuth_step=2.0 * math.pi / 120.0))
+    data, _ = bitstream.encode_cloud(pc, CoordinateSystem(system), depth, qstep=4.0,
+                                     log_radial=log_radial)
+    bitstream.decode_cloud(data)
+    assert set(FRAME_SPANS) <= set(LAYER_FUNCTIONS)
+    assert calls["bitstream.encode"] == calls["bitstream.decode"] == 1
+    assert not [span for span in FRAME_SPANS if calls[span] == 0]

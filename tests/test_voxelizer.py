@@ -24,8 +24,10 @@ from cylpc import (
     voxelization_error_cylindrical,
     voxelize,
 )
-from cylpc.geometry import CylindricalPoint, cartesian_to_cylindrical
-from cylpc.morton import morton_decode
+from cylpc.geometry import CylindricalPoint, cartesian_to_cylindrical, cylindrical_to_cartesian
+from cylpc.ingest import SweepSpec, synth_sweep
+from cylpc.morton import morton_decode, morton_encode
+from cylpc.voxelizer import _padded_span
 
 
 def random_cloud(rng, n, scale=20.0):
@@ -214,6 +216,17 @@ def test_out_of_range_names_point_index():
         voxelize(far, cfg)
 
 
+def test_out_of_range_names_lowest_point_out_on_any_axis():
+    # point 0 is out on axis 2 only, point 1 on axis 0: a check that stopped
+    # at the first axis with a bad point would name point 1
+    pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2))
+    cfg = make_config(pc, CoordinateSystem.CARTESIAN, 4)
+    for out in (90.0, -90.0):
+        far = PointCloud(np.array([[0.5, 0.5, out], [out, 0.5, 0.5]]), np.zeros(2))
+        with pytest.raises(OutOfRangeError, match="point 0 at"):
+            assign_codes(far, cfg)
+
+
 def test_points_below_r_min_clamp_to_first_radial_bin():
     pc = PointCloud(
         np.array([[0.0, 0.0, 1.0], [0.01, 0.0, 1.0], [4.0, 0.0, 2.0]]),
@@ -222,6 +235,60 @@ def test_points_below_r_min_clamp_to_first_radial_bin():
     cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 3, log_radial=True, r_min=1.0)
     idx = morton_decode(assign_codes(pc, cfg), 3)
     assert idx[0, 0] == 0 and idx[1, 0] == 0
+
+
+# ------------------------------------------- per-axis columns, same bits
+
+GRIDS = {
+    "cart": (CoordinateSystem.CARTESIAN, 12, False),
+    "cyl": (CoordinateSystem.CYLINDRICAL, 11, False),
+    "cyl-log": (CoordinateSystem.CYLINDRICAL, 11, True),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return synth_sweep(SweepSpec(beam_count=16, azimuth_step=2.0 * math.pi / 640.0), seed=3)
+
+
+def broadcast_bounds(pc, system):
+    """make_config's bounds as computed with (N, 3) reductions."""
+    xyz = pc.xyz
+    if system is CoordinateSystem.CARTESIAN:
+        lo, hi = xyz.min(axis=0).tolist(), xyz.max(axis=0).tolist()
+        return (*lo, max(_padded_span(a, b) for a, b in zip(lo, hi)), 0.0, 0.0)
+    h_min, h_max = float(xyz[:, 2].min()), float(xyz[:, 2].max())
+    radius = _padded_span(0.0, float(np.hypot(xyz[:, 0], xyz[:, 1]).max()))
+    return (radius, _padded_span(h_min, h_max), h_min, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_per_axis_geometry_keeps_the_broadcast_bits(sweep, grid):
+    system, depth, log_radial = GRIDS[grid]
+    pc = PointCloud(np.vstack([sweep.xyz, random_cloud(np.random.default_rng(4), 500).xyz]),
+                    np.zeros(len(sweep) + 500))
+    cfg = make_config(pc, system, depth, log_radial=log_radial)
+    assert cfg.bounds == broadcast_bounds(pc, system)
+
+    coords = pc.xyz if system is CoordinateSystem.CARTESIAN else cartesian_to_cylindrical(pc.xyz)
+    if log_radial:
+        coords[:, 0] = np.log(np.maximum(coords[:, 0], cfg.r_min))
+    idx = np.floor((coords - np.asarray(cfg.origin)) / np.asarray(cfg.steps)).astype(np.int64)
+    codes = assign_codes(pc, cfg)
+    np.testing.assert_array_equal(codes, morton_encode(idx, depth))
+
+    rows = np.ascontiguousarray(idx.T)  # (3, N): its transpose has strides (8, 8N)
+    np.testing.assert_array_equal(morton_encode(rows.T, depth), morton_encode(idx, depth))
+
+    ijk = morton_decode(codes, depth)
+    centers = np.asarray(cfg.origin) + (ijk + 0.5) * np.asarray(cfg.steps)
+    if system is CoordinateSystem.CYLINDRICAL:
+        if log_radial:
+            centers[:, 0] = np.exp(centers[:, 0])
+        centers = cylindrical_to_cartesian(centers)
+    got = voxel_centers(cfg, codes)
+    assert got.shape == centers.shape and got.flags.c_contiguous
+    assert got.tobytes() == centers.tobytes()
 
 
 # -------------------------------------------------------------- devoxelize
