@@ -56,6 +56,33 @@ def test_encode_matches_golden_bytes(cloud, system, depth, log_radial):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[system, depth, log_radial]
 
 
+# sha256 of the codes, xyz and leaf_attributes bytes of
+# decode_cloud(encode_cloud(cloud, ..., qstep=4)); Cartesian d21 and
+# log-radial d13 reach the deepest code slices of the Morton decoder
+DECODED_SHA256 = {
+    (CoordinateSystem.CARTESIAN, 8, False):
+        "c8b63e6a917ad9c29a019a6261e37484a750fc61411de02a68d2c23f88481124",
+    (CoordinateSystem.CYLINDRICAL, 7, False):
+        "70c191ae4f878535dcb897693e18ec9a2d7a0bbf6d3eaead1aad653f7600a1a1",
+    (CoordinateSystem.CYLINDRICAL, 7, True):
+        "2b3b93225ad9b4056dfe6c096dd78bdc4b90da74b85fa4d6ff43186a117802d1",
+    (CoordinateSystem.CARTESIAN, 21, False):
+        "61aa6595eb60c4648bb6fa780823f77bf2e43657d0ad3a2e5e509bb8882e051d",
+    (CoordinateSystem.CYLINDRICAL, 13, True):
+        "cbbfff7e2bd829d048399f1ac75e215bcba266c86da47a05003c25912b838743",
+}
+
+
+@pytest.mark.parametrize("system,depth,log_radial", list(DECODED_SHA256))
+def test_decode_matches_golden_arrays(cloud, system, depth, log_radial):
+    data, _ = encode_cloud(cloud, system, depth, qstep=4.0, log_radial=log_radial)
+    decoded = decode_cloud(data)
+    digest = hashlib.sha256()
+    for array in (decoded.codes, decoded.cloud.xyz, decoded.leaf_attributes):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == DECODED_SHA256[system, depth, log_radial]
+
+
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
 def test_decode_matches_devoxelized_pipeline(cloud, system, depth, log_radial):
     data, summary = encode_cloud(cloud, system, depth, qstep=4.0, log_radial=log_radial)
