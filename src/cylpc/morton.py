@@ -6,6 +6,13 @@ Bit layout: axis 0 occupies bit 3*b, axis 1 bit 3*b + 1 and axis 2 bit
 siblings along the first processing axis of the hierarchical transform.
 
 Depths up to 21 fit in a signed 64-bit integer (3 * 21 = 63 bits).
+
+Both directions use tables built at import (Baert, "Morton
+encoding/decoding through bit interleaving: implementations", 2013).
+``_SPREAD[a]`` puts bit b of an 11-bit value at bit 3 * b + a: an index
+takes two lookups, its low and its high 11 bits. ``_GATHER`` puts the 4
+bits of axis a in a 12-bit code slice at bit 21 * a: a code takes one
+lookup per 12 of its 3 * depth bits.
 """
 
 from __future__ import annotations
@@ -16,31 +23,10 @@ from .errors import InvalidInputError
 
 MAX_DEPTH = 21
 
-# Magic-number interleave: step i moves the bits of a 21-bit value apart by
-# _SHIFTS[i] and leaves them where _MASKS[i + 1] is set, so after the last
-# step bit b sits at bit 3 * b. Compaction runs the steps backwards.
-_SHIFTS = (32, 16, 8, 4, 2)
-_MASKS = (
-    0x1FFFFF,
-    0x1F00000000FFFF,
-    0x1F0000FF0000FF,
-    0x100F00F00F00F00F,
-    0x10C30C30C30C30C3,
-    0x1249249249249249,
-)
-
-
-def _spread(v: np.ndarray) -> np.ndarray:
-    for i, shift in enumerate(_SHIFTS):
-        v = (v | (v << shift)) & _MASKS[i + 1]
-    return v
-
-
-def _compact(v: np.ndarray) -> np.ndarray:
-    v = v & _MASKS[-1]
-    for i in reversed(range(len(_SHIFTS))):
-        v = (v | (v >> _SHIFTS[i])) & _MASKS[i]
-    return v
+_IDX = np.arange(4096, dtype=np.int64)
+_SPREAD = np.stack([sum(((_IDX[:2048] >> b) & 1) << 3 * b + a for b in range(11))
+                    for a in range(3)])
+_GATHER = sum(((_IDX >> 3 * b + a) & 1) << 21 * a + b for b in range(4) for a in range(3))
 
 
 def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
@@ -52,7 +38,12 @@ def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
         raise InvalidInputError(f"expected (N, 3) indices, got shape {ijk.shape}")
     if ijk.size and (ijk.min() < 0 or ijk.max() >= (1 << depth)):
         raise InvalidInputError(f"indices outside [0, 2^{depth})")
-    return _spread(ijk[:, 0]) | (_spread(ijk[:, 1]) << 1) | (_spread(ijk[:, 2]) << 2)
+    out = np.zeros(ijk.shape[0], dtype=np.int64)
+    for axis in range(3):
+        v = ijk[:, axis]
+        out |= _SPREAD[axis].take(v & 2047)
+        out |= _SPREAD[axis].take(v >> 11) << 33
+    return out
 
 
 def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
@@ -60,6 +51,10 @@ def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
     the transpose of a (3, N) array so that each axis is contiguous."""
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
-    codes = np.asarray(codes, dtype=np.int64)
-    keep = (1 << depth) - 1  # bits above 3 * depth are not part of the code
-    return np.stack([_compact(codes >> axis) & keep for axis in range(3)]).T
+    # bits above 3 * depth, the sign bit among them, are not part of the code
+    codes = np.asarray(codes, dtype=np.int64) & ((1 << 3 * depth) - 1)
+    packed = _GATHER.take(codes & 4095)
+    for s in range(1, -(-3 * depth // 12)):
+        packed |= _GATHER.take((codes >> 12 * s) & 4095) << 4 * s
+    keep = (1 << depth) - 1
+    return np.stack([(packed >> 21 * axis) & keep for axis in range(3)]).T

@@ -35,10 +35,11 @@ def _parents(codes: np.ndarray) -> np.ndarray:
 
     Shifting a strictly increasing array keeps it non-decreasing, so
     equal parents are adjacent and one comparison with the neighbour
-    dedupes them in linear time.
+    dedupes them in linear time; a single-child level has none to drop.
     """
     shifted = codes >> 3
-    return shifted[np.r_[True, shifted[1:] != shifted[:-1]]]
+    new = shifted[1:] != shifted[:-1]
+    return shifted if new.all() else shifted[np.r_[True, new]]
 
 
 @dataclass(frozen=True)

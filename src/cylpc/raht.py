@@ -20,9 +20,11 @@ A node is a run [l, r] of consecutive leaves. The boundary between leaves
 i and i + 1 closes in exactly one pass, k = bit_length(c[i] ^ c[i + 1]),
 where it joins the run ending at i with the run starting at i + 1; the
 boundaries that close in one pass are disjoint. The schedule is the
-boundaries stably sorted by pass. Each run keeps its low-pass value and
-its weight at both of its ends, so a pass reads leaves i and i + 1 and
-writes l and r, and no array is ever compacted. High-pass coefficients
+boundaries stably sorted by pass. The forward keeps a run's low-pass
+value and its weight at both of its ends, so a pass reads leaves i and
+i + 1 and writes l and r, and no array is ever compacted. The inverse
+splits a run at its left end l into children whose left ends are l and
+i + 1, and reads and writes only left ends. High-pass coefficients
 are emitted in schedule order: deepest pass first, ascending code within
 a pass. The low-pass value of the root run is the DC coefficient. The
 decoder replays the schedule backwards from the leaf codes and weights
@@ -61,8 +63,8 @@ class CoefficientStream:
 
 @dataclass(frozen=True)
 class RahtSchedule:
-    """The pass schedule of one leaf set: per pass, the boundaries i, the
-    run ends l and r and the gains sw1 and sw2, in pass order.
+    """The pass schedule of one leaf set: per pass, the boundaries i and
+    i + 1, the run ends l and r and the gains sw1 and sw2, in pass order.
 
     It depends only on the leaf codes, weights and depth, so one schedule
     serves the forward transform and any number of inverses.
@@ -101,11 +103,12 @@ def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSch
     tail = head.copy()  # at a run's left end: its right end
     plan = []
     for i in np.split(order, np.flatnonzero(np.diff(passes[order])) + 1):
-        l, r = head[i], tail[i + 1]
-        w1, w2 = weights[i], weights[i + 1]
-        scale = np.sqrt(w1 + w2)
-        plan.append((i, l, r, np.sqrt(w1) / scale, np.sqrt(w2) / scale))
-        weights[l] = weights[r] = w1 + w2
+        j = i + 1
+        l, r = head[i], tail[j]
+        w1, w2 = weights[i], weights[j]
+        weights[l] = weights[r] = w = w1 + w2
+        scale = np.sqrt(w)
+        plan.append((i, j, l, r, np.sqrt(w1) / scale, np.sqrt(w2) / scale))
         tail[l] = r
         head[r] = l
     return RahtSchedule(leaves=codes.size, passes=plan)
@@ -121,11 +124,11 @@ def raht_forward_arrays(
             f"attributes of shape {values.shape} for {schedule.leaves} leaves"
         )
     highs = []
-    for i, l, r, sw1, sw2 in schedule.passes:
+    for i, j, l, r, sw1, sw2 in schedule.passes:
         a1 = values[i]
-        a2 = values[i + 1]
+        a2 = values[j]
         values[l] = values[r] = sw1 * a1 + sw2 * a2
-        highs.append(-sw2 * a1 + sw1 * a2)
+        highs.append(sw1 * a2 - sw2 * a1)
     return CoefficientStream(dc=float(values[0]), highs=np.concatenate(highs))
 
 
@@ -137,10 +140,10 @@ def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np
         )
     values = np.full(schedule.leaves, coeffs.dc, dtype=np.float64)
     end = coeffs.highs.size
-    for i, l, r, sw1, sw2 in reversed(schedule.passes):
+    for i, j, l, _, sw1, sw2 in reversed(schedule.passes):
         low = values[l]
         high = coeffs.highs[end - i.size : end]
         end -= i.size
-        values[l] = values[i] = sw1 * low - sw2 * high
-        values[i + 1] = values[r] = sw2 * low + sw1 * high
+        values[l] = sw1 * low - sw2 * high
+        values[j] = sw2 * low + sw1 * high
     return values

@@ -181,6 +181,8 @@ def test_depth_21_sparse_sets_round_trip_every_level():
         ot = octree_from_leaf_codes(codes, 21)
         # a few hundred leaves split by level 10 at the latest: the rest is single-child
         assert set(range(10, 21)) <= set(single_child_levels(ot))
+        for level in (9, 10, 20):
+            np.testing.assert_array_equal(ot.levels[level], np.unique(codes >> 3 * (21 - level)))
         stream = serialize(ot)
         assert stream.data == reference_bytes(ot)
         back = deserialize(stream, 21)
@@ -197,6 +199,10 @@ def test_level_single_child_but_for_one_byte_round_trips(twin):
     offsets = rng.integers(0, 7, 100)
     leaves = np.sort(np.r_[(parents << 3) | offsets, (parents[twin] << 3) | 7])
     ot = octree_from_leaf_codes(leaves, 5)
+    # the leaves' parents dedupe one pair of neighbours, the first or the
+    # last one at twin 0 or 99
+    for level, built in enumerate(ot.levels):
+        np.testing.assert_array_equal(built, np.unique(leaves >> 3 * (5 - level)))
     stream = serialize(ot)
     assert stream.data == reference_bytes(ot)
     last = np.frombuffer(stream.data[-100:], dtype=np.uint8)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from cylpc import CoordinateSystem, bitstream
-from cylpc.ingest import SweepSpec, synth_sweep
+from cylpc import CoordinateSystem, bitstream, cli
+from cylpc.ingest import SweepSpec, synth_sweep, write_ply
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,17 +54,14 @@ FRAME_SPANS = [
 ]
 
 
-@pytest.mark.parametrize("system,depth,log_radial", [
-    ("cartesian", 9, False), ("cylindrical", 8, False), ("cylindrical", 8, True),
-])
-def test_frame_calls_every_traced_site(monkeypatch, system, depth, log_radial):
-    # a site the codec stops calling through (say, a direct _spread call in
-    # place of morton_encode) still resolves, but its span would read zero
-    calls = dict.fromkeys(LAYER_FUNCTIONS, 0)
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls per span, counted at every site of every span while a test runs."""
+    counts = dict.fromkeys(LAYER_FUNCTIONS, 0)
 
     def counted(span, fn):
         def wrapper(*args, **kwargs):
-            calls[span] += 1
+            counts[span] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -73,11 +70,40 @@ def test_frame_calls_every_traced_site(monkeypatch, system, depth, log_radial):
             module = importlib.import_module(f"cylpc.{mod_name}")
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, counted(span, getattr(module, attr)))
+    return counts
 
-    pc = synth_sweep(SweepSpec(beam_count=8, azimuth_step=2.0 * math.pi / 120.0))
-    data, _ = bitstream.encode_cloud(pc, CoordinateSystem(system), depth, qstep=4.0,
-                                     log_radial=log_radial)
+
+def tiny_sweep():
+    return synth_sweep(SweepSpec(beam_count=8, azimuth_step=2.0 * math.pi / 120.0))
+
+
+@pytest.mark.parametrize("system,depth,log_radial", [
+    ("cartesian", 9, False), ("cylindrical", 8, False), ("cylindrical", 8, True),
+])
+def test_frame_calls_every_traced_site(calls, system, depth, log_radial):
+    # a site the codec stops calling through (say, a table lookup inlined in
+    # place of morton_encode) still resolves, but its span would read zero
+    data, _ = bitstream.encode_cloud(tiny_sweep(), CoordinateSystem(system), depth,
+                                     qstep=4.0, log_radial=log_radial)
     bitstream.decode_cloud(data)
     assert set(FRAME_SPANS) <= set(LAYER_FUNCTIONS)
     assert calls["bitstream.encode"] == calls["bitstream.decode"] == 1
     assert not [span for span in FRAME_SPANS if calls[span] == 0]
+
+
+# spans that one ``cylpc compare`` of a PLY passes through
+COMPARE_SPANS = [
+    "cli.main", "ingest.load_ply", "voxelizer.voxelize", "morton.encode", "octree.build",
+    "octree.serialize", "raht.forward", "raht.inverse", "coeff_codec.quantize",
+    "coeff_codec.rlgr_encode", "bitstream.decode_attributes", "metrics.psnr", "metrics.bd",
+]
+
+
+def test_compare_calls_every_traced_site(calls, tmp_path, capsys):
+    ply = tmp_path / "frame.ply"
+    write_ply(ply, tiny_sweep(), binary=True)
+    code = cli.main(["compare", str(ply), "--log-radial", "--csv", str(tmp_path / "rd.csv")])
+    assert code == 0, capsys.readouterr().err
+    assert set(COMPARE_SPANS) <= set(LAYER_FUNCTIONS)
+    assert calls["cli.main"] == 1
+    assert not [span for span in COMPARE_SPANS if calls[span] == 0]
