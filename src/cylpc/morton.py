@@ -7,12 +7,12 @@ siblings along the first processing axis of the hierarchical transform.
 
 Depths up to 21 fit in a signed 64-bit integer (3 * 21 = 63 bits).
 
-Both directions use tables built at import (Baert, "Morton
-encoding/decoding through bit interleaving: implementations", 2013).
-``_SPREAD[a]`` puts bit b of an 11-bit value at bit 3 * b + a: an index
-takes two lookups, its low and its high 11 bits. ``_GATHER`` puts the 4
-bits of axis a in a 12-bit code slice at bit 21 * a: a code takes one
-lookup per 12 of its 3 * depth bits.
+Both directions use lookup tables built at import (Baert, "Morton
+encoding/decoding through bit interleaving: implementations", 2013), each
+holding its own shift. ``_SPREAD[a, h]`` spreads the low (h = 0) or high
+(h = 1) 11 bits of an axis-a index into code bits; ``_GATHER[s]`` moves the
+4 bits of each axis a in the s-th 12-bit slice of a code to bit
+21 * a + 4 * s. An index takes two lookups, a code one per 12 of its bits.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .errors import InvalidInputError
 MAX_DEPTH = 21
 
 _IDX = np.arange(4096, dtype=np.int64)
-_SPREAD = np.stack([sum(((_IDX[:2048] >> b) & 1) << 3 * b + a for b in range(11))
-                    for a in range(3)])
-_GATHER = sum(((_IDX >> 3 * b + a) & 1) << 21 * a + b for b in range(4) for a in range(3))
+_SPREAD11 = sum(((_IDX[:2048] >> b) & 1) << 3 * b for b in range(11))
+_GATHER12 = sum(((_IDX >> 3 * b + a) & 1) << 21 * a + b for b in range(4) for a in range(3))
+_SPREAD = np.array([[_SPREAD11 << a, _SPREAD11 << 33 + a] for a in range(3)])
+_GATHER = np.array([_GATHER12 << 4 * s for s in range(6)])
 
 
 def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
@@ -38,11 +39,11 @@ def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
         raise InvalidInputError(f"expected (N, 3) indices, got shape {ijk.shape}")
     if ijk.size and (ijk.min() < 0 or ijk.max() >= (1 << depth)):
         raise InvalidInputError(f"indices outside [0, 2^{depth})")
-    out = np.zeros(ijk.shape[0], dtype=np.int64)
+    out = 0
     for axis in range(3):
         v = ijk[:, axis]
-        out |= _SPREAD[axis].take(v & 2047)
-        out |= _SPREAD[axis].take(v >> 11) << 33
+        out |= _SPREAD[axis, 0].take(v & 2047)
+        out |= _SPREAD[axis, 1].take(v >> 11)
     return out
 
 
@@ -53,8 +54,11 @@ def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     # bits above 3 * depth, the sign bit among them, are not part of the code
     codes = np.asarray(codes, dtype=np.int64) & ((1 << 3 * depth) - 1)
-    packed = _GATHER.take(codes & 4095)
+    packed = _GATHER[0].take(codes & 4095)
     for s in range(1, -(-3 * depth // 12)):
-        packed |= _GATHER.take((codes >> 12 * s) & 4095) << 4 * s
-    keep = (1 << depth) - 1
-    return np.stack([(packed >> 21 * axis) & keep for axis in range(3)]).T
+        packed |= _GATHER[s].take((codes >> 12 * s) & 4095)
+    ijk = np.empty((3, codes.size), dtype=np.int64)
+    for axis in range(3):
+        np.right_shift(packed, 21 * axis, out=ijk[axis])
+        ijk[axis] &= (1 << depth) - 1
+    return ijk.T

@@ -141,7 +141,7 @@ def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np
     values = np.full(schedule.leaves, coeffs.dc, dtype=np.float64)
     end = coeffs.highs.size
     for i, j, l, _, sw1, sw2 in reversed(schedule.passes):
-        low = values[l]
+        low = values.take(l)
         high = coeffs.highs[end - i.size : end]
         end -= i.size
         values[l] = sw1 * low - sw2 * high
