@@ -7,12 +7,11 @@ siblings along the first processing axis of the hierarchical transform.
 
 Depths up to 21 fit in a signed 64-bit integer (3 * 21 = 63 bits).
 
-Both directions use lookup tables built at import (Baert, "Morton
-encoding/decoding through bit interleaving: implementations", 2013), each
-holding its own shift. ``_SPREAD[a, h]`` spreads the low (h = 0) or high
-(h = 1) 11 bits of an axis-a index into code bits; ``_GATHER[s]`` moves the
-4 bits of each axis a in the s-th 12-bit slice of a code to bit
-21 * a + 4 * s. An index takes two lookups, a code one per 12 of its bits.
+Both directions use lookup tables built at import, each holding its own
+shift (Baert, "Morton encoding/decoding through bit interleaving:
+implementations", 2013). ``_SPREAD[a, h]`` spreads the low (h = 0) or
+high (h = 1) 11 bits of an axis-a index; ``_GATHER[s]`` moves the 4 bits
+of each axis a in the s-th 12-bit slice of a code to bit 21 * a + 4 * s.
 """
 
 from __future__ import annotations

@@ -21,16 +21,16 @@ i and i + 1 closes in exactly one pass, k = bit_length(c[i] ^ c[i + 1]),
 where it joins the run ending at i with the run starting at i + 1; the
 boundaries that close in one pass are disjoint. The schedule is the
 boundaries stably sorted by pass. The forward keeps a run's low-pass
-value and its weight at both of its ends, so a pass reads leaves i and
-i + 1 and writes l and r, and no array is ever compacted. The inverse
-splits a run at its left end l into children whose left ends are l and
-i + 1, and reads and writes only left ends. High-pass coefficients
-are emitted in schedule order: deepest pass first, ascending code within
-a pass. The low-pass value of the root run is the DC coefficient. The
-decoder replays the schedule backwards from the leaf codes and weights
-alone, so only the coefficients need to be transmitted. ``raht_schedule``
-validates a leaf set and builds its schedule once; the forward transform
-and every inverse over that leaf set take the schedule.
+value and weight at both ends: a pass reads leaves i and i + 1, writes
+l and r, and never compacts an array. The inverse reads a run at its
+left end l and writes only its children's left ends, l and i + 1.
+High-pass coefficients are emitted in schedule order: deepest pass
+first, ascending code within a pass. The low-pass value of the root run
+is the DC coefficient. The decoder replays the schedule backwards from
+the leaf codes and weights alone, so only the coefficients need to be
+transmitted. ``raht_schedule`` validates a leaf set and builds its
+schedule once; the forward transform and every inverse over that leaf
+set take the schedule.
 
 Everything here consumes only the interleaved codes: identical leaf
 codes produce identical coefficients in either coordinate system.
