@@ -8,7 +8,8 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
     9        1    flags: bit 0 = log-radial partition (cylindrical only)
-    10       8    r_min (meters; meaningful when log-radial)
+    10       8    r_min (meters; shapes log-radial grids only, and the
+                  encoder writes 1.0 on every other grid)
     18      48    bounds, 6 doubles (VoxelGridConfig.bounds):
                     Cartesian:   origin_x, origin_y, origin_z, side, 0, 0
                     cylindrical: radius, height, h_min, 0, 0, 0

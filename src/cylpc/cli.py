@@ -51,6 +51,9 @@ def _parse_qsteps(text: str) -> list[float]:
         raise InvalidInputError(f"cannot parse qstep list '{text}'") from exc
     if len(steps) < 4:
         raise InvalidInputError(f"need >= 4 qsteps for a rate curve, got {len(steps)}")
+    for i, q in enumerate(steps):
+        if q in steps[:i]:
+            raise InvalidInputError(f"qstep {q:g} appears more than once in '{text}'")
     return steps
 
 

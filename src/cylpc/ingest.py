@@ -309,6 +309,8 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
     distance exactly as for a real spinning scanner: both the ring
     spacing and the along-ring spacing grow with range.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # scene first so the draw order is independent of ray parameters
     n_pillar = (spec.box_count + 1) // 2

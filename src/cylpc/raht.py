@@ -20,10 +20,10 @@ A node is a run [l, r] of consecutive leaves. The boundary between leaves
 i and i + 1 closes in exactly one pass, k = bit_length(c[i] ^ c[i + 1]),
 where it joins the run ending at i with the run starting at i + 1; the
 boundaries that close in one pass are disjoint. The schedule is the
-boundaries stably sorted by pass. The forward keeps a run's low-pass
-value and weight at both ends: a pass reads leaves i and i + 1, writes
-l and r, and never compacts an array. The inverse reads a run at its
-left end l and writes only its children's left ends, l and i + 1.
+boundaries stably sorted by pass. Both transforms keep a run's value
+and weight at its left end only: a pass reads the two runs at their
+left ends l and j = i + 1, writes only left ends, and never compacts an
+array.
 High-pass coefficients are emitted in schedule order: deepest pass
 first, ascending code within a pass. The low-pass value of the root run
 is the DC coefficient. The decoder replays the schedule backwards from
@@ -63,8 +63,8 @@ class CoefficientStream:
 
 @dataclass(frozen=True)
 class RahtSchedule:
-    """The pass schedule of one leaf set: per pass, the boundaries i and
-    i + 1, the run ends l and r and the gains sw1 and sw2, in pass order.
+    """The pass schedule of one leaf set: per pass, the right run's left
+    end j, the left run's left end l and the gains sw1 and sw2, in pass order.
 
     It depends only on the leaf codes, weights and depth, so one schedule
     serves the forward transform and any number of inverses.
@@ -77,7 +77,7 @@ class RahtSchedule:
 def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSchedule:
     """Validate a leaf set and build its schedule."""
     codes = np.asarray(codes, dtype=np.int64)
-    weights = np.array(weights, dtype=np.float64)  # running run weights
+    weights = np.array(weights, dtype=np.float64)  # run weights at left ends
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     if codes.size == 0:
@@ -105,10 +105,10 @@ def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSch
     for i in np.split(order, np.flatnonzero(np.diff(passes[order])) + 1):
         j = i + 1
         l, r = head[i], tail[j]
-        w1, w2 = weights[i], weights[j]
-        weights[l] = weights[r] = w = w1 + w2
+        w1, w2 = weights[l], weights[j]
+        weights[l] = w = w1 + w2
         scale = np.sqrt(w)
-        plan.append((i, j, l, r, np.sqrt(w1) / scale, np.sqrt(w2) / scale))
+        plan.append((j, l, np.sqrt(w1) / scale, np.sqrt(w2) / scale))
         tail[l] = r
         head[r] = l
     return RahtSchedule(leaves=codes.size, passes=plan)
@@ -118,16 +118,16 @@ def raht_forward_arrays(
     schedule: RahtSchedule, attributes: np.ndarray
 ) -> CoefficientStream:
     """Forward transform of per-leaf attributes into one DC and n-1 highs."""
-    values = np.array(attributes, dtype=np.float64)  # low-pass values at run ends
+    values = np.array(attributes, dtype=np.float64)  # low-pass values at left ends
     if values.shape != (schedule.leaves,):
         raise InvalidInputError(
             f"attributes of shape {values.shape} for {schedule.leaves} leaves"
         )
     highs = []
-    for i, j, l, r, sw1, sw2 in schedule.passes:
-        a1 = values[i]
+    for j, l, sw1, sw2 in schedule.passes:
+        a1 = values.take(l)
         a2 = values[j]
-        values[l] = values[r] = sw1 * a1 + sw2 * a2
+        values[l] = sw1 * a1 + sw2 * a2
         highs.append(sw1 * a2 - sw2 * a1)
     return CoefficientStream(dc=float(values[0]), highs=np.concatenate(highs))
 
@@ -140,10 +140,10 @@ def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np
         )
     values = np.full(schedule.leaves, coeffs.dc, dtype=np.float64)
     end = coeffs.highs.size
-    for i, j, l, _, sw1, sw2 in reversed(schedule.passes):
+    for j, l, sw1, sw2 in reversed(schedule.passes):
         low = values.take(l)
-        high = coeffs.highs[end - i.size : end]
-        end -= i.size
+        high = coeffs.highs[end - j.size : end]
+        end -= j.size
         values[l] = sw1 * low - sw2 * high
         values[j] = sw2 * low + sw1 * high
     return values

@@ -154,11 +154,12 @@ def make_config(
     """Build a grid config whose bounds tightly (plus padding) enclose ``pc``."""
     if len(pc) == 0:
         raise InvalidInputError("cannot bound an empty point cloud")
+    if not log_radial:
+        r_min = 1.0  # r_min shapes log-radial grids only; others keep the default
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = [float(c.min()) for c in pc.xyz.T], [float(c.max()) for c in pc.xyz.T]
         side = max(_padded_span(a, b) for a, b in zip(lo, hi))
-        # r_min shapes only cylindrical grids; Cartesian headers keep the default
-        return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial)
+        return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial, r_min)
     h_min, h_max = float(pc.xyz[:, 2].min()), float(pc.xyz[:, 2].max())
     radius = _padded_span(0.0, float(np.hypot(pc.xyz[:, 0], pc.xyz[:, 1]).max()))
     bounds = (radius, _padded_span(h_min, h_max), h_min, 0.0, 0.0, 0.0)

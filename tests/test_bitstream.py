@@ -236,6 +236,17 @@ def test_decoder_needs_only_the_bytes(cloud):
     assert decoded.qstep == 8.0
 
 
+def test_plain_cylindrical_header_keeps_the_default_r_min(cloud):
+    # r_min shapes log-radial grids only, so it must not reach other headers
+    streams = set()
+    for r_min in (0.5, float("nan"), -3.0):
+        cfg = make_config(cloud, CoordinateSystem.CYLINDRICAL, 7, r_min=r_min)
+        assert cfg.r_min == 1.0
+        data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=4.0, r_min=r_min)
+        streams.add(data)
+    assert len(streams) == 1
+
+
 def test_header_magic_and_version_checked(cloud):
     data, _ = encode_cloud(cloud, CoordinateSystem.CARTESIAN, 6, qstep=8.0)
     assert data[:6] == MAGIC

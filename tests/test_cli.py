@@ -173,8 +173,13 @@ def test_rd_sweep_reports_what_encode_writes(tmp_path, small_ply, capsys, system
         assert sweep[f"qstep_{qstep}_psnr_db"] == f"{psnr:.6g}"
 
 
-def test_rd_sweep_needs_four_qsteps(tmp_path, small_ply):
+def test_rd_sweep_needs_four_qsteps(tmp_path, small_ply, capsys):
     assert run("rd-sweep", small_ply, "--qsteps", "8,4", "--csv", tmp_path / "x.csv") == 2
+    capsys.readouterr()
+    # a repeated qstep adds no point to the curve
+    assert run("rd-sweep", small_ply, "--qsteps", "4,4,4,4", "--csv", tmp_path / "x.csv") == 2
+    assert capsys.readouterr().err.startswith("error: qstep 4 appears more than once")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_report(tmp_path, small_ply, capsys):
@@ -306,6 +311,8 @@ def test_exit_code_2_on_bad_parameters(tmp_path, small_ply, capsys):
                "--r-min", "1e9", "--out", tmp_path / "x.cyl") == 2
     assert run("rd-sweep", small_ply, "--qsteps", "a,b,c,d",
                "--csv", tmp_path / "x.csv") == 2
+    assert run("synth", "--seed", "-1", "--out", tmp_path / "x.ply") == 2
+    assert not (tmp_path / "x.ply").exists()
 
 
 def test_exit_code_2_on_qstep_too_fine_for_int64(tmp_path, small_ply, capsys):
