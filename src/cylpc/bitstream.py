@@ -309,7 +309,9 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         )
     payload = RlgrPayload(data=data[pos : pos + attr_len], count=int(count))
     try:
-        attrs = decode_attributes(rlgr_decode(payload), wire_schedule(codes, depth), qstep)
+        # count equals the leaf count, so the geometry bounds this array
+        ints = rlgr_decode(payload, out=np.zeros(payload.count, dtype=np.int64))
+        attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
             f"attribute section: {exc}", offset=exc.offset

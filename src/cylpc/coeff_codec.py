@@ -24,15 +24,16 @@ MSB-first and the final byte is zero-padded.
 
 Both directions run one inlined event loop; an event is either one k = 0
 literal or one whole k > 0 episode (its complete runs, the marker and
-remainder, and the terminating value). The encoder takes the nonzero
-positions once, so an episode jumps straight to the next nonzero instead
-of scanning zeros. It writes each code word with integer shifts into a
-small Python int and flushes whole bytes about every 1 kbit. The decoder
-reads the bit string: one ``find`` locates the next "1" marker, zeros
-are counted, not stored, and only the (position, value) pairs of the
-nonzeros are kept. The ``count``-long output is built once the bits have
-accounted for every value; no bit stands for more than 2^10 values, so
-memory stays bounded by the payload size.
+remainder, and the terminating value). The encoder reads only the
+positions and values of the nonzeros, so an episode jumps straight to
+the next nonzero and no zero becomes a Python int. It writes each code
+word with integer shifts into a small Python int and flushes whole bytes
+about every 1 kbit. The decoder reads the bit string: one ``find``
+locates the next "1" marker, zeros are counted, not stored, and only the
+(position, value) pairs of the nonzeros are kept. Once the bits account
+for every value, it returns them as a list, or writes the nonzeros into
+a caller's int64 array of zeros; no bit stands for more than 2^10
+values, so a list's memory stays bounded by the payload size.
 """
 
 from __future__ import annotations
@@ -123,24 +124,26 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
                 f"values must be a 1-D integer array, got {values.dtype}"
                 f" of shape {values.shape}"
             )
-        nonzero = np.flatnonzero(values).tolist()
-        values = values.tolist()
+        where = np.flatnonzero(values)
+        nonzero = values[where].tolist()
+        where = where.tolist()
     else:
         try:
             values = [operator.index(v) for v in values]
         except TypeError as exc:
             raise InvalidInputError(f"values must be integers: {exc}") from exc
-        nonzero = [i for i, v in enumerate(values) if v]
+        where = [i for i, v in enumerate(values) if v]
+        nonzero = [values[i] for i in where]
     zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     n = len(values)
-    nonzero.append(n)  # a run that reaches the end stops here
+    where.append(n)  # a run that reaches the end stops here
     chunks: list[bytes] = []
     acc = nbits = 0  # pending bits, MSB-first, and how many
     kp = krp = _K_INIT
-    i = t = 0  # next value to code; nonzero[t] is the first nonzero from i on
+    i = t = 0  # next value to code; where[t] is the first nonzero from i on
     while i < n:
         if kp < _K_INIT:  # k = 0: a zigzag-mapped Golomb-Rice literal
-            val = values[i]
+            val = nonzero[t] if i == where[t] else 0
             i += 1
             if val:
                 t += 1
@@ -150,7 +153,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
                 kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
             limit = zigzag_max
         else:  # k > 0: the zero run up to the next nonzero, then that value
-            j = nonzero[t]
+            j = where[t]
             run = j - i
             k = kp >> _LSGR
             full = 0
@@ -168,7 +171,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
                     acc = (acc << k + 1) | (1 << k) | run
                     nbits += k + 1
                 break
-            val = values[j]
+            val = nonzero[t]
             i = j + 1
             t += 1
             kp = kp - _DN_GR if kp > _DN_GR else 0
@@ -212,8 +215,15 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
     return RlgrPayload(data=b"".join(chunks), count=n)
 
 
-def rlgr_decode(payload: RlgrPayload) -> list[int]:
-    """Exact inverse of rlgr_encode; raises CorruptStreamError on bad payloads."""
+def rlgr_decode(payload: RlgrPayload, out: np.ndarray | None = None) -> list[int] | np.ndarray:
+    """Exact inverse of rlgr_encode; raises CorruptStreamError on bad payloads.
+
+    Returns a list, or fills and returns ``out``: an int64 array of
+    ``payload.count`` zeros (anything else raises InvalidInputError).
+    """
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.int64
+                                and out.shape == (payload.count,)):
+        raise InvalidInputError(f"out must be an int64 array of {payload.count} zeros")
     zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     end = 8 * len(payload.data)
     bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
@@ -309,6 +319,10 @@ def rlgr_decode(payload: RlgrPayload) -> list[int]:
     one = bits.find("1", pos)
     if one >= 0:
         raise CorruptStreamError(f"nonzero padding bit at offset {one}", offset=one)
+    if out is not None:
+        count = len(where)  # fromiter with a count converts the pairs fastest
+        out[np.fromiter(where, np.intp, count)] = np.fromiter(nonzero, np.int64, count)
+        return out
     out = [0] * n  # the bits have accounted for all n values
     for i, val in zip(where, nonzero):
         out[i] = val

@@ -74,6 +74,14 @@ class RahtSchedule:
     passes: list[tuple[np.ndarray, ...]]
 
 
+def _bit_length(diff: np.ndarray) -> np.ndarray:
+    """Exact bit length of each positive int64, as int8."""
+    # frexp of the nearest float64, less one where the float rounded up to
+    # the next power of two (only from 2^53 on); e <= 64, so the shift <= 63
+    e = np.frexp(diff.astype(np.float64))[1]
+    return (e - (diff >> (e - 1) == 0)).astype(np.int8)
+
+
 def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSchedule:
     """Validate a leaf set and build its schedule."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -95,14 +103,13 @@ def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSch
     diff = codes[:-1] ^ codes[1:]
     if (diff >> 3 * depth).any():  # >> keeps the sign, so a sign change shows too
         raise InvalidInputError("leaf codes did not reduce to a single root")
-    # exact bit length: frexp is exact on 32-bit halves, not on all of int64
-    high_bits = np.frexp(diff >> 32)[1]
-    passes = np.where(high_bits > 0, high_bits + 32, np.frexp(diff & 0xFFFFFFFF)[1])
-    order = np.argsort(passes.astype(np.int8), kind="stable")
+    passes = _bit_length(diff)
+    order = np.argsort(passes, kind="stable")
+    ends = np.cumsum(np.bincount(passes)).tolist()  # where each pass's group ends in order
     head = np.arange(codes.size)  # at a run's right end: its left end
     tail = head.copy()  # at a run's left end: its right end
     plan = []
-    for i in np.split(order, np.flatnonzero(np.diff(passes[order])) + 1):
+    for i in (order[a:b] for a, b in zip([0] + ends, ends) if a < b):  # nonempty passes
         j = i + 1
         l, r = head[i], tail[j]
         w1, w2 = weights[l], weights[j]
@@ -123,7 +130,7 @@ def raht_forward_arrays(
         raise InvalidInputError(
             f"attributes of shape {values.shape} for {schedule.leaves} leaves"
         )
-    highs = []
+    highs = [np.empty(0)]  # a single leaf has no pass
     for j, l, sw1, sw2 in schedule.passes:
         a1 = values.take(l)
         a2 = values[j]

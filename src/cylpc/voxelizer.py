@@ -137,11 +137,14 @@ class ErrorModel:
             raise InvalidInputError("variances must be non-negative")
 
 
-def _padded_span(lo: float, hi: float) -> float:
-    """Half-open span covering [lo, hi], padded so hi falls strictly inside."""
+def _padded_span(lo: float, hi: float, name: str) -> float:
+    """Half-open span covering [lo, hi], padded so hi falls strictly inside.
+    Raises InvalidInputError, naming the extent, when it overflows float64."""
     span = hi - lo
-    pad = PAD_REL * max(span, abs(lo), abs(hi), 1.0)
-    return span + pad
+    span += PAD_REL * max(span, abs(lo), abs(hi), 1.0)
+    if not math.isfinite(span):
+        raise InvalidInputError(f"the cloud's padded {name} is {span}: it overflows float64")
+    return span
 
 
 def make_config(
@@ -158,11 +161,14 @@ def make_config(
         r_min = 1.0  # r_min shapes log-radial grids only; others keep the default
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = [float(c.min()) for c in pc.xyz.T], [float(c.max()) for c in pc.xyz.T]
-        side = max(_padded_span(a, b) for a, b in zip(lo, hi))
+        side = max(_padded_span(a, b, f"side on the {axis} axis")
+                   for axis, a, b in zip("xyz", lo, hi))
         return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial, r_min)
     h_min, h_max = float(pc.xyz[:, 2].min()), float(pc.xyz[:, 2].max())
-    radius = _padded_span(0.0, float(np.hypot(pc.xyz[:, 0], pc.xyz[:, 1]).max()))
-    bounds = (radius, _padded_span(h_min, h_max), h_min, 0.0, 0.0, 0.0)
+    with np.errstate(over="ignore"):  # an infinite radius fails in _padded_span
+        r_max = float(np.hypot(pc.xyz[:, 0], pc.xyz[:, 1]).max())
+    radius = _padded_span(0.0, r_max, "radius on the r axis")
+    bounds = (radius, _padded_span(h_min, h_max, "height on the h axis"), h_min, 0.0, 0.0, 0.0)
     return VoxelGridConfig(system, depth, bounds, log_radial, r_min)
 
 
@@ -190,7 +196,7 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         raise OutOfRangeError(
-            f"point {first} at {tuple(pc.xyz[first])} falls outside the voxel grid"
+            f"point {first} at {tuple(pc.xyz[first].tolist())} falls outside the voxel grid"
         )
     return morton_encode(idx.T, cfg.depth)
 

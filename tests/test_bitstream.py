@@ -21,6 +21,7 @@ from cylpc import (
     voxel_centers,
     voxelize,
 )
+from cylpc import bitstream
 from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN, Encoder, decode_attributes
 
 
@@ -81,6 +82,24 @@ def test_decode_matches_golden_arrays(cloud, system, depth, log_radial):
     for array in (decoded.codes, decoded.cloud.xyz, decoded.leaf_attributes):
         digest.update(array.tobytes())
     assert digest.hexdigest() == DECODED_SHA256[system, depth, log_radial]
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_decoder_hands_dequantize_an_int64_array(cloud, monkeypatch, system, depth, log_radial):
+    # rlgr_decode fills an int64 array: no list of every coefficient is
+    # built and converted back on the way to the inverse transform
+    data, _, ints = Encoder(cloud, system, depth, log_radial).encode(4.0)
+    seen, original = [], bitstream.dequantize
+
+    def dequantize(values, qstep):
+        seen.append(values)
+        return original(values, qstep)
+
+    monkeypatch.setattr(bitstream, "dequantize", dequantize)
+    decode_cloud(data)
+    assert len(seen) == 1
+    assert type(seen[0]) is np.ndarray and seen[0].dtype == np.int64
+    np.testing.assert_array_equal(seen[0], ints)
 
 
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)

@@ -315,6 +315,29 @@ def test_exit_code_2_on_bad_parameters(tmp_path, small_ply, capsys):
     assert not (tmp_path / "x.ply").exists()
 
 
+@pytest.mark.parametrize(
+    "xyz, coords",
+    [
+        ([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], ["cartesian"]),
+        ([[0.0, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]], ["cylindrical"]),
+        ([[0.0, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]], ["cylindrical", "--log-radial"]),
+    ],
+    ids=["cart", "cyl", "cyl-log"],
+)
+def test_exit_code_2_on_extent_that_overflows_float64(tmp_path, capsys, xyz, coords):
+    ply = tmp_path / "huge.ply"
+    write_ply(ply, PointCloud(np.array(xyz), np.zeros(2)), binary=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code = run("encode", ply, "--coords", *coords, "--out", tmp_path / "x.cyl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the cloud's padded ")
+    assert err.endswith(" is inf: it overflows float64\n")
+    assert "RuntimeWarning" not in err and "np.float64(" not in err
+    assert not (tmp_path / "x.cyl").exists()
+
+
 def test_exit_code_2_on_qstep_too_fine_for_int64(tmp_path, small_ply, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy cast warning either

@@ -237,6 +237,25 @@ def test_encoder_bytes_are_pinned():
     assert h.hexdigest() == _ENCODER_DIGEST
 
 
+def test_encoder_bytes_do_not_depend_on_the_container():
+    # the encoder reads only the nonzeros; how they are held must not matter
+    rng = np.random.default_rng(13)
+    top = 2**63 - 1
+    cases = [np.array(v, dtype=np.int64) for v in ([], [0], [1], [top, 0, 0, top])]
+    for density in (0.0, 0.02, 0.3, 0.9, 1.0):
+        for n in (1, 17, 300):
+            cases.append((rng.random(n) < density).astype(np.int64))
+            cases.append(np.where(rng.random(n) < density, rng.integers(1, top, n), 0))
+    for v in cases:
+        containers = [v.tolist(), v, v.astype(np.uint64)]
+        if v.max(initial=0) <= 1:
+            containers.append(v.astype(bool))
+        payloads = {rlgr_encode(values) for values in containers}
+        assert len(payloads) == 1
+    with pytest.raises(InvalidInputError, match="int64"):
+        rlgr_encode(np.array([0, 2**63], dtype=np.uint64))
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     v = rng.integers(-100, 100, 2000).tolist()
@@ -400,3 +419,53 @@ def test_decoder_outcomes_on_corrupted_payloads_are_pinned(kind):
             outcome = (str(exc), exc.offset)
         h.update(repr(outcome).encode())
     assert h.hexdigest() == _CORRUPTION_DIGESTS[kind]
+
+
+# --------------------------------------------- rlgr decoder into an int64 array
+
+
+def _decode_both_ways(payload: RlgrPayload):
+    """The outcome of the list path and of the out path, as (message, offset)
+    or the decoded values."""
+    outcomes = []
+    for out in (None, np.zeros(payload.count, dtype=np.int64)):
+        try:
+            values = rlgr_decode(payload, out=out)
+        except CorruptStreamError as exc:
+            outcomes.append((str(exc), exc.offset))
+            continue
+        if out is not None:
+            assert values is out
+            values = values.tolist()
+        outcomes.append(values)
+    return outcomes
+
+
+def test_decode_into_out_matches_the_list_on_the_round_trip_corpus():
+    for v in _encoder_corpus():
+        as_list, as_array = _decode_both_ways(rlgr_encode(v))
+        assert as_list == as_array == v.tolist()
+
+
+@pytest.mark.parametrize("kind", list(_CORRUPTION_DIGESTS))
+def test_decode_into_out_matches_the_list_on_corrupted_payloads(kind):
+    rng = np.random.default_rng(list(_CORRUPTION_DIGESTS).index(kind))
+    errors = 0
+    for payload in _corrupted_payloads(kind, rng):
+        as_list, as_array = _decode_both_ways(payload)
+        assert as_list == as_array
+        errors += isinstance(as_list, tuple)
+    assert errors > 0
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.zeros(4, dtype=np.int64), np.zeros(6, dtype=np.int64), np.zeros(5, dtype=np.int32),
+     np.zeros(5, dtype=np.uint64), np.zeros(5), np.zeros((5, 1), dtype=np.int64), [0] * 5],
+    ids=["short", "long", "int32", "uint64", "float64", "2d", "list"],
+)
+def test_decode_rejects_a_bad_out_before_decoding(out):
+    good = rlgr_encode([3, 0, 0, -1, 0])
+    for payload in (good, RlgrPayload(data=good.data[:1], count=5)):
+        with pytest.raises(InvalidInputError, match="out must be an int64 array of 5 zeros"):
+            rlgr_decode(payload, out=out)

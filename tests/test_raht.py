@@ -18,6 +18,7 @@ from cylpc import (
     serialize,
 )
 from cylpc.morton import morton_encode
+from cylpc.raht import _bit_length
 
 
 def random_instance(rng, depth=None, max_n=400, max_weight=50):
@@ -185,6 +186,16 @@ def test_high_pass_emission_order_is_deepest_axis0_first():
     low_a = (1.0 + 5.0) / r2
     low_b = (2.0 + 10.0) / r2
     assert coeffs.highs[2] == pytest.approx((low_b - low_a) / r2, rel=1e-12)
+
+
+def test_pass_numbers_are_exact_at_the_float_rounding_edge():
+    # from 2^53 on, 2^k - 1 rounds up to 2^k as a float64; 2^63 - 1 is the
+    # largest code difference a depth-21 leaf set can have
+    diffs = sorted({d for k in range(63) for d in (2**k - 1, 2**k, 2**k + 1) if d > 0}
+                   | {2**63 - 1})
+    passes = _bit_length(np.array(diffs, dtype=np.int64))
+    assert passes.dtype == np.int8
+    assert passes.tolist() == [d.bit_length() for d in diffs]
 
 
 def test_count_mismatch_rejected():

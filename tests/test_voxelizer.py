@@ -212,8 +212,32 @@ def test_out_of_range_names_point_index():
     pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2))
     cfg = make_config(pc, CoordinateSystem.CARTESIAN, 4)
     far = PointCloud(np.array([[0.5, 0.5, 0.5], [90.0, 0.0, 0.0]]), np.zeros(2))
-    with pytest.raises(OutOfRangeError, match="point 1"):
+    with pytest.raises(OutOfRangeError, match="point 1") as exc:
         voxelize(far, cfg)
+    assert "at (90.0, 0.0, 0.0) falls outside" in str(exc.value)  # plain floats
+
+
+# clouds whose padded extent is no finite float64, and the extent each names
+OVERFLOWING_CLOUDS = {
+    "cart": ([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]], CoordinateSystem.CARTESIAN, False,
+             "side on the x axis"),
+    "cyl": ([[0.0, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]], CoordinateSystem.CYLINDRICAL, False,
+            "radius on the r axis"),
+    "cyl-log": ([[0.0, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]], CoordinateSystem.CYLINDRICAL, True,
+                "radius on the r axis"),
+    "cyl-height": ([[1.0, 0.0, -1e308], [1.0, 0.0, 1e308]], CoordinateSystem.CYLINDRICAL, False,
+                   "height on the h axis"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OVERFLOWING_CLOUDS)
+def test_extent_that_overflows_float64_is_invalid_input(case):
+    xyz, system, log_radial, extent = OVERFLOWING_CLOUDS[case]
+    pc = PointCloud(np.array(xyz), np.zeros(2))
+    with pytest.raises(InvalidInputError) as exc:
+        make_config(pc, system, 8, log_radial=log_radial)
+    assert str(exc.value) == f"the cloud's padded {extent} is inf: it overflows float64"
 
 
 def test_out_of_range_names_lowest_point_out_on_any_axis():
@@ -256,10 +280,10 @@ def broadcast_bounds(pc, system):
     xyz = pc.xyz
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = xyz.min(axis=0).tolist(), xyz.max(axis=0).tolist()
-        return (*lo, max(_padded_span(a, b) for a, b in zip(lo, hi)), 0.0, 0.0)
+        return (*lo, max(_padded_span(a, b, "side") for a, b in zip(lo, hi)), 0.0, 0.0)
     h_min, h_max = float(xyz[:, 2].min()), float(xyz[:, 2].max())
-    radius = _padded_span(0.0, float(np.hypot(xyz[:, 0], xyz[:, 1]).max()))
-    return (radius, _padded_span(h_min, h_max), h_min, 0.0, 0.0, 0.0)
+    radius = _padded_span(0.0, float(np.hypot(xyz[:, 0], xyz[:, 1]).max()), "radius")
+    return (radius, _padded_span(h_min, h_max, "height"), h_min, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("grid", GRIDS)
