@@ -309,8 +309,7 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         )
     payload = RlgrPayload(data=data[pos : pos + attr_len], count=int(count))
     try:
-        # count equals the leaf count, so the geometry bounds this array
-        ints = rlgr_decode(payload, out=np.zeros(payload.count, dtype=np.int64))
+        ints = rlgr_decode(payload, as_array=True)
         attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(

@@ -31,9 +31,9 @@ word with integer shifts into a small Python int and flushes whole bytes
 about every 1 kbit. The decoder reads the bit string: one ``find``
 locates the next "1" marker, zeros are counted, not stored, and only the
 (position, value) pairs of the nonzeros are kept. Once the bits account
-for every value, it returns them as a list, or writes the nonzeros into
-a caller's int64 array of zeros; no bit stands for more than 2^10
-values, so a list's memory stays bounded by the payload size.
+for every value, it writes the nonzeros into an int64 array of zeros
+and returns that array, or its list; no bit stands for more than 2^10
+values, so memory stays bounded by the payload size.
 """
 
 from __future__ import annotations
@@ -215,15 +215,11 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
     return RlgrPayload(data=b"".join(chunks), count=n)
 
 
-def rlgr_decode(payload: RlgrPayload, out: np.ndarray | None = None) -> list[int] | np.ndarray:
+def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | np.ndarray:
     """Exact inverse of rlgr_encode; raises CorruptStreamError on bad payloads.
 
-    Returns a list, or fills and returns ``out``: an int64 array of
-    ``payload.count`` zeros (anything else raises InvalidInputError).
+    Returns the values as a list, or as an int64 array with ``as_array``.
     """
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.int64
-                                and out.shape == (payload.count,)):
-        raise InvalidInputError(f"out must be an int64 array of {payload.count} zeros")
     zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     end = 8 * len(payload.data)
     bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
@@ -319,11 +315,7 @@ def rlgr_decode(payload: RlgrPayload, out: np.ndarray | None = None) -> list[int
     one = bits.find("1", pos)
     if one >= 0:
         raise CorruptStreamError(f"nonzero padding bit at offset {one}", offset=one)
-    if out is not None:
-        count = len(where)  # fromiter with a count converts the pairs fastest
-        out[np.fromiter(where, np.intp, count)] = np.fromiter(nonzero, np.int64, count)
-        return out
-    out = [0] * n  # the bits have accounted for all n values
-    for i, val in zip(where, nonzero):
-        out[i] = val
-    return out
+    out = np.zeros(n, dtype=np.int64)  # the bits have accounted for all n values
+    count = len(where)  # fromiter with a count converts the pairs fastest
+    out[np.fromiter(where, np.intp, count)] = np.fromiter(nonzero, np.int64, count)
+    return out if as_array else out.tolist()

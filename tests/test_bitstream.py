@@ -86,7 +86,7 @@ def test_decode_matches_golden_arrays(cloud, system, depth, log_radial):
 
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
 def test_decoder_hands_dequantize_an_int64_array(cloud, monkeypatch, system, depth, log_radial):
-    # rlgr_decode fills an int64 array: no list of every coefficient is
+    # rlgr_decode returns an int64 array: no list of every coefficient is
     # built and converted back on the way to the inverse transform
     data, _, ints = Encoder(cloud, system, depth, log_radial).encode(4.0)
     seen, original = [], bitstream.dequantize

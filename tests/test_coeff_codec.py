@@ -421,34 +421,35 @@ def test_decoder_outcomes_on_corrupted_payloads_are_pinned(kind):
     assert h.hexdigest() == _CORRUPTION_DIGESTS[kind]
 
 
-# --------------------------------------------- rlgr decoder into an int64 array
+# --------------------------------------------- rlgr decoder to an int64 array
 
 
 def _decode_both_ways(payload: RlgrPayload):
-    """The outcome of the list path and of the out path, as (message, offset)
-    or the decoded values."""
+    """The outcome of the list path and of the array path, as (message,
+    offset) or the decoded values."""
     outcomes = []
-    for out in (None, np.zeros(payload.count, dtype=np.int64)):
+    for as_array in (False, True):
         try:
-            values = rlgr_decode(payload, out=out)
+            values = rlgr_decode(payload, as_array=as_array)
         except CorruptStreamError as exc:
             outcomes.append((str(exc), exc.offset))
             continue
-        if out is not None:
-            assert values is out
+        assert type(values) is (np.ndarray if as_array else list)
+        if as_array:
+            assert values.dtype == np.int64 and values.shape == (payload.count,)
             values = values.tolist()
         outcomes.append(values)
     return outcomes
 
 
-def test_decode_into_out_matches_the_list_on_the_round_trip_corpus():
+def test_decode_as_array_matches_the_list_on_the_round_trip_corpus():
     for v in _encoder_corpus():
         as_list, as_array = _decode_both_ways(rlgr_encode(v))
         assert as_list == as_array == v.tolist()
 
 
 @pytest.mark.parametrize("kind", list(_CORRUPTION_DIGESTS))
-def test_decode_into_out_matches_the_list_on_corrupted_payloads(kind):
+def test_decode_as_array_matches_the_list_on_corrupted_payloads(kind):
     rng = np.random.default_rng(list(_CORRUPTION_DIGESTS).index(kind))
     errors = 0
     for payload in _corrupted_payloads(kind, rng):
@@ -456,16 +457,3 @@ def test_decode_into_out_matches_the_list_on_corrupted_payloads(kind):
         assert as_list == as_array
         errors += isinstance(as_list, tuple)
     assert errors > 0
-
-
-@pytest.mark.parametrize(
-    "out",
-    [np.zeros(4, dtype=np.int64), np.zeros(6, dtype=np.int64), np.zeros(5, dtype=np.int32),
-     np.zeros(5, dtype=np.uint64), np.zeros(5), np.zeros((5, 1), dtype=np.int64), [0] * 5],
-    ids=["short", "long", "int32", "uint64", "float64", "2d", "list"],
-)
-def test_decode_rejects_a_bad_out_before_decoding(out):
-    good = rlgr_encode([3, 0, 0, -1, 0])
-    for payload in (good, RlgrPayload(data=good.data[:1], count=5)):
-        with pytest.raises(InvalidInputError, match="out must be an int64 array of 5 zeros"):
-            rlgr_decode(payload, out=out)
