@@ -24,10 +24,11 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
     98+G     8    coefficient count (equals the occupied leaf count)
     106+G    A    RLGR payload bytes
 
-The decoder needs nothing beyond these bytes. Leaf weights are not
-transmitted: the wire pipeline runs the hierarchical transform with unit
-weight per occupied voxel, which the decoder reproduces from the
-occupancy stream alone.
+A stream that ends inside any part raises CorruptStreamError (exit 4),
+naming the part and the byte where the stream ends. The decoder needs
+nothing beyond these bytes. Leaf weights are not transmitted: the wire
+pipeline runs the hierarchical transform with unit weight per occupied
+voxel, which the decoder reproduces from the occupancy stream alone.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ MAGIC = b"CYLPC1"
 VERSION = 1
 
 _HEADER = struct.Struct("<6sBBBB7dQd")
+_GEOMETRY = struct.Struct("<Q")  # geometry section length
+_ATTRIBUTE = struct.Struct("<QQ")  # attribute section length, coefficient count
 HEADER_BYTES = _HEADER.size  # 82
-# container overhead: fixed header + two section lengths + coefficient count
-OVERHEAD_BYTES = HEADER_BYTES + 8 + 8 + 8
+OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size + _ATTRIBUTE.size
 
 # Finest qstep the encoder accepts. float64 holds an attribute below
 # 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
@@ -146,17 +148,6 @@ def decode_attributes(
     return np.clip(attrs, 0.0, 255.0)
 
 
-def _config_from_header(
-    coords: int, depth: int, log_radial: bool, r_min: float, bounds: tuple[float, ...]
-) -> VoxelGridConfig:
-    system = CoordinateSystem.CARTESIAN if coords == 0 else CoordinateSystem.CYLINDRICAL
-    try:
-        return VoxelGridConfig(system, depth, bounds, log_radial, r_min)
-    except CylpcError as exc:
-        # r_min and the six bounds fields start at byte 10
-        raise CorruptStreamError(f"invalid bounds in header: {exc}", offset=10) from exc
-
-
 def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
                 occupancy: bytes, payload: RlgrPayload) -> bytes:
     header = _HEADER.pack(
@@ -173,9 +164,9 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
     return b"".join(
         [
             header,
-            struct.pack("<Q", len(occupancy)),
+            _GEOMETRY.pack(len(occupancy)),
             occupancy,
-            struct.pack("<QQ", len(payload.data), payload.count),
+            _ATTRIBUTE.pack(len(payload.data), payload.count),
             payload.data,
         ]
     )
@@ -233,15 +224,20 @@ def encode_cloud(
     return data, summary
 
 
-def decode_cloud(data: bytes) -> DecodedCloud:
-    """Decode a bitstream produced by encode_cloud; needs only the bytes."""
-    if len(data) < HEADER_BYTES:
+def _take(data: bytes, pos: int, size: int, what: str) -> bytes:
+    """Return ``data[pos : pos + size]``, or raise if the stream ends inside it."""
+    if len(data) < pos + size:
         raise CorruptStreamError(
-            f"stream of {len(data)} bytes is shorter than the {HEADER_BYTES}-byte header",
+            f"stream ends at byte {len(data)} inside the {size}-byte {what} at byte {pos}",
             offset=len(data),
         )
-    (magic, version, coords, depth, flags, r_min, b0, b1, b2, b3, b4, b5,
-     n_points, qstep) = _HEADER.unpack_from(data, 0)
+    return data[pos : pos + size]
+
+
+def decode_cloud(data: bytes) -> DecodedCloud:
+    """Decode a bitstream produced by encode_cloud; needs only the bytes."""
+    (magic, version, coords, depth, flags, r_min, *bounds, n_points,
+     qstep) = _HEADER.unpack(_take(data, 0, HEADER_BYTES, "header"))
     if magic != MAGIC:
         raise CorruptStreamError(f"bad magic {magic!r}", offset=0)
     if version != VERSION:
@@ -262,25 +258,22 @@ def decode_cloud(data: bytes) -> DecodedCloud:
             raise CorruptStreamError(
                 f"reserved bounds field {field} is not eight zero bytes", offset=offset
             )
-    cfg = _config_from_header(
-        coords, depth, bool(flags & 1), r_min, (b0, b1, b2, b3, b4, b5)
-    )
+    system = CoordinateSystem.CARTESIAN if coords == 0 else CoordinateSystem.CYLINDRICAL
+    try:
+        cfg = VoxelGridConfig(system, depth, tuple(bounds), bool(flags & 1), r_min)
+    except CylpcError as exc:
+        # r_min and the six bounds fields start at byte 10
+        raise CorruptStreamError(f"invalid bounds in header: {exc}", offset=10) from exc
 
     pos = HEADER_BYTES
-    if len(data) < pos + 8:
-        raise CorruptStreamError("truncated geometry section length", offset=len(data))
-    (geom_len,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    if len(data) < pos + geom_len:
-        raise CorruptStreamError(
-            f"geometry section of {geom_len} bytes exceeds stream", offset=len(data)
-        )
+    (geom_len,) = _GEOMETRY.unpack(_take(data, pos, _GEOMETRY.size, "geometry length"))
+    pos += _GEOMETRY.size
+    geometry = _take(data, pos, geom_len, "geometry section")
     try:
-        octree = deserialize(data[pos : pos + geom_len], depth)
+        octree = deserialize(geometry, depth)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
-            f"geometry section: {exc}",
-            offset=pos + (exc.offset if exc.offset is not None else 0),
+            f"geometry section: {exc}", offset=pos + exc.offset
         ) from exc
     pos += geom_len
     codes = octree.leaves
@@ -289,14 +282,11 @@ def decode_cloud(data: bytes) -> DecodedCloud:
             f"point count {n_points} is below the {codes.size} occupied leaves", offset=66
         )
 
-    if len(data) < pos + 16:
-        raise CorruptStreamError("truncated attribute section header", offset=len(data))
-    attr_len, count = struct.unpack_from("<QQ", data, pos)
-    pos += 16
-    if len(data) < pos + attr_len:
-        raise CorruptStreamError(
-            f"attribute section of {attr_len} bytes exceeds stream", offset=len(data)
-        )
+    attr_len, count = _ATTRIBUTE.unpack(
+        _take(data, pos, _ATTRIBUTE.size, "attribute header")
+    )
+    pos += _ATTRIBUTE.size
+    payload = RlgrPayload(_take(data, pos, attr_len, "attribute section"), int(count))
     if len(data) != pos + attr_len:
         raise CorruptStreamError(
             f"{len(data) - pos - attr_len} trailing bytes after attribute section",
@@ -307,7 +297,6 @@ def decode_cloud(data: bytes) -> DecodedCloud:
             f"coefficient count {count} does not match {codes.size} occupied leaves",
             offset=pos - 8,
         )
-    payload = RlgrPayload(data=data[pos : pos + attr_len], count=int(count))
     try:
         ints = rlgr_decode(payload, as_array=True)
         attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)

@@ -4,7 +4,8 @@ Subcommands: encode, decode, rd-sweep, compare, analyze, synth. Every
 command is a pure function of its input bytes, flags and seed; outputs
 are printed as machine-readable key=value lines. Exit codes: 0 success,
 2 usage or parameter error, 3 unreadable or malformed input, 4 corrupt
-bitstream.
+bitstream. Two qsteps that print alike (4 and 4.0000001) and --r-min
+without --log-radial are parameter errors.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _parse_qsteps(text: str) -> list[float]:
         raise InvalidInputError(f"cannot parse qstep list '{text}'") from exc
     if len(steps) < 4:
         raise InvalidInputError(f"need >= 4 qsteps for a rate curve, got {len(steps)}")
-    for i, q in enumerate(steps):
-        if q in steps[:i]:
+    for i, q in enumerate(steps):  # compare as printed: rd-sweep keys and CSV rows use :g
+        if f"{q:g}" in (f"{p:g}" for p in steps[:i]):
             raise InvalidInputError(f"qstep {q:g} appears more than once in '{text}'")
     return steps
 
@@ -253,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="octree depth (default: 13 cylindrical, 16 Cartesian)")
         p.add_argument("--log-radial", action="store_true",
                        help="partition the radial axis uniformly in ln(r)")
-        p.add_argument("--r-min", type=float, default=1.0,
-                       help="inner radius clamp for the log-radial partition")
+        p.add_argument("--r-min", type=float, default=None,
+                       help="inner radius clamp for the log-radial partition (default 1.0)")
 
     p = sub.add_parser("encode", help="encode a point cloud file into a bitstream")
     p.add_argument("input")
@@ -311,6 +312,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "r_min" in args:  # the grid commands
+            if args.r_min is not None and not args.log_radial:
+                raise InvalidInputError(
+                    "--r-min shapes only log-radial grids; add --log-radial"
+                )
+            args.r_min = 1.0 if args.r_min is None else args.r_min
         return args.func(args)
     except CorruptStreamError as exc:
         print(f"error: corrupt bitstream: {exc}", file=sys.stderr)

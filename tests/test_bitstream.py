@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +369,83 @@ def test_truncations_are_corrupt(cloud):
     for cut in (0, 10, HEADER_BYTES - 1, HEADER_BYTES + 3, len(data) // 2, len(data) - 1):
         with pytest.raises(CorruptStreamError):
             decode_cloud(data[:cut])
+
+
+def test_every_truncation_names_its_part(cloud):
+    data, summary = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
+    g, a = summary.geometry_bytes, summary.attribute_bytes
+    assert g > 5 and a > 2
+    parts = [  # (cut, part, its size, its start byte)
+        (0, "header", HEADER_BYTES, 0),
+        (10, "header", HEADER_BYTES, 0),
+        (81, "header", HEADER_BYTES, 0),
+        (85, "geometry length", 8, 82),
+        (95, "geometry section", g, 90),
+        (90 + g + 3, "attribute header", 16, 90 + g),
+        (106 + g + a // 2, "attribute section", a, 106 + g),
+        (len(data) - 1, "attribute section", a, 106 + g),
+    ]
+    for cut, part, size, start in parts:
+        with pytest.raises(CorruptStreamError) as exc:
+            decode_cloud(data[:cut])
+        # a framing error once passed through the geometry section's rebasing,
+        # which doubled its offset and prefixed "geometry section: " again
+        assert str(exc.value) == (
+            f"stream ends at byte {cut} inside the {size}-byte {part} at byte {start}"
+        )
+        assert exc.value.offset == cut
+
+
+def _layout_rows(lines):
+    """(offset, size) of each row of a layout table: offsets like 90 or 90+G,
+    sizes a byte count or the section length G or A."""
+    rows = []
+    for line in lines:
+        m = re.match(r"\s*\|?\s*(\d+(?:\+G)?)\s*\|?\s+(\d+|G|A)\s+\|?\s*\S", line)
+        if m:
+            rows.append(m.groups())
+    return rows
+
+
+def _struct_fields(st):
+    """Byte size of each field of a little-endian struct, in order."""
+    sizes = []
+    for count, code in re.findall(r"(\d*)([a-zA-Z])", st.format.lstrip("<")):
+        n = int(count or 1)
+        sizes += [n] if code == "s" else [struct.calcsize("<" + code)] * n
+    return sizes
+
+
+def _after(pos, size):
+    """Position, as (bytes, multiple of G), just past a field of ``size``."""
+    return (pos[0], pos[1] + 1) if size == "G" else (pos[0] + int(size), pos[1])
+
+
+@pytest.mark.parametrize("source", ["README.md", "bitstream.py"])
+def test_layout_tables_match_the_structs(source):
+    if source == "README.md":
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## Bitstream layout", 1)[1].split("\n## ", 1)[0]
+        lines = [line for line in section.splitlines() if line.startswith("|")]
+    else:
+        table = bitstream.__doc__.split("offset  size  field", 1)[1].split("\n\n", 1)[0]
+        lines = table.splitlines()
+    rows = _layout_rows(lines)
+    fields = (_struct_fields(bitstream._HEADER) + _struct_fields(bitstream._GEOMETRY)
+              + ["G"] + _struct_fields(bitstream._ATTRIBUTE))
+    ends, pos = set(), (0, 0)
+    for size in fields:
+        pos = _after(pos, size)
+        ends.add(pos)
+    assert pos == (bitstream.OVERHEAD_BYTES, 1)
+    at = (0, 0)
+    for offset, size in rows[:-1]:
+        const, _, g = offset.partition("+")
+        assert (int(const), 1 if g else 0) == at, f"{source}: row at {offset}"
+        at = _after(at, size)
+        assert at in ends, f"{source}: row at {offset} ends inside a field"
+    assert at == pos
+    assert rows[-1] == (f"{bitstream.OVERHEAD_BYTES}+G", "A")
 
 
 def test_trailing_bytes_are_corrupt(cloud):

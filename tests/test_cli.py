@@ -182,6 +182,40 @@ def test_rd_sweep_needs_four_qsteps(tmp_path, small_ply, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["rd-sweep", "compare"])
+def test_qsteps_that_print_alike_are_rejected(tmp_path, small_ply, capsys, command):
+    # 4 and 4.0000001 both print as qstep_4_* keys and CSV rows "4"
+    args = ["--depth-cart", "8", "--depth-cyl", "7"] if command == "compare" else []
+    code = run(command, small_ply, *args, "--qsteps", "4,4.0000001,2,1",
+               "--csv", tmp_path / "x.csv")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: qstep 4 appears more than once")
+    assert not (tmp_path / "x.csv").exists()
+
+
+_GRID_COMMANDS = {
+    "encode": ["--out", "x.cyl"],
+    "rd-sweep": ["--qsteps", "16,8,4,2", "--csv", "x.csv"],
+    "compare": ["--depth-cart", "10", "--depth-cyl", "9", "--qsteps", "64,16,4,1",
+                "--csv", "x.csv", "--report", "x.txt"],
+    "analyze": ["--depth", "6", "--out-prefix", "x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GRID_COMMANDS))
+def test_r_min_needs_log_radial(tmp_path, small_ply, capsys, monkeypatch, command):
+    # --r-min on any other grid was once ignored without a word
+    monkeypatch.chdir(tmp_path)
+    args = _GRID_COMMANDS[command]
+    assert run(command, small_ply, "--r-min", "5", *args) == 2
+    assert capsys.readouterr().err == (
+        "error: --r-min shapes only log-radial grids; add --log-radial\n"
+    )
+    assert not any(tmp_path.iterdir())
+    assert run(command, small_ply, "--log-radial", "--r-min", "0.5", *args) == 0
+    assert any(tmp_path.iterdir())
+
+
 def test_compare_report(tmp_path, small_ply, capsys):
     report = tmp_path / "report.txt"
     csv_path = tmp_path / "curves.csv"
