@@ -18,7 +18,8 @@ from pathlib import Path
 from .bitstream import Encoder, decode_attributes, decode_cloud, encode_cloud
 from .errors import CorruptStreamError, CylpcError, InvalidInputError, MalformedFileError
 from .geometry import PointCloud
-from .ingest import SweepSpec, load_kitti_bin, load_ply, synth_sweep, write_ply
+from .ingest import (INTENSITY_MODELS, SweepSpec, load_kitti_bin, load_ply, synth_sweep,
+                     write_ply)
 from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute, write_rd_csv
 from .voxelizer import (
     CoordinateSystem,
@@ -84,13 +85,19 @@ def _sweep(pc: PointCloud, system: CoordinateSystem, depth: int, qsteps,
     return points, summary.geometry_bpp
 
 
-def _dedup_bpp(points):
-    """Collapse duplicate-bpp points (keep best PSNR) for curve fitting."""
-    best = {}
-    for p in points:
-        if p.bpp not in best or p.psnr_db > best[p.bpp].psnr_db:
-            best[p.bpp] = p
-    return tuple(best.values())
+def _rd_curve(system: CoordinateSystem, sweep) -> RdCurve:
+    """The Bjontegaard curve of one sweep's (qstep, point) pairs: qsteps of
+    one attribute rate collapse to the point of best PSNR."""
+    groups: dict[float, list] = {}
+    for qstep, p in sweep:
+        groups.setdefault(p.bpp, []).append((qstep, p))
+    if len(groups) < 4:
+        shared = ", ".join(f"qsteps {' and '.join(f'{q:g}' for q, _ in g)} share {bpp:.6g} bpp"
+                           for bpp, g in groups.items() if len(g) > 1)
+        raise InvalidInputError(f"{system.value} RD curve: {shared}; {len(groups)} distinct"
+                                " rates remain, and a Bjontegaard fit needs >= 4")
+    return RdCurve(tuple(max((p for _, p in g), key=lambda p: p.psnr_db)
+                         for g in groups.values()))
 
 
 def cmd_encode(args) -> int:
@@ -163,8 +170,8 @@ def cmd_compare(args) -> int:
         args.log_radial, args.r_min
     )
     bd = bd_metrics(
-        RdCurve(_dedup_bpp([p for _, p in cart])),
-        RdCurve(_dedup_bpp([p for _, p in cyl])),
+        _rd_curve(CoordinateSystem.CARTESIAN, cart),
+        _rd_curve(CoordinateSystem.CYLINDRICAL, cyl),
     )
     report = [
         ("input", args.input),
@@ -298,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic sweep as PLY")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beams", type=int, default=128)
-    p.add_argument("--intensity", choices=["constant", "range-decay", "checker"],
-                   default="range-decay")
+    p.add_argument("--intensity", choices=INTENSITY_MODELS, default="range-decay")
     p.add_argument("--boxes", type=int, default=3)
     p.add_argument("--noise-sigma", type=float, default=0.005)
     p.add_argument("--binary", action="store_true")

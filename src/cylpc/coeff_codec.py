@@ -18,9 +18,11 @@ coded symbols so no side information is needed:
 
 Golomb-Rice codes cap the unary prefix at 32 ones; longer prefixes
 switch to an escape form (32 ones, 8-bit bit-length m, m raw bits).
-Values are int64: the encoder rejects, and the decoder reports as
-corrupt, any escaped magnitude that leaves that range. Bits are packed
-MSB-first and the final byte is zero-padded.
+Values are int64. The encoder takes any integer sequence or 1-D integer
+array through one gate that rejects a value outside int64 before anything
+is coded; the decoder reports as corrupt any escaped magnitude that
+leaves that range. Bits are packed MSB-first and the final byte is
+zero-padded.
 
 Both directions run one inlined event loop; an event is either one k = 0
 literal or one whole k > 0 episode (its complete runs, the marker and
@@ -56,8 +58,9 @@ _DQ_GR = 3  # kp decrement for a nonzero in Golomb-Rice mode
 _KRP_DOWN = 2  # krp decrement when the unary prefix is empty
 _ESC = 32  # unary prefix cap; longer prefixes use the escape form
 _K_INIT = 1 << _LSGR  # k = kr = 1 at stream start
-# largest Golomb-Rice argument of an int64 value: a zigzag code in
-# Golomb-Rice mode, |value| - 1 of a positive or negative run terminator
+# largest Golomb-Rice argument of an int64 value, which bounds a decoded
+# escape: a zigzag code in Golomb-Rice mode, |value| - 1 of a positive or
+# negative run terminator
 _ZIGZAG_MAX = (1 << 64) - 1
 _POS_MAX = (1 << 63) - 2
 _NEG_MAX = (1 << 63) - 1
@@ -112,30 +115,34 @@ def _run_overflow(pos: int) -> CorruptStreamError:
     )
 
 
-def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPayload:
+def _nonzeros(values: Iterable[int] | np.ndarray) -> tuple[int, list[int], list[int]]:
+    """The encoder's one gate: the count, and the positions and values of the
+    nonzeros of one int64 array. Every value past it fits the escape form."""
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.array([operator.index(v) for v in values], dtype=np.int64)
+        except TypeError as exc:
+            raise InvalidInputError(f"values must be integers: {exc}") from exc
+        except OverflowError as exc:
+            raise InvalidInputError("value outside the int64 range") from exc
+    elif values.ndim != 1 or values.dtype.kind not in "biu":
+        raise InvalidInputError(
+            f"values must be a 1-D integer array, got {values.dtype} of shape {values.shape}"
+        )
+    elif values.dtype == np.uint64 and values.max(initial=0) >= 1 << 63:
+        raise InvalidInputError("value outside the int64 range")
+    values = values.astype(np.int64, copy=False)
+    where = np.flatnonzero(values)
+    return values.size, where.tolist(), values[where].tolist()
+
+
+def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     """Losslessly encode a signed integer sequence; total and deterministic.
 
     Raises InvalidInputError on a value that is not an integer or lies
     outside the int64 range.
     """
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1 or values.dtype.kind not in "biu":
-            raise InvalidInputError(
-                f"values must be a 1-D integer array, got {values.dtype}"
-                f" of shape {values.shape}"
-            )
-        where = np.flatnonzero(values)
-        nonzero = values[where].tolist()
-        where = where.tolist()
-    else:
-        try:
-            values = [operator.index(v) for v in values]
-        except TypeError as exc:
-            raise InvalidInputError(f"values must be integers: {exc}") from exc
-        where = [i for i, v in enumerate(values) if v]
-        nonzero = [values[i] for i in where]
-    zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
-    n = len(values)
+    n, where, nonzero = _nonzeros(values)
     where.append(n)  # a run that reaches the end stops here
     chunks: list[bytes] = []
     acc = nbits = 0  # pending bits, MSB-first, and how many
@@ -151,7 +158,6 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
                 val = 2 * val if val > 0 else -2 * val - 1
             else:
                 kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
-            limit = zigzag_max
         else:  # k > 0: the zero run up to the next nonzero, then that value
             j = where[t]
             run = j - i
@@ -181,10 +187,8 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
             if val < 0:
                 acc |= 1
                 val = -val - 1
-                limit = neg_max
             else:
                 val -= 1
-                limit = pos_max
         # Golomb-Rice code of val >= 0: unary prefix vk, a "0", kr low bits
         kr = krp >> _LSGR
         vk = val >> kr
@@ -192,10 +196,7 @@ def rlgr_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> RlgrPaylo
             nb = vk + 1 + kr
             acc = (acc << nb) | (((1 << vk) - 1) << kr + 1) | (val & ((1 << kr) - 1))
             nbits += nb
-        else:
-            if val > limit:
-                raise InvalidInputError("value outside the int64 range")
-            # escape: full prefix, no terminator, 8-bit length m, m raw bits
+        else:  # escape: full prefix, no terminator, 8-bit length m, m raw bits
             m = val.bit_length()
             acc = (acc << _ESC + 8 + m) | (((1 << _ESC) - 1) << 8 + m) | (m << m) | val
             nbits += _ESC + 8 + m
@@ -220,7 +221,6 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
 
     Returns the values as a list, or as an int64 array with ``as_array``.
     """
-    zigzag_max, pos_max, neg_max = _ZIGZAG_MAX, _POS_MAX, _NEG_MAX
     end = 8 * len(payload.data)
     bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
     n = payload.count
@@ -229,10 +229,8 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     pos = filled = 0  # next bit; values decoded so far
     kp = krp = _K_INIT
     while filled < n:
-        literal = kp < _K_INIT
-        if literal:  # k = 0: a zigzag-mapped Golomb-Rice literal
-            limit = zigzag_max
-        else:  # k > 0: complete runs, then a marker or the end of the count
+        literal = kp < _K_INIT  # k = 0: a zigzag-mapped Golomb-Rice literal
+        if not literal:  # k > 0: complete runs, then a marker or the end of the count
             k = kp >> _LSGR
             one = bits.find("1", pos)
             stop = end if one < 0 else one
@@ -262,7 +260,6 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
                 raise _exhausted(pos)
             negative = bits[pos] == "1"
             pos += 1
-            limit = neg_max if negative else pos_max
         # Golomb-Rice code: unary prefix vk < 32, a "0", kr low bits; or escape
         kr = krp >> _LSGR
         zero = bits.find("0", pos, pos + _ESC)
@@ -285,7 +282,7 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
             if pos > end:
                 raise _exhausted(end)
             val = int(bits[pos - m : pos], 2)
-            if val > limit:
+            if val > (_ZIGZAG_MAX if literal else _NEG_MAX if negative else _POS_MAX):
                 raise CorruptStreamError(
                     f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
                 )

@@ -250,6 +250,9 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
 # ray, the cap keeps a sweep under about 2 GiB.
 MAX_SWEEP_TESTS = 1 << 24
 
+# synthetic intensity models, for SweepSpec and synth --intensity
+INTENSITY_MODELS = ("constant", "range-decay", "checker")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -287,7 +290,7 @@ class SweepSpec:
             )
         if self.box_count < 0:
             raise InvalidInputError("box_count must be >= 0")
-        if self.intensity_model not in ("constant", "range-decay", "checker"):
+        if self.intensity_model not in INTENSITY_MODELS:
             raise InvalidInputError(
                 f"unknown intensity model '{self.intensity_model}'"
             )

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
-
 MAX_DEPTH = 21
 
 _IDX = np.arange(4096, dtype=np.int64)
@@ -30,14 +28,8 @@ _GATHER = np.array([_GATHER12 << 4 * s for s in range(6)])
 
 
 def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
-    """Interleave (N, 3) per-axis bin indices (any strides) into (N,) int64 codes."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
-    ijk = np.asarray(ijk, dtype=np.int64)
-    if ijk.ndim != 2 or ijk.shape[1] != 3:
-        raise InvalidInputError(f"expected (N, 3) indices, got shape {ijk.shape}")
-    if ijk.size and (ijk.min() < 0 or ijk.max() >= (1 << depth)):
-        raise InvalidInputError(f"indices outside [0, 2^{depth})")
+    """Interleave (N, 3) int64 per-axis bin indices (any strides) into (N,)
+    int64 codes. The caller holds each index in [0, 2^depth)."""
     out = 0
     for axis in range(3):
         v = ijk[:, axis]
@@ -49,10 +41,8 @@ def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
 def morton_decode(codes: np.ndarray, depth: int) -> np.ndarray:
     """Inverse of morton_encode: (N,) codes -> (N, 3) per-axis indices,
     the transpose of a (3, N) array so that each axis is contiguous."""
-    if not 1 <= depth <= MAX_DEPTH:
-        raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
     # bits above 3 * depth, the sign bit among them, are not part of the code
-    codes = np.asarray(codes, dtype=np.int64) & ((1 << 3 * depth) - 1)
+    codes = codes & ((1 << 3 * depth) - 1)
     packed = _GATHER[0].take(codes & 4095)
     for s in range(1, -(-3 * depth // 12)):
         packed |= _GATHER[s].take((codes >> 12 * s) & 4095)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import os
 import struct
@@ -27,7 +28,8 @@ from cylpc import (
     write_ply,
 )
 from cylpc.bitstream import QSTEP_MIN, Encoder, pack_stream
-from cylpc.cli import main
+from cylpc.cli import build_parser, main
+from cylpc.ingest import INTENSITY_MODELS
 from cylpc.voxelizer import assign_codes
 
 
@@ -76,6 +78,23 @@ def test_exit_code_2_on_nan_noise_sigma(tmp_path, capsys):
     assert run("synth", "--noise-sigma", "nan", "--out", tmp_path / "x.ply") == 2
     assert capsys.readouterr().err == "error: noise_sigma must be a finite number >= 0, got nan\n"
     assert not (tmp_path / "x.ply").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exit_code_2_on_synth_without_returns(tmp_path, capsys, seed):
+    # range noise of sigma 1e9 m puts every return of the one beam out of range
+    code = run("synth", "--seed", seed, "--beams", "1", "--boxes", "0",
+               "--noise-sigma", "1e9", "--out", tmp_path / "x.ply")
+    assert code == 2
+    assert capsys.readouterr().err == "error: synthetic sweep produced no returns\n"
+    assert not (tmp_path / "x.ply").exists()
+
+
+def test_synth_intensity_choices_are_the_sweep_models():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (intensity,) = [a for a in sub.choices["synth"]._actions if a.dest == "intensity"]
+    assert tuple(intensity.choices) == INTENSITY_MODELS
 
 
 def test_encode_decode_chain(tmp_path, small_ply, capsys):
@@ -248,6 +267,21 @@ def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "1fd7e38f7e8354c6dd0ec98efc5db6d7fe67ce702204cf3d3fabfadb35fc8224"
     )
+
+
+def test_compare_names_the_qsteps_that_collapse_to_one_rate(tmp_path, small_ply, capsys):
+    # qsteps 4 and 4.001 code to one attribute bpp on both grids; the error
+    # once read "an RD curve needs >= 4 points, got 3" and named neither
+    args = ["--depth-cart", "10", "--depth-cyl", "9", "--log-radial"]
+    assert run("compare", small_ply, *args, "--qsteps", "64,4,4.001,1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cartesian RD curve: qsteps 4.001 and 4 share ")
+    assert err.endswith(" bpp; 3 distinct rates remain, and a Bjontegaard fit needs >= 4\n")
+    # with four rates left the fit runs on the point of better PSNR, 4.001's
+    assert run("compare", small_ply, *args, "--qsteps", "64,16,4.001,4,1") == 0
+    collapsed = parse_kv(capsys)
+    assert run("compare", small_ply, *args, "--qsteps", "64,16,4.001,1") == 0
+    assert parse_kv(capsys) == collapsed
 
 
 def test_analyze_csv_formats(tmp_path, small_ply, capsys):

@@ -117,6 +117,9 @@ def test_point_cloud_validation():
         PointCloud(np.array([[np.inf, 0, 0]]), np.array([1.0]))
     with pytest.raises(InvalidInputError):
         PointCloud(np.zeros((2, 3)), np.zeros(3))
+    for xyz in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(InvalidInputError, match=r"xyz must have shape \(N, 3\)"):
+            PointCloud(xyz, np.zeros(len(xyz)))
 
 
 def test_bounding_cylinder_single_point():

@@ -188,3 +188,19 @@ def test_csv_six_significant_digits(tmp_path):
                         RatePoint(2.0, 42.0), RatePoint(3.0, 43.0), RatePoint(4.0, 44.0)))
     row = path.read_text().splitlines()[1]
     assert row == "1.23457,41.2346"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("rate,psnr\n1,40\n2,41\n3,42\n4,43\n", "expected header 'bpp,psnr_db'"),
+        ("psnr_db,bpp\n1,40\n2,41\n3,42\n4,43\n", "expected header 'bpp,psnr_db'"),
+        ("", "expected header 'bpp,psnr_db'"),
+        ("bpp,psnr_db\n1,40\n2,41,7\n3,42\n4,43\n", "malformed row \\['2', '41', '7'\\]"),
+    ],
+)
+def test_csv_reader_rejects_a_wrong_header_or_row(tmp_path, text, message):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=message):
+        read_rd_csv(path)

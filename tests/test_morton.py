@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cylpc.errors import InvalidInputError
 from cylpc.morton import MAX_DEPTH, morton_decode, morton_encode
 
 
@@ -83,11 +82,3 @@ def test_lexicographic_order_of_axis2_dominates():
     b = morton_encode(np.array([[0, 0, 2]]), 2)[0]
     assert b > a
 
-
-def test_out_of_range_rejected():
-    with pytest.raises(InvalidInputError):
-        morton_encode(np.array([[8, 0, 0]]), 3)
-    with pytest.raises(InvalidInputError):
-        morton_encode(np.array([[-1, 0, 0]]), 3)
-    with pytest.raises(InvalidInputError):
-        morton_encode(np.array([[0, 0, 0]]), 22)

@@ -216,6 +216,14 @@ def test_duplicate_and_unsorted_leaves_rejected():
         raht_schedule(np.array([], dtype=np.int64), np.array([]), 1)
 
 
+
+@pytest.mark.parametrize("depth", [1, 3, 20])
+def test_codes_outside_the_tree_rejected(depth):
+    # 8^depth needs one more level; a negative code has the sign bit set
+    for codes in ([0, 8**depth], [-1, 0], [-(8**depth), 8**depth - 1]):
+        with pytest.raises(InvalidInputError, match="did not reduce to a single root"):
+            raht_schedule(np.array(codes, dtype=np.int64), np.ones(2), depth)
+
 def _golden_instances(kind, rng):
     """Seeded leaf sets: shallow trees with integer or float weights, or
     deep trees at unit weights whose codes reach 0 and 8^depth - 1."""
