@@ -24,13 +24,25 @@ is coded; the decoder reports as corrupt any escaped magnitude that
 leaves that range. Bits are packed MSB-first and the final byte is
 zero-padded.
 
-Both directions run one inlined event loop; an event is either one k = 0
-literal or one whole k > 0 episode (its complete runs, the marker and
-remainder, and the terminating value). The encoder reads only the
-positions and values of the nonzeros, so an episode jumps straight to
-the next nonzero and no zero becomes a Python int. It writes each code
-word with integer shifts into a small Python int and flushes whole bytes
-about every 1 kbit. The decoder reads the bit string: one ``find``
+The encoder reads only the positions and values of the nonzeros and
+splits the stream into episodes: the gap of zeros before a nonzero, then
+that nonzero, and a last episode of the zeros after the last nonzero.
+kp depends only on the gaps, and a zero literal always codes vk = 0, so
+two small scalar passes carry all the state:
+
+  * the kp pass steps once per nonzero through a table of the kp after
+    each (kp, gap) episode, built on first use; a gap of 2047 zeros
+    drives any kp to the cap, so longer gaps share that column;
+  * from kp before each gap, numpy splits every episode into its 0-3
+    zero literals, a literal or run-terminating nonzero, and the count,
+    k and remainder of its complete runs;
+  * the krp pass steps once per nonzero: down by 2 per zero literal,
+    then the usual update from vk of the nonzero's code.
+
+Numpy then computes the width and value of every code word, takes the
+bit offsets from one cumulative sum and ORs the fields into big-endian
+uint64 words. The decoder is one inlined event loop over the bit string,
+an event being one k = 0 literal or one whole k > 0 episode: one ``find``
 locates the next "1" marker, zeros are counted, not stored, and only the
 (position, value) pairs of the nonzeros are kept. Once the bits account
 for every value, it writes the nonzeros into an int64 array of zeros
@@ -40,6 +52,7 @@ values, so memory stays bounded by the payload size.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,6 +71,13 @@ _DQ_GR = 3  # kp decrement for a nonzero in Golomb-Rice mode
 _KRP_DOWN = 2  # krp decrement when the unary prefix is empty
 _ESC = 32  # unary prefix cap; longer prefixes use the escape form
 _K_INIT = 1 << _LSGR  # k = kr = 1 at stream start
+_KMAX = _KPMAX >> _LSGR
+# from any kp, a gap of _GAP_CLIP zeros drives kp to _KPMAX, so every
+# longer gap leaves the state its terminator leaves after _GAP_CLIP
+_GAP_CLIP = 2047
+_GAPS = _GAP_CLIP + 1
+# a Golomb-Rice argument from here on has vk > _KPMAX for every kr
+_KRP_CAP = (_KPMAX + 1) << _KMAX
 # largest Golomb-Rice argument of an int64 value, which bounds a decoded
 # escape: a zigzag code in Golomb-Rice mode, |value| - 1 of a positive or
 # negative run terminator
@@ -115,9 +135,10 @@ def _run_overflow(pos: int) -> CorruptStreamError:
     )
 
 
-def _nonzeros(values: Iterable[int] | np.ndarray) -> tuple[int, list[int], list[int]]:
+def _nonzeros(values: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """The encoder's one gate: the count, and the positions and values of the
-    nonzeros of one int64 array. Every value past it fits the escape form."""
+    nonzeros of one int64 array, both int64. Every value past it fits the
+    escape form."""
     if not isinstance(values, np.ndarray):
         try:
             values = np.array([operator.index(v) for v in values], dtype=np.int64)
@@ -132,8 +153,56 @@ def _nonzeros(values: Iterable[int] | np.ndarray) -> tuple[int, list[int], list[
     elif values.dtype == np.uint64 and values.max(initial=0) >= 1 << 63:
         raise InvalidInputError("value outside the int64 range")
     values = values.astype(np.int64, copy=False)
-    where = np.flatnonzero(values)
-    return values.size, where.tolist(), values[where].tolist()
+    where = np.flatnonzero(values).astype(np.int64, copy=False)
+    return values.size, where, values[where]
+
+
+@functools.cache
+def _kp_table() -> tuple[bytes, ...]:
+    """kp after a gap of zeros and the nonzero that ends it: row kp, the
+    kp before the gap, holds it at min(gap, _GAP_CLIP)."""
+    # a gap in run mode from kp = start: the kp after m complete runs, and
+    # the zeros they take; 2 * _KMAX runs from k = 1 take more than _GAPS
+    start = np.arange(_K_INIT, _KPMAX + 1)[:, None]
+    kps = np.minimum(start + _UP_GR * np.arange(2 * _KMAX), _KPMAX)
+    taken = np.minimum(np.cumsum(1 << (kps >> _LSGR), axis=1), _GAPS)
+    # m complete runs leave a remainder below the m + 1st run's length
+    lengths = np.diff(taken, axis=1, prepend=0)
+    after = np.maximum(kps - _DN_GR, 0).astype(np.uint8)
+    runs = np.repeat(after.ravel(), lengths.ravel()).tobytes()
+    rows = []
+    for kp in range(_KPMAX + 1):
+        # below _K_INIT the first zeros are literals, and so is a nonzero
+        # that comes before kp reaches _K_INIT
+        z = max(-((kp - _K_INIT) // _UQ_GR), 0)
+        literal = bytes(max(kp + _UQ_GR * gap - _DQ_GR, 0) for gap in range(z))
+        row = (kp + _UQ_GR * z - _K_INIT) * _GAPS
+        rows.append(literal + runs[row : row + _GAPS - z])
+    return tuple(rows)
+
+
+def _bit_length(u: np.ndarray) -> np.ndarray:
+    """Exact bit lengths of uint64 values, as uint64."""
+    m = np.zeros(u.shape, np.uint64)
+    for s in (32, 16, 8, 4, 2, 1):
+        high = u >> np.uint64(s)
+        more = high != 0
+        m[more] += np.uint64(s)
+        u = np.where(more, high, u)
+    return m + (u != 0)
+
+
+def _or_fields(words: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
+    """OR uint64 bit fields, each ending (exclusive) at bit offset ``ends``
+    (sorted), into big-endian uint64 ``words[1:]``; words[0] is spare."""
+    at = (ends + 63) >> 6  # 1 + the word that holds each field's last bit
+    shift = (-ends & 63).astype(np.uint64)
+    low = values << shift
+    high = (values >> np.uint64(1)) >> (np.uint64(63) - shift)  # spill into at - 1
+    first = np.flatnonzero(np.diff(at, prepend=-1))
+    at = at[first]
+    words[at] |= np.bitwise_or.reduceat(low, first)
+    words[at - 1] |= np.bitwise_or.reduceat(high, first)
 
 
 def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
@@ -143,77 +212,115 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     outside the int64 range.
     """
     n, where, nonzero = _nonzeros(values)
-    where.append(n)  # a run that reaches the end stops here
-    chunks: list[bytes] = []
-    acc = nbits = 0  # pending bits, MSB-first, and how many
-    kp = krp = _K_INIT
-    i = t = 0  # next value to code; where[t] is the first nonzero from i on
-    while i < n:
-        if kp < _K_INIT:  # k = 0: a zigzag-mapped Golomb-Rice literal
-            val = nonzero[t] if i == where[t] else 0
-            i += 1
-            if val:
-                t += 1
-                kp = kp - _DQ_GR if kp > _DQ_GR else 0
-                val = 2 * val if val > 0 else -2 * val - 1
-            else:
-                kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
-        else:  # k > 0: the zero run up to the next nonzero, then that value
-            j = where[t]
-            run = j - i
-            k = kp >> _LSGR
-            full = 0
-            while run >> k:  # each complete run of 2^k zeros is one "0" bit
-                run -= 1 << k
-                full += 1
-                kp += _UP_GR
-                if kp > _KPMAX:
-                    kp = _KPMAX
-                k = kp >> _LSGR
-            if j == n:  # dangling zeros: no terminator, the decoder stops at n
-                acc <<= full
-                nbits += full
-                if run:
-                    acc = (acc << k + 1) | (1 << k) | run
-                    nbits += k + 1
-                break
-            val = nonzero[t]
-            i = j + 1
-            t += 1
-            kp = kp - _DN_GR if kp > _DN_GR else 0
-            # the "0" bits, a "1" marker, the k-bit remainder and a sign bit
-            acc = (acc << full + k + 2) | (1 << k + 1) | (run << 1)
-            nbits += full + k + 2
-            if val < 0:
-                acc |= 1
-                val = -val - 1
-            else:
-                val -= 1
-        # Golomb-Rice code of val >= 0: unary prefix vk, a "0", kr low bits
-        kr = krp >> _LSGR
-        vk = val >> kr
-        if vk < _ESC:
-            nb = vk + 1 + kr
-            acc = (acc << nb) | (((1 << vk) - 1) << kr + 1) | (val & ((1 << kr) - 1))
-            nbits += nb
-        else:  # escape: full prefix, no terminator, 8-bit length m, m raw bits
-            m = val.bit_length()
-            acc = (acc << _ESC + 8 + m) | (((1 << _ESC) - 1) << 8 + m) | (m << m) | val
-            nbits += _ESC + 8 + m
+    # one episode per nonzero, the zeros before it and then it, and a last
+    # one of the zeros after the last nonzero
+    gaps = np.diff(where, prepend=-1, append=n) - 1
+    table = _kp_table()
+    kp = _K_INIT
+    kp_before = bytearray()
+    record = kp_before.append
+    for gap in np.minimum(gaps[:-1], _GAP_CLIP).tolist():
+        record(kp)
+        kp = table[kp][gap]
+    record(kp)
+    kp = np.frombuffer(kp_before, np.uint8).astype(np.int64)
+    # k = 0 codes zeros as literals until kp reaches _K_INIT; a nonzero
+    # that comes first is a literal too, any other ends a zero run
+    literals = np.minimum(gaps, np.maximum(-((kp - _K_INIT) // _UQ_GR), 0))
+    kp += _UQ_GR * literals
+    literal = kp < _K_INIT
+    # the Golomb-Rice argument: zigzag of a literal, |value| - 1 of a terminator
+    mapped = np.where(
+        literal[:-1],
+        (nonzero << 1) ^ (nonzero >> 63),
+        np.where(nonzero > 0, nonzero - 1, ~nonzero),
+    ).view(np.uint64)
+    # krp: a zero literal codes vk = 0; from _KRP_CAP on any value sets krp
+    # to _KPMAX, so small ints stand in for the larger ones
+    krp = _K_INIT
+    krp_before = bytearray()
+    record = krp_before.append
+    for drop, val in zip(
+        (_KRP_DOWN * literals[:-1]).tolist(), np.minimum(mapped, np.uint64(_KRP_CAP)).tolist()
+    ):
+        record(krp)
+        if drop:
+            krp = krp - drop if krp > drop else 0
+        vk = val >> (krp >> _LSGR)
         if vk == 0:
             krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
         elif vk > 1:
             krp += vk
             if krp > _KPMAX:
                 krp = _KPMAX
-        if nbits > 1024:  # flush whole bytes; keeps acc a small int
-            rest = nbits & 7
-            chunks.append((acc >> rest).to_bytes(nbits >> 3, "big"))
-            acc &= (1 << rest) - 1
-            nbits = rest
-    pad = -nbits % 8
-    chunks.append((acc << pad).to_bytes((nbits + pad) // 8, "big"))
-    return RlgrPayload(data=b"".join(chunks), count=n)
+    record(krp)
+    krp = np.frombuffer(krp_before, np.uint8).astype(np.int64)
+    # the all-zero bits ahead of each nonzero: kr + 1 per zero literal, then
+    # one per complete run
+    zero_bits = literals.copy()
+    for j in range(int(literals.max())):
+        zero_bits += (literals > j) * (np.maximum(krp - _KRP_DOWN * j, 0) >> _LSGR)
+    kr = (np.maximum(krp[:-1] - _KRP_DOWN * literals[:-1], 0) >> _LSGR).astype(np.uint64)
+    # complete runs of 2^k zeros: one masked step each while k grows, then
+    # all that are left at once when k reaches its cap
+    runs = np.flatnonzero(~literal)
+    kp = kp[runs]
+    rest = (gaps - literals)[runs]
+    full = np.zeros(runs.size, np.int64)
+    todo = np.flatnonzero(rest >> (kp >> _LSGR))
+    while todo.size:
+        step = kp[todo]
+        top = step == _KPMAX
+        if top.any():
+            done, todo, step = todo[top], todo[~top], step[~top]
+            full[done] += rest[done] >> _KMAX
+            rest[done] &= (1 << _KMAX) - 1
+        rest[todo] -= 1 << (step >> _LSGR)
+        full[todo] += 1
+        kp[todo] = step = np.minimum(step + _UP_GR, _KPMAX)
+        todo = todo[(rest[todo] >> (step >> _LSGR)) > 0]
+    zero_bits[runs] += full
+    # after them a "1" marker and the k-bit remainder; the dangling run
+    # writes them only if the remainder is not 0
+    k = kp >> _LSGR
+    head_bits = np.zeros(gaps.size, np.int64)
+    head_bits[runs] = k + 1
+    head = np.zeros(gaps.size, np.uint64)
+    head[runs] = (1 << k) | rest
+    if not literal[-1] and not rest[-1]:
+        head_bits[-1] = head[-1] = 0
+    # Golomb-Rice code of each mapped value: unary prefix vk, a "0", kr low
+    # bits; or the escape (full prefix, 8-bit length m), then m raw bits
+    vk = mapped >> kr
+    escape = np.flatnonzero(vk >= _ESC)
+    vk[escape] = 0
+    one = np.uint64(1)
+    code = (((one << vk) - one) << kr + one) | (mapped & ((one << kr) - one))
+    code_bits = vk + one + kr
+    raw = mapped[escape]
+    raw_bits = _bit_length(raw)
+    code[escape] = np.uint64(((1 << _ESC) - 1) << 8) | raw_bits
+    code_bits[escape] = _ESC + 8
+    # a terminator's code starts with its sign bit
+    terminator = ~literal[:-1]
+    code |= ((nonzero < 0) & terminator).astype(np.uint64) << code_bits
+    code_bits += terminator
+    # pack: each episode is its zero bits, one field of at most 54 bits
+    # (head and code), then its escape's raw bits
+    head[:-1] = (head[:-1] << code_bits) | code
+    head_bits[:-1] += code_bits.astype(np.int64)
+    raw_bits = raw_bits.astype(np.int64)
+    episode_bits = zero_bits + head_bits
+    episode_bits[escape] += raw_bits
+    ends = np.cumsum(episode_bits)
+    nbits = int(ends[-1])
+    words = np.zeros((nbits + 63 >> 6) + 1, np.uint64)
+    if escape.size:
+        _or_fields(words, ends[escape], raw)
+        ends[escape] -= raw_bits
+    _or_fields(words, ends, head)
+    data = words[1:].astype(">u8").tobytes()[: nbits + 7 >> 3]
+    return RlgrPayload(data=data, count=n)
 
 
 def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | np.ndarray:

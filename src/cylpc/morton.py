@@ -27,9 +27,9 @@ _SPREAD = np.array([[_SPREAD11 << a, _SPREAD11 << 33 + a] for a in range(3)])
 _GATHER = np.array([_GATHER12 << 4 * s for s in range(6)])
 
 
-def morton_encode(ijk: np.ndarray, depth: int) -> np.ndarray:
+def morton_encode(ijk: np.ndarray) -> np.ndarray:
     """Interleave (N, 3) int64 per-axis bin indices (any strides) into (N,)
-    int64 codes. The caller holds each index in [0, 2^depth)."""
+    int64 codes. The caller holds each index in [0, 2^MAX_DEPTH)."""
     out = 0
     for axis in range(3):
         v = ijk[:, axis]

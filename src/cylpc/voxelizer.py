@@ -198,7 +198,7 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
         raise OutOfRangeError(
             f"point {first} at {tuple(pc.xyz[first].tolist())} falls outside the voxel grid"
         )
-    return morton_encode(idx.T, cfg.depth)
+    return morton_encode(idx.T)
 
 
 def voxelize(pc: PointCloud, cfg: VoxelGridConfig) -> VoxelizedCloud:

@@ -2,24 +2,103 @@
 
 import pytest
 
-from cylpc import coeff_codec
+from cylpc.coeff_codec import (
+    _DN_GR,
+    _DQ_GR,
+    _ESC,
+    _K_INIT,
+    _KPMAX,
+    _KRP_DOWN,
+    _LSGR,
+    _UP_GR,
+    _UQ_GR,
+    RlgrPayload,
+)
 
 
-def _unchecked_nonzeros(values):
-    """The encoder's gate in pure Python, with no int64 check."""
+def _reference_rlgr_encode(values) -> RlgrPayload:
+    """The one-loop RLGR encoder that the vectorized ``rlgr_encode``
+    replaced, behind a pure-Python gate with no int64 bound: it writes the
+    same bytes for int64 input, and also the escaped magnitudes beyond
+    int64 that only a corrupt or hostile stream holds."""
     values = list(values)
+    n = len(values)
     where = [i for i, v in enumerate(values) if v]
-    return len(values), where, [values[i] for i in where]
+    nonzero = [values[i] for i in where]
+    where.append(n)  # a run that reaches the end stops here
+    chunks: list[bytes] = []
+    acc = nbits = 0  # pending bits, MSB-first, and how many
+    kp = krp = _K_INIT
+    i = t = 0  # next value to code; where[t] is the first nonzero from i on
+    while i < n:
+        if kp < _K_INIT:  # k = 0: a zigzag-mapped Golomb-Rice literal
+            val = nonzero[t] if i == where[t] else 0
+            i += 1
+            if val:
+                t += 1
+                kp = kp - _DQ_GR if kp > _DQ_GR else 0
+                val = 2 * val if val > 0 else -2 * val - 1
+            else:
+                kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+        else:  # k > 0: the zero run up to the next nonzero, then that value
+            j = where[t]
+            run = j - i
+            k = kp >> _LSGR
+            full = 0
+            while run >> k:  # each complete run of 2^k zeros is one "0" bit
+                run -= 1 << k
+                full += 1
+                kp += _UP_GR
+                if kp > _KPMAX:
+                    kp = _KPMAX
+                k = kp >> _LSGR
+            if j == n:  # dangling zeros: no terminator, the decoder stops at n
+                acc <<= full
+                nbits += full
+                if run:
+                    acc = (acc << k + 1) | (1 << k) | run
+                    nbits += k + 1
+                break
+            val = nonzero[t]
+            i = j + 1
+            t += 1
+            kp = kp - _DN_GR if kp > _DN_GR else 0
+            # the "0" bits, a "1" marker, the k-bit remainder and a sign bit
+            acc = (acc << full + k + 2) | (1 << k + 1) | (run << 1)
+            nbits += full + k + 2
+            if val < 0:
+                acc |= 1
+                val = -val - 1
+            else:
+                val -= 1
+        # Golomb-Rice code of val >= 0: unary prefix vk, a "0", kr low bits
+        kr = krp >> _LSGR
+        vk = val >> kr
+        if vk < _ESC:
+            nb = vk + 1 + kr
+            acc = (acc << nb) | (((1 << vk) - 1) << kr + 1) | (val & ((1 << kr) - 1))
+            nbits += nb
+        else:  # escape: full prefix, no terminator, 8-bit length m, m raw bits
+            m = val.bit_length()
+            acc = (acc << _ESC + 8 + m) | (((1 << _ESC) - 1) << 8 + m) | (m << m) | val
+            nbits += _ESC + 8 + m
+        if vk == 0:
+            krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
+        elif vk > 1:
+            krp += vk
+            if krp > _KPMAX:
+                krp = _KPMAX
+        if nbits > 1024:  # flush whole bytes; keeps acc a small int
+            rest = nbits & 7
+            chunks.append((acc >> rest).to_bytes(nbits >> 3, "big"))
+            acc &= (1 << rest) - 1
+            nbits = rest
+    pad = -nbits % 8
+    chunks.append((acc << pad).to_bytes((nbits + pad) // 8, "big"))
+    return RlgrPayload(data=b"".join(chunks), count=n)
 
 
-@pytest.fixture
-def unchecked_rlgr_encode(monkeypatch):
-    """rlgr_encode without its int64 gate: writes the escaped magnitudes
-    that only a corrupt or hostile stream holds."""
-
-    def encode(values):
-        with monkeypatch.context() as m:
-            m.setattr(coeff_codec, "_nonzeros", _unchecked_nonzeros)
-            return coeff_codec.rlgr_encode(values)
-
-    return encode
+@pytest.fixture(scope="session")
+def reference_rlgr_encode():
+    """The scalar RLGR encoder with no int64 gate (see _reference_rlgr_encode)."""
+    return _reference_rlgr_encode

@@ -355,10 +355,10 @@ def test_exit_code_4_on_inconsistent_header(tmp_path, small_ply, capsys, offset,
     ],
 )
 def test_exit_code_4_on_corrupt_attribute_section(
-    tmp_path, small_ply, capsys, unchecked_rlgr_encode, values, qstep, message
+    tmp_path, small_ply, capsys, reference_rlgr_encode, values, qstep, message
 ):
     encoder = Encoder(load_ply(small_ply), CoordinateSystem.CYLINDRICAL, 8)
-    payload = unchecked_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
+    payload = reference_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
     bad = tmp_path / "bad.cyl"
     bad.write_bytes(pack_stream(
         encoder.voxels.config, encoder.voxels.n_points, qstep, encoder.occupancy, payload

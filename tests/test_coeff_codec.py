@@ -18,6 +18,7 @@ from cylpc import (
     rlgr_decode,
     rlgr_encode,
 )
+from cylpc import coeff_codec
 
 
 # ---------------------------------------------------------------- quantizer
@@ -162,8 +163,8 @@ def test_values_outside_int64_rejected_by_encoder(values):
     "values",
     [[2**63], [-(2**63) - 1], [1, 2**63], [1, -(2**63) - 1], [2**250, -(2**200), 0]],
 )
-def test_escaped_values_outside_int64_are_corrupt(values, unchecked_rlgr_encode):
-    payload = unchecked_rlgr_encode(values)
+def test_escaped_values_outside_int64_are_corrupt(values, reference_rlgr_encode):
+    payload = reference_rlgr_encode(values)
     with pytest.raises(CorruptStreamError, match="beyond the int64 range") as exc:
         rlgr_decode(payload)
     assert 0 < exc.value.offset <= 8 * len(payload.data)
@@ -254,6 +255,120 @@ def test_encoder_bytes_do_not_depend_on_the_container():
         assert len(payloads) == 1
     with pytest.raises(InvalidInputError, match="int64"):
         rlgr_encode(np.array([0, 2**63], dtype=np.uint64))
+
+
+# -------------------------------------- rlgr encoder against the scalar one
+
+
+def _walk(kp: int, pending: int, value: int) -> tuple[int, int]:
+    """One value through the kp state machine, read one value at a time as
+    the decoder reads them: (kp, zeros of the unfinished complete run)."""
+    if pending == 0 and kp < 8:  # k = 0: a literal
+        return (max(kp - 3, 0), 0) if value else (kp + 3, 0)
+    if value:  # terminates the run
+        return max(kp - 6, 0), 0
+    pending += 1
+    if pending == 1 << (kp >> 3):  # a complete run of 2^k zeros
+        return min(kp + 4, 80), 0
+    return kp, pending
+
+
+def _kp_after(values) -> tuple[int, int]:
+    kp, pending = 8, 0
+    for v in values:
+        kp, pending = _walk(kp, pending, v)
+    return kp, pending
+
+
+def test_kp_table_matches_the_state_machine():
+    table = coeff_codec._kp_table()
+    assert len(table) == 81
+    for kp in range(81):
+        assert len(table[kp]) == coeff_codec._GAP_CLIP + 1
+        state = (kp, 0)
+        for gap in range(2101):
+            assert table[kp][min(gap, coeff_codec._GAP_CLIP)] == _walk(*state, 1)[0]
+            state = _walk(*state, 0)
+    # the clip is exact: from every kp the longest gap ends in one state
+    assert len({row[coeff_codec._GAP_CLIP] for row in table}) == 1
+
+
+def _prefixes_to_literal_mode() -> dict[int, list[int]]:
+    """A shortest value sequence that leaves kp at each value below 8 with
+    no run pending."""
+    found: dict[int, list[int]] = {}
+    frontier = [[]]
+    while len(found) < 8:
+        frontier = [p + [v] for p in frontier for v in (0, 1)]
+        for p in frontier:
+            kp, pending = _kp_after(p)
+            if kp < 8 and pending == 0:
+                found.setdefault(kp, p)
+    return found
+
+
+_TOP, _BOTTOM = 2**63 - 1, -(2**63)
+
+
+def _assert_matches_reference(values, reference):
+    v = np.array(values, dtype=np.int64)
+    assert rlgr_encode(v) == reference(values)
+    assert rlgr_decode(rlgr_encode(v), as_array=True).tolist() == list(values)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", [1, -1, 5, -300, 2**40, _TOP, _BOTTOM])
+def test_zero_literals_before_a_nonzero_from_every_literal_state(zeros, value,
+                                                                 reference_rlgr_encode):
+    prefixes = _prefixes_to_literal_mode()
+    assert sorted(prefixes) == list(range(8))
+    for prefix in prefixes.values():
+        for tail in ([], [7, 0, -2], [0] * 5):
+            values = prefix + [0] * zeros + [value] + tail
+            _assert_matches_reference(values, reference_rlgr_encode)
+
+
+@pytest.mark.parametrize("gap", [2045, 2046, 2047, 2048, 2049])
+def test_gaps_around_the_table_clip(gap, reference_rlgr_encode):
+    for prefix in [[], [3], [1, 1], [1, 1, 1, 1], [0, 0, 9]]:
+        for value in (1, -4, _TOP, _BOTTOM):
+            values = prefix + [0] * gap + [value] + [0] * gap + [2, 0, 0]
+            _assert_matches_reference(values, reference_rlgr_encode)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0] * 10**6, [3] + [0] * 10**6, [0] * 10**6 + [-7] + [0] * 10**6,
+     [1, -1] * 4 + [0] * (10**6 + 1023)],
+    ids=["zeros", "value-then-zeros", "zeros-value-zeros", "literals-then-zeros"],
+)
+def test_long_trailing_runs(values, reference_rlgr_encode):
+    _assert_matches_reference(values, reference_rlgr_encode)
+
+
+def test_int64_extremes_in_both_modes(reference_rlgr_encode):
+    prefixes = [[], *_prefixes_to_literal_mode().values()]
+    for prefix in prefixes:
+        for pair in ([_TOP, _BOTTOM], [_BOTTOM, _TOP], [_TOP, _TOP], [_BOTTOM, _BOTTOM]):
+            for gap in (0, 1, 3, 40):
+                values = prefix + [pair[0]] + [0] * gap + [pair[1]] + [0] * gap
+                _assert_matches_reference(values, reference_rlgr_encode)
+
+
+_sparse_int64 = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 4), st.integers(0, 2100)),
+        st.one_of(st.integers(-40, 40), st.integers(-(2**63), 2**63 - 1)),
+    ),
+    max_size=40,
+).map(lambda pairs: [x for gap, v in pairs for x in [0] * gap + [v]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_sparse_int64, trailing=st.integers(0, 3000))
+def test_encoder_matches_the_scalar_reference(values, trailing, reference_rlgr_encode):
+    values = values + [0] * trailing
+    assert rlgr_encode(np.array(values, dtype=np.int64)) == reference_rlgr_encode(values)
 
 
 def test_determinism():

@@ -32,7 +32,7 @@ def test_matches_bit_loop_at_every_depth(depth):
     top = (1 << depth) - 1
     ijk = rng.integers(0, top + 1, (1000, 3))
     ijk[:4] = [[top, top, top], [top, 0, 0], [0, top, 0], [0, 0, top]]
-    codes = morton_encode(ijk, depth)
+    codes = morton_encode(ijk)
     assert codes.dtype == np.int64
     np.testing.assert_array_equal(codes, bit_loop_encode(ijk, depth))
     back = morton_decode(codes, depth)
@@ -46,39 +46,39 @@ def test_matches_bit_loop_at_every_depth(depth):
 
 
 def test_empty_input():
-    assert morton_encode(np.empty((0, 3), dtype=np.int64), 5).shape == (0,)
+    assert morton_encode(np.empty((0, 3), dtype=np.int64)).shape == (0,)
     assert morton_decode(np.empty(0, dtype=np.int64), 5).shape == (0, 3)
 
 
 def test_axis0_occupies_lsb():
-    assert morton_encode(np.array([[1, 0, 0]]), 1)[0] == 1
-    assert morton_encode(np.array([[0, 1, 0]]), 1)[0] == 2
-    assert morton_encode(np.array([[0, 0, 1]]), 1)[0] == 4
-    assert morton_encode(np.array([[1, 1, 1]]), 1)[0] == 7
+    assert morton_encode(np.array([[1, 0, 0]]))[0] == 1
+    assert morton_encode(np.array([[0, 1, 0]]))[0] == 2
+    assert morton_encode(np.array([[0, 0, 1]]))[0] == 4
+    assert morton_encode(np.array([[1, 1, 1]]))[0] == 7
 
 
 def test_known_interleave():
     # i=0b10, j=0b01, k=0b11 -> bits (k1 j1 i1 k0 j0 i0) = 1 0 1 1 1 0
-    assert morton_encode(np.array([[0b10, 0b01, 0b11]]), 2)[0] == 0b101110
+    assert morton_encode(np.array([[0b10, 0b01, 0b11]]))[0] == 0b101110
 
 
 def test_round_trip_random():
     rng = np.random.default_rng(0)
     for depth in (1, 4, 9, MAX_DEPTH):
         ijk = rng.integers(0, 1 << depth, (500, 3))
-        codes = morton_encode(ijk, depth)
+        codes = morton_encode(ijk)
         np.testing.assert_array_equal(morton_decode(codes, depth), ijk)
 
 
 def test_max_depth_uses_full_63_bits():
     top = (1 << MAX_DEPTH) - 1
-    code = morton_encode(np.array([[top, top, top]]), MAX_DEPTH)[0]
+    code = morton_encode(np.array([[top, top, top]]))[0]
     assert code == (1 << 63) - 1
 
 
 def test_lexicographic_order_of_axis2_dominates():
     # increasing the highest axis bit always increases the code
-    a = morton_encode(np.array([[3, 3, 0]]), 2)[0]
-    b = morton_encode(np.array([[0, 0, 2]]), 2)[0]
+    a = morton_encode(np.array([[3, 3, 0]]))[0]
+    b = morton_encode(np.array([[0, 0, 2]]))[0]
     assert b > a
 

@@ -32,7 +32,7 @@ def random_instance(rng, depth=None, max_n=400, max_weight=50):
 
 def leaf_codes(indices, depth):
     """Interleaved codes of per-axis leaf indices."""
-    return morton_encode(np.array(indices, dtype=np.int64), depth)
+    return morton_encode(np.array(indices, dtype=np.int64))
 
 
 def test_single_leaf_is_pure_dc():
