@@ -4,12 +4,12 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
 
     offset  size  field
     0        6    magic "CYLPC1"
-    6        1    version (1)
+    6        1    version (2)
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
     9        1    flags: bit 0 = log-radial partition (cylindrical only)
-    10       8    r_min (meters; shapes log-radial grids only, and the
-                  encoder writes 1.0 on every other grid)
+    10       8    r_min (meters; shapes log-radial grids only, and
+                  every other grid holds 1.0)
     18      48    bounds, 6 doubles (VoxelGridConfig.bounds):
                     Cartesian:   origin_x, origin_y, origin_z, side, 0, 0
                     cylindrical: radius, height, h_min, 0, 0, 0
@@ -19,14 +19,24 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
     66       8    original point count N (>= the occupied leaf count)
     74       8    quantization step
     82       8    geometry section length G
-    90       G    octree occupancy bytes
+    90       G    geometry section:
+                    R, the raw occupancy byte count (8 bytes), then
+                    the raw deflate (RFC 1951) of the R occupancy bytes,
+                    one Huffman-only block per octree level
     90+G     8    attribute section length A
     98+G     8    coefficient count (equals the occupied leaf count)
     106+G    A    RLGR payload bytes
 
 A stream that ends inside any part raises CorruptStreamError (exit 4),
-naming the part and the byte where the stream ends. The decoder needs
-nothing beyond these bytes. Leaf weights are not transmitted: the wire
+naming the part and the byte where the stream ends. The decoder checks
+R against what G - 8 deflate bytes can hold before it inflates, inflates
+at most R bytes, and needs the deflate data to end exactly at the end of
+the section with exactly R bytes out. zlib reports no bit offset, so an
+inflate error names byte 98, where the deflate data starts; an error in
+the inflated occupancy names its inflated byte in the message and byte
+98 as its offset. The encoder's deflate bytes are those of the zlib build
+it runs on; any correct inflate decodes them. The decoder needs nothing
+beyond these bytes. Leaf weights are not transmitted: the wire
 pipeline runs the hierarchical transform with unit weight per occupied
 voxel, which the decoder reproduces from the occupancy stream alone.
 """
@@ -34,6 +44,7 @@ voxel, which the decoder reproduces from the occupancy stream alone.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +53,7 @@ import numpy as np
 from .errors import CorruptStreamError, CylpcError, InvalidConfigError
 from .geometry import PointCloud
 from .morton import MAX_DEPTH
-from .octree import deserialize, octree_from_leaf_codes, serialize
+from .octree import Octree, deserialize, octree_from_leaf_codes, serialize
 from .coeff_codec import RlgrPayload, dequantize, quantize, rlgr_decode, rlgr_encode
 from .raht import RahtSchedule, raht_forward_arrays, raht_inverse_arrays, raht_schedule
 from .voxelizer import (
@@ -55,10 +66,12 @@ from .voxelizer import (
 )
 
 MAGIC = b"CYLPC1"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<6sBBBB7dQd")
 _GEOMETRY = struct.Struct("<Q")  # geometry section length
+_RAW = struct.Struct("<Q")  # raw occupancy byte count R, the section's first field
+_UNIT_R_MIN = struct.pack("<d", 1.0)  # r_min of every grid that is not log-radial
 _ATTRIBUTE = struct.Struct("<QQ")  # attribute section length, coefficient count
 HEADER_BYTES = _HEADER.size  # 82
 OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size + _ATTRIBUTE.size
@@ -74,18 +87,29 @@ OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size + _ATTRIBUTE.size
 # 1e-13 the MSE reaches 5x the bound.
 QSTEP_MIN = 2.0**-35
 
+# The geometry coder: zlib's raw deflate (no zlib header or checksum,
+# 32 KiB window) at level 9 and memLevel 9, Huffman codes only. Each
+# octree level ends its block, so each level gets its own code table.
+_DEFLATE = (9, zlib.DEFLATED, -15, 9, zlib.Z_HUFFMAN_ONLY)
+# one deflate byte inflates to at most 1032 bytes: a 258-byte match can
+# take 2 bits
+_INFLATE_MAX = 1032
+
 
 @dataclass(frozen=True)
 class EncodeSummary:
-    """Per-stream rate accounting. Section bpp figures count payload bytes
-    only; header_bpp covers the fixed header and length/count fields so
-    the three sections sum exactly to the file size."""
+    """Per-stream rate accounting. Section bpp figures count section bytes
+    only: the geometry section is R and the deflate data, the attribute
+    section the RLGR payload. header_bpp covers the fixed header and the
+    length and count fields, so the three sum exactly to the file size.
+    geometry_raw_bytes is R, the occupancy bytes before deflate."""
 
     n_points: int
     n_voxels: int
     geometry_bytes: int
     attribute_bytes: int
     total_bytes: int
+    geometry_raw_bytes: int = 0
 
     @property
     def header_bytes(self) -> int:
@@ -94,6 +118,10 @@ class EncodeSummary:
     @property
     def geometry_bpp(self) -> float:
         return 8.0 * self.geometry_bytes / self.n_points
+
+    @property
+    def geometry_raw_bpp(self) -> float:
+        return 8.0 * self.geometry_raw_bytes / self.n_points
 
     @property
     def attribute_bpp(self) -> float:
@@ -148,8 +176,73 @@ def decode_attributes(
     return np.clip(attrs, 0.0, 255.0)
 
 
+def _geometry_section(octree: Octree) -> bytes:
+    """R, the length of ``serialize(octree)``, then the raw deflate of those
+    bytes, one Huffman-only block per level."""
+    raw_bytes = len(serialize(octree).data)
+    z = zlib.compressobj(*_DEFLATE)
+    parts = [_RAW.pack(raw_bytes)]
+    for occupancy in octree.occupancy:
+        parts += (z.compress(occupancy), z.flush(zlib.Z_BLOCK))
+    parts.append(z.flush())
+    return b"".join(parts)
+
+
+def _inflate_geometry(section: bytes, at: int) -> bytes:
+    """The R occupancy bytes of a geometry section starting at byte ``at``.
+
+    Memory stays bounded by the section: R is checked against what its
+    deflate bytes can hold before anything is inflated, and at most R
+    bytes are inflated.
+    """
+    start = at + _RAW.size  # the first deflate byte
+    if len(section) < _RAW.size:
+        raise CorruptStreamError(
+            f"geometry section of {len(section)} bytes ends inside its"
+            f" {_RAW.size}-byte raw occupancy length at byte {at}",
+            offset=at,
+        )
+    (raw_bytes,) = _RAW.unpack_from(section)
+    limit = _INFLATE_MAX * (len(section) - _RAW.size)
+    if not 0 < raw_bytes <= limit:
+        raise CorruptStreamError(
+            f"raw occupancy length {raw_bytes} at byte {at} is outside [1, {limit}],"
+            f" what {len(section) - _RAW.size} deflate bytes can hold",
+            offset=at,
+        )
+    inflater = zlib.decompressobj(-15)
+    try:
+        raw = inflater.decompress(memoryview(section)[_RAW.size :], raw_bytes)
+    except zlib.error as exc:
+        raise CorruptStreamError(
+            f"geometry section: {exc} (in the deflate data from byte {start})", offset=start
+        ) from exc
+    deflate = f"geometry section: the deflate data from byte {start}"
+    if not inflater.eof and len(raw) == raw_bytes:
+        raise CorruptStreamError(f"{deflate} inflates to more than {raw_bytes} bytes",
+                                 offset=start)
+    if not inflater.eof:
+        raise CorruptStreamError(
+            f"{deflate} ends after {len(raw)} of {raw_bytes} bytes, before its last block",
+            offset=start,
+        )
+    if inflater.unused_data:
+        trailing = len(inflater.unused_data)
+        raise CorruptStreamError(
+            f"geometry section: {trailing} bytes after the end of the deflate data",
+            offset=at + len(section) - trailing,
+        )
+    if len(raw) != raw_bytes:
+        raise CorruptStreamError(
+            f"{deflate} inflates to {len(raw)} bytes, not the raw occupancy length {raw_bytes}",
+            offset=start,
+        )
+    return raw
+
+
 def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
-                occupancy: bytes, payload: RlgrPayload) -> bytes:
+                geometry: bytes, payload: RlgrPayload) -> bytes:
+    """The container around a geometry section and an RLGR payload."""
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -164,8 +257,8 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
     return b"".join(
         [
             header,
-            _GEOMETRY.pack(len(occupancy)),
-            occupancy,
+            _GEOMETRY.pack(len(geometry)),
+            geometry,
             _ATTRIBUTE.pack(len(payload.data), payload.count),
             payload.data,
         ]
@@ -175,17 +268,18 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
 class Encoder:
     """One point cloud voxelized on one grid, ready to encode at any qstep.
 
-    Voxelization, the occupancy bytes, the transform schedule and the
-    forward transform do not depend on the qstep, so they run once here;
-    each ``encode`` only quantizes, entropy-codes and packs. A sweep rebuilds
-    each qstep from the ints it returns, this schedule and ``voxels.slots``.
+    Voxelization, the coded geometry section (``occupancy``), the
+    transform schedule and the forward transform do not depend on the
+    qstep, so they run once here; each ``encode`` only quantizes,
+    entropy-codes and packs. A sweep rebuilds each qstep from the ints it
+    returns, this schedule and ``voxels.slots``.
     """
 
     def __init__(self, pc: PointCloud, system: CoordinateSystem, depth: int,
                  log_radial: bool = False, r_min: float = 1.0):
         cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
         self.voxels = voxelize(pc, cfg)
-        self.occupancy = serialize(octree_from_leaf_codes(self.voxels.codes, depth)).data
+        self.occupancy = _geometry_section(octree_from_leaf_codes(self.voxels.codes, depth))
         self.schedule = wire_schedule(self.voxels.codes, depth)
         self.coeffs = raht_forward_arrays(self.schedule, self.voxels.attributes)
 
@@ -207,6 +301,7 @@ class Encoder:
             geometry_bytes=len(self.occupancy),
             attribute_bytes=len(payload.data),
             total_bytes=len(data),
+            geometry_raw_bytes=_RAW.unpack_from(self.occupancy)[0],
         )
         return data, summary, ints
 
@@ -250,6 +345,10 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError(f"unknown flags 0x{flags:02x}", offset=9)
     if flags and coords == 0:
         raise CorruptStreamError("log-radial flag on a Cartesian stream", offset=9)
+    if not flags and data[10:18] != _UNIT_R_MIN:
+        raise CorruptStreamError(
+            f"r_min {r_min!r} on a grid that is not log-radial, which holds 1.0", offset=10
+        )
     if not (qstep > 0.0 and np.isfinite(qstep)):
         raise CorruptStreamError(f"invalid qstep {qstep}", offset=74)
     for field in range(4 if coords == 0 else 3, 6):
@@ -268,12 +367,12 @@ def decode_cloud(data: bytes) -> DecodedCloud:
     pos = HEADER_BYTES
     (geom_len,) = _GEOMETRY.unpack(_take(data, pos, _GEOMETRY.size, "geometry length"))
     pos += _GEOMETRY.size
-    geometry = _take(data, pos, geom_len, "geometry section")
+    occupancy = _inflate_geometry(_take(data, pos, geom_len, "geometry section"), pos)
     try:
-        octree = deserialize(geometry, depth)
+        octree = deserialize(occupancy, depth)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
-            f"geometry section: {exc}", offset=pos + exc.offset
+            f"geometry section: inflated byte {exc.offset}: {exc}", offset=pos + _RAW.size
         ) from exc
     pos += geom_len
     codes = octree.leaves

@@ -117,6 +117,7 @@ def cmd_encode(args) -> int:
             ("points", summary.n_points),
             ("voxels", summary.n_voxels),
             ("geometry_bpp", summary.geometry_bpp),
+            ("geometry_raw_bpp", summary.geometry_raw_bpp),
             ("attribute_bpp", summary.attribute_bpp),
             ("header_bpp", summary.header_bpp),
             ("total_bpp", summary.total_bpp),

@@ -211,10 +211,14 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     Raises InvalidInputError on a value that is not an integer or lies
     outside the int64 range.
     """
+    # the per-episode arrays are narrow where their values allow and are
+    # dropped once used, which keeps the transient to a few int64 arrays
     n, where, nonzero = _nonzeros(values)
     # one episode per nonzero, the zeros before it and then it, and a last
     # one of the zeros after the last nonzero
-    gaps = np.diff(where, prepend=-1, append=n) - 1
+    gaps = np.diff(where, prepend=-1, append=n)
+    gaps -= 1
+    del where
     table = _kp_table()
     kp = _K_INIT
     kp_before = bytearray()
@@ -223,25 +227,32 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
         record(kp)
         kp = table[kp][gap]
     record(kp)
-    kp = np.frombuffer(kp_before, np.uint8).astype(np.int64)
-    # k = 0 codes zeros as literals until kp reaches _K_INIT; a nonzero
-    # that comes first is a literal too, any other ends a zero run
-    literals = np.minimum(gaps, np.maximum(-((kp - _K_INIT) // _UQ_GR), 0))
+    kp = np.frombuffer(kp_before, np.uint8)
+    # k = 0 codes zeros as literals until kp reaches _K_INIT, 3 up per zero;
+    # a nonzero that comes first is a literal too, any other ends a zero run
+    literals = (_K_INIT + _UQ_GR - 1 - np.minimum(kp, _K_INIT)) // _UQ_GR
+    short = gaps < literals
+    literals[short] = gaps[short]
     kp += _UQ_GR * literals
     literal = kp < _K_INIT
-    # the Golomb-Rice argument: zigzag of a literal, |value| - 1 of a terminator
-    mapped = np.where(
-        literal[:-1],
-        (nonzero << 1) ^ (nonzero >> 63),
-        np.where(nonzero > 0, nonzero - 1, ~nonzero),
-    ).view(np.uint64)
+    terminator = ~literal[:-1]
+    # the Golomb-Rice argument: the zigzag code of a literal, and of a
+    # terminator (zigzag - 1) >> 1 = |value| - 1
+    mapped = nonzero << 1
+    mapped ^= nonzero >> 63
+    mapped = mapped.view(np.uint64)
+    mapped -= terminator
+    mapped >>= terminator
+    negative = nonzero < 0
+    del nonzero
     # krp: a zero literal codes vk = 0; from _KRP_CAP on any value sets krp
     # to _KPMAX, so small ints stand in for the larger ones
+    drops = _KRP_DOWN * literals[:-1]
     krp = _K_INIT
     krp_before = bytearray()
     record = krp_before.append
     for drop, val in zip(
-        (_KRP_DOWN * literals[:-1]).tolist(), np.minimum(mapped, np.uint64(_KRP_CAP)).tolist()
+        drops.tolist(), np.minimum(mapped, np.uint64(_KRP_CAP)).astype(np.uint32).tolist()
     ):
         record(krp)
         if drop:
@@ -254,18 +265,21 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
             if krp > _KPMAX:
                 krp = _KPMAX
     record(krp)
-    krp = np.frombuffer(krp_before, np.uint8).astype(np.int64)
+    krp = np.frombuffer(krp_before, np.uint8)
     # the all-zero bits ahead of each nonzero: kr + 1 per zero literal, then
     # one per complete run
-    zero_bits = literals.copy()
+    zero_bits = literals.astype(np.int64)
     for j in range(int(literals.max())):
-        zero_bits += (literals > j) * (np.maximum(krp - _KRP_DOWN * j, 0) >> _LSGR)
-    kr = (np.maximum(krp[:-1] - _KRP_DOWN * literals[:-1], 0) >> _LSGR).astype(np.uint64)
+        drop = _KRP_DOWN * j
+        zero_bits += (literals > j) * ((np.maximum(krp, drop) - drop) >> _LSGR)
+    kr = ((np.maximum(krp[:-1], drops) - drops) >> _LSGR).astype(np.uint64)
     # complete runs of 2^k zeros: one masked step each while k grows, then
     # all that are left at once when k reaches its cap
     runs = np.flatnonzero(~literal)
-    kp = kp[runs]
-    rest = (gaps - literals)[runs]
+    kp = kp[runs].astype(np.int64)  # in uint8, 1 << k would wrap at k = 8
+    rest = gaps[runs]
+    rest -= literals[runs]
+    del gaps, literals
     full = np.zeros(runs.size, np.int64)
     todo = np.flatnonzero(rest >> (kp >> _LSGR))
     while todo.size:
@@ -283,36 +297,53 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     # after them a "1" marker and the k-bit remainder; the dangling run
     # writes them only if the remainder is not 0
     k = kp >> _LSGR
-    head_bits = np.zeros(gaps.size, np.int64)
+    head_bits = np.zeros(zero_bits.size, np.int64)
     head_bits[runs] = k + 1
-    head = np.zeros(gaps.size, np.uint64)
+    head = np.zeros(zero_bits.size, np.uint64)
     head[runs] = (1 << k) | rest
     if not literal[-1] and not rest[-1]:
         head_bits[-1] = head[-1] = 0
+    del k, rest, runs, literal
     # Golomb-Rice code of each mapped value: unary prefix vk, a "0", kr low
     # bits; or the escape (full prefix, 8-bit length m), then m raw bits
     vk = mapped >> kr
     escape = np.flatnonzero(vk >= _ESC)
     vk[escape] = 0
     one = np.uint64(1)
-    code = (((one << vk) - one) << kr + one) | (mapped & ((one << kr) - one))
-    code_bits = vk + one + kr
+    code = one << vk
+    code -= one
+    code <<= kr + one
+    low = one << kr
+    low -= one
+    low &= mapped
+    code |= low
+    del low
+    code_bits = vk
+    code_bits += one
+    code_bits += kr
+    del vk, kr
     raw = mapped[escape]
+    del mapped
     raw_bits = _bit_length(raw)
     code[escape] = np.uint64(((1 << _ESC) - 1) << 8) | raw_bits
     code_bits[escape] = _ESC + 8
     # a terminator's code starts with its sign bit
-    terminator = ~literal[:-1]
-    code |= ((nonzero < 0) & terminator).astype(np.uint64) << code_bits
+    negative &= terminator
+    code |= negative.astype(np.uint64) << code_bits
     code_bits += terminator
     # pack: each episode is its zero bits, one field of at most 54 bits
     # (head and code), then its escape's raw bits
-    head[:-1] = (head[:-1] << code_bits) | code
-    head_bits[:-1] += code_bits.astype(np.int64)
+    head[:-1] <<= code_bits
+    head[:-1] |= code
+    del code
+    ends = zero_bits
+    ends += head_bits
+    del head_bits
+    ends[:-1] += code_bits.view(np.int64)  # below 64
+    del code_bits
     raw_bits = raw_bits.astype(np.int64)
-    episode_bits = zero_bits + head_bits
-    episode_bits[escape] += raw_bits
-    ends = np.cumsum(episode_bits)
+    ends[escape] += raw_bits
+    np.cumsum(ends, out=ends)
     nbits = int(ends[-1])
     words = np.zeros((nbits + 63 >> 6) + 1, np.uint64)
     if escape.size:

@@ -6,10 +6,12 @@ Every occupied internal node contributes exactly one occupancy byte; bit
 the root, each level sorted by interleaved code, so the stream is a pure
 function of the occupied-voxel set.
 
-Deep levels of a sparse cloud are single-child: ``serialize`` writes
-``1 << (child & 7)`` when a level has as many children as parents, and
-``deserialize`` appends each byte's one set bit to its parent's code when
-no byte of the level has two bits set. Bytes and checks are the same.
+``octree_from_leaf_codes`` makes one pass per level: the step that
+dedupes a level's parents also ORs their occupancy bytes, so ``serialize``
+only joins the per-level byte arrays. Deep levels of a sparse cloud are
+single-child: such a level's bytes are ``1 << (child & 7)`` with no
+reduction, and ``deserialize`` appends each byte's one set bit to its
+parent's code when no byte of the level has two bits set.
 
 Validation lives where data enters: ``octree_from_leaf_codes`` checks the
 depth and the leaf codes, ``deserialize`` checks the depth and the bytes.
@@ -27,29 +29,40 @@ from .errors import CorruptStreamError, InvalidInputError
 from .morton import MAX_DEPTH
 
 # child offset of each one-bit occupancy byte (entry 0 is never read)
-_LOWEST_BIT = np.array([(b & -b).bit_length() - 1 for b in range(256)], dtype=np.int64)
+_LOWEST_BIT = np.array([max((b & -b).bit_length() - 1, 0) for b in range(256)], dtype=np.uint8)
 
 
-def _parents(codes: np.ndarray) -> np.ndarray:
-    """Distinct parent codes of strictly increasing ``codes``, ascending.
+def _level(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct parents of strictly increasing ``children``, ascending, and
+    the uint8 occupancy byte of each.
 
     Shifting a strictly increasing array keeps it non-decreasing, so
     equal parents are adjacent and one comparison with the neighbour
-    dedupes them in linear time; a single-child level has none to drop.
+    dedupes them in linear time; a single-child level has none to drop,
+    and each child's bit is its parent's byte.
     """
-    shifted = codes >> 3
+    shifted = children >> 3
+    bits = np.left_shift(np.uint8(1), children.astype(np.uint8) & np.uint8(7))
     new = shifted[1:] != shifted[:-1]
-    return shifted if new.all() else shifted[np.r_[True, new]]
+    if new.all():
+        return shifted, bits
+    starts = np.flatnonzero(np.r_[True, new])
+    return shifted[starts], np.bitwise_or.reduceat(bits, starts)
 
 
 @dataclass(frozen=True)
 class Octree:
     """Per-level sorted occupied-node codes; level 0 is the root, level
     ``depth`` holds the leaves. The tree carries geometry only.
+
+    ``occupancy`` holds the uint8 occupancy bytes of levels 0 to
+    depth - 1 when the tree was built or decoded; a tree assembled from
+    bare levels leaves it empty and ``serialize`` derives the bytes.
     """
 
     depth: int
     levels: tuple[np.ndarray, ...]
+    occupancy: tuple[np.ndarray, ...] = ()
 
     @property
     def leaves(self) -> np.ndarray:
@@ -74,27 +87,18 @@ def octree_from_leaf_codes(codes: np.ndarray, depth: int) -> Octree:
         raise InvalidInputError(f"leaf codes outside [0, 8^{depth})")
     if (np.diff(codes) <= 0).any():
         raise InvalidInputError("leaf codes must be strictly increasing")
-    levels = [codes]
+    levels, occupancy = [codes], []
     for _ in range(depth):
-        levels.append(_parents(levels[-1]))
-    levels.reverse()
-    return Octree(depth=depth, levels=tuple(levels))
+        parents, occ = _level(levels[-1])
+        levels.append(parents)
+        occupancy.append(occ)
+    return Octree(depth, tuple(reversed(levels)), tuple(reversed(occupancy)))
 
 
 def serialize(ot: Octree) -> OccupancyStream:
     """Breadth-first occupancy bytes for every occupied internal node."""
-    out = bytearray()
-    for level in range(ot.depth):
-        children = ot.levels[level + 1]
-        child_bits = np.left_shift(np.uint8(1), (children & 7).astype(np.uint8))
-        if children.size > ot.levels[level].size:
-            parent_of_child = children >> 3
-            starts = np.flatnonzero(
-                np.r_[True, parent_of_child[1:] != parent_of_child[:-1]]
-            )
-            child_bits = np.bitwise_or.reduceat(child_bits, starts)
-        out += child_bits.tobytes()
-    return OccupancyStream(bytes(out))
+    occupancy = ot.occupancy or [_level(children)[1] for children in ot.levels[1:]]
+    return OccupancyStream(b"".join(occupancy))
 
 
 def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
@@ -106,7 +110,7 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
     data = stream.data if isinstance(stream, OccupancyStream) else bytes(stream)
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
-    levels = [np.zeros(1, dtype=np.int64)]
+    levels, occupancies = [np.zeros(1, dtype=np.int64)], []
     pos = 0
     for _ in range(depth):
         nodes = levels[-1]
@@ -124,8 +128,9 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
                 offset=pos + int(zero[0]),
             )
         pos += nodes.size
+        occupancies.append(occupancy)
         if not (occupancy & (occupancy - 1)).any():
-            levels.append((nodes << 3) | _LOWEST_BIT[occupancy])
+            levels.append((nodes << 3) | _LOWEST_BIT.take(occupancy))
             continue
         # bit 8*i + b is child b of node i: parents and bits come out ascending
         flat = np.flatnonzero(np.unpackbits(occupancy, bitorder="little").view(bool))
@@ -135,4 +140,4 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
             f"{len(data) - pos} trailing bytes after occupancy stream at offset {pos}",
             offset=pos,
         )
-    return Octree(depth=depth, levels=tuple(levels))
+    return Octree(depth, tuple(levels), tuple(occupancies))

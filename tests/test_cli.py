@@ -254,6 +254,19 @@ def test_compare_report(tmp_path, small_ply, capsys):
     assert sum(r.startswith("cylindrical,") for r in rows) == 4
 
 
+def test_encode_prints_the_raw_and_the_coded_geometry_rate(tmp_path, small_ply, capsys):
+    stream = tmp_path / "out.cyl"
+    assert run("encode", small_ply, "--coords", "cylindrical", "--depth", "9",
+               "--log-radial", "--out", stream) == 0
+    kv = parse_kv(capsys)
+    pc = load_ply(small_ply)
+    _, summary = encode_cloud(pc, CoordinateSystem.CYLINDRICAL, 9, qstep=4.0, log_radial=True)
+    assert kv["geometry_raw_bpp"] == f"{summary.geometry_raw_bpp:.6g}"
+    assert kv["geometry_bpp"] == f"{summary.geometry_bpp:.6g}"
+    # the deflated section, R included, is below the raw occupancy bytes
+    assert summary.geometry_bytes < summary.geometry_raw_bytes
+
+
 def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     csv_path = tmp_path / "curves.csv"
     code = run("compare", small_ply, "--depth-cart", "10", "--depth-cyl", "9",
@@ -262,7 +275,7 @@ def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     out = capsys.readouterr().out.splitlines(keepends=True)
     report = "".join(line for line in out if not line.startswith("input="))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "277a9f992e6053a624da74cfe4a5ac216374d04b78187e766552ab0d136d20ee"
+        "e55d9a1c78f87f6a6c32e96c375dfcfd3fe51b7b4bbadc74a68b003267500800"
     )
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "1fd7e38f7e8354c6dd0ec98efc5db6d7fe67ce702204cf3d3fabfadb35fc8224"

@@ -1,5 +1,8 @@
 """Occupancy octree construction and byte-stream serialization."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -232,22 +235,30 @@ def test_zero_byte_in_single_child_level_of_a_stream_names_its_offset():
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 14))
     ot = octree_from_leaf_codes(vc.codes, 14)
     assert 13 in single_child_levels(ot)
-    at = HEADER_BYTES + 8 + summary.geometry_bytes - 5  # 5th-last occupancy byte
-    patched = data[:at] + b"\x00" + data[at + 1:]
-    with pytest.raises(CorruptStreamError, match="^geometry section: zero occupancy") as exc:
+    raw = bytearray(serialize(ot).data)
+    at = len(raw) - 5  # 5th-last occupancy byte
+    raw[at] = 0
+    # any raw deflate of the patched bytes: the decoder only inflates
+    section = struct.pack("<Q", len(raw)) + zlib.compress(bytes(raw), wbits=-15)
+    end = HEADER_BYTES + 8 + summary.geometry_bytes
+    patched = data[:HEADER_BYTES] + struct.pack("<Q", len(section)) + section + data[end:]
+    with pytest.raises(
+        CorruptStreamError, match=f"^geometry section: inflated byte {at}: zero occupancy"
+    ) as exc:
         decode_cloud(patched)
-    assert exc.value.offset == at
+    # zlib gives no bit offset: the error points at the first deflate byte
+    assert exc.value.offset == HEADER_BYTES + 16
 
 
 def test_geometry_bpp():
-    # the reported geometry rate is the raw occupancy bits per source point
+    # the raw geometry rate is the occupancy bits per source point before deflate
     rng = np.random.default_rng(6)
     pc = PointCloud(rng.normal(0, 5, (100, 3)), rng.uniform(0, 255, 100))
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 5))
     occupancy = serialize(octree_from_leaf_codes(vc.codes, 5)).data
     _, summary = encode_cloud(pc, CoordinateSystem.CARTESIAN, 5, qstep=8.0)
-    assert summary.geometry_bytes == len(occupancy)
-    assert summary.geometry_bpp == 8.0 * len(occupancy) / 100
+    assert summary.geometry_raw_bytes == len(occupancy)
+    assert summary.geometry_raw_bpp == 8.0 * len(occupancy) / 100
 
 
 def test_invalid_leaf_codes_rejected():
