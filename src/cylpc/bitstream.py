@@ -4,7 +4,7 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
 
     offset  size  field
     0        6    magic "CYLPC1"
-    6        1    version (2)
+    6        1    version (3)
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
     9        1    flags: bit 0 = log-radial partition (cylindrical only)
@@ -19,26 +19,27 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
     66       8    original point count N (>= the occupied leaf count)
     74       8    quantization step
     82       8    geometry section length G
-    90       G    geometry section:
-                    R, the raw occupancy byte count (8 bytes), then
-                    the raw deflate (RFC 1951) of the R occupancy bytes,
-                    one Huffman-only block per octree level
-    90+G     8    attribute section length A
-    98+G     8    coefficient count (equals the occupied leaf count)
-    106+G    A    RLGR payload bytes
+    90       G    geometry section: the raw deflate (RFC 1951) of
+                  the occupancy bytes, one Huffman-only block per
+                  octree level
+    90+G     rest RLGR payload bytes, to the end of the stream
 
-A stream that ends inside any part raises CorruptStreamError (exit 4),
-naming the part and the byte where the stream ends. The decoder checks
-R against what G - 8 deflate bytes can hold before it inflates, inflates
-at most R bytes, and needs the deflate data to end exactly at the end of
-the section with exactly R bytes out. zlib reports no bit offset, so an
-inflate error names byte 98, where the deflate data starts; an error in
-the inflated occupancy names its inflated byte in the message and byte
-98 as its offset. The encoder's deflate bytes are those of the zlib build
-it runs on; any correct inflate decodes them. The decoder needs nothing
-beyond these bytes. Leaf weights are not transmitted: the wire
-pipeline runs the hierarchical transform with unit weight per occupied
-voxel, which the decoder reproduces from the occupancy stream alone.
+A stream that ends inside the header, G or the geometry section raises
+CorruptStreamError (exit 4), naming the part and the byte where the
+stream ends. The decoder inflates at most 1032 bytes per section byte,
+deflate's largest expansion, so its memory stays bounded by the stream,
+and needs the deflate data to end exactly at the end of the section.
+zlib reports no bit offset, so an inflate error names byte 90, where the
+deflate data starts; an error in the inflated occupancy (a zero byte,
+too few or too many bytes for the tree) names its inflated byte in the
+message and byte 90 as its offset. The occupied leaves give the
+coefficient count, and RLGR must use up the payload to its padding, so a
+payload cut short or followed by more bytes is an attribute section
+error. The encoder's deflate bytes are those of the zlib build it runs
+on; any correct inflate decodes them. The decoder needs nothing beyond
+these bytes. Leaf weights are not transmitted: the wire pipeline runs
+the hierarchical transform with unit weight per occupied voxel, which
+the decoder reproduces from the occupancy stream alone.
 """
 
 from __future__ import annotations
@@ -66,15 +67,13 @@ from .voxelizer import (
 )
 
 MAGIC = b"CYLPC1"
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<6sBBBB7dQd")
 _GEOMETRY = struct.Struct("<Q")  # geometry section length
-_RAW = struct.Struct("<Q")  # raw occupancy byte count R, the section's first field
 _UNIT_R_MIN = struct.pack("<d", 1.0)  # r_min of every grid that is not log-radial
-_ATTRIBUTE = struct.Struct("<QQ")  # attribute section length, coefficient count
 HEADER_BYTES = _HEADER.size  # 82
-OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size + _ATTRIBUTE.size
+OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size
 
 # Finest qstep the encoder accepts. float64 holds an attribute below
 # 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
@@ -99,10 +98,10 @@ _INFLATE_MAX = 1032
 @dataclass(frozen=True)
 class EncodeSummary:
     """Per-stream rate accounting. Section bpp figures count section bytes
-    only: the geometry section is R and the deflate data, the attribute
-    section the RLGR payload. header_bpp covers the fixed header and the
-    length and count fields, so the three sum exactly to the file size.
-    geometry_raw_bytes is R, the occupancy bytes before deflate."""
+    only: the geometry section is the deflate data, the attribute section
+    the RLGR payload. header_bpp covers the fixed header and G, so the
+    three sum exactly to the file size. geometry_raw_bytes counts the
+    occupancy bytes before deflate."""
 
     n_points: int
     n_voxels: int
@@ -176,66 +175,44 @@ def decode_attributes(
     return np.clip(attrs, 0.0, 255.0)
 
 
-def _geometry_section(octree: Octree) -> bytes:
-    """R, the length of ``serialize(octree)``, then the raw deflate of those
+def _geometry_section(octree: Octree) -> tuple[int, bytes]:
+    """The length of ``serialize(octree)``, and the raw deflate of those
     bytes, one Huffman-only block per level."""
     raw_bytes = len(serialize(octree).data)
     z = zlib.compressobj(*_DEFLATE)
-    parts = [_RAW.pack(raw_bytes)]
+    parts = []
     for occupancy in octree.occupancy:
         parts += (z.compress(occupancy), z.flush(zlib.Z_BLOCK))
     parts.append(z.flush())
-    return b"".join(parts)
+    return raw_bytes, b"".join(parts)
 
 
 def _inflate_geometry(section: bytes, at: int) -> bytes:
-    """The R occupancy bytes of a geometry section starting at byte ``at``.
+    """The occupancy bytes of a geometry section starting at byte ``at``.
 
-    Memory stays bounded by the section: R is checked against what its
-    deflate bytes can hold before anything is inflated, and at most R
-    bytes are inflated.
+    At most _INFLATE_MAX bytes per section byte come out, which no valid
+    deflate stream reaches, so memory stays bounded by the section. A
+    max_length of 0 means no limit to zlib, but an empty section inflates
+    nothing and fails the end-of-stream check.
     """
-    start = at + _RAW.size  # the first deflate byte
-    if len(section) < _RAW.size:
-        raise CorruptStreamError(
-            f"geometry section of {len(section)} bytes ends inside its"
-            f" {_RAW.size}-byte raw occupancy length at byte {at}",
-            offset=at,
-        )
-    (raw_bytes,) = _RAW.unpack_from(section)
-    limit = _INFLATE_MAX * (len(section) - _RAW.size)
-    if not 0 < raw_bytes <= limit:
-        raise CorruptStreamError(
-            f"raw occupancy length {raw_bytes} at byte {at} is outside [1, {limit}],"
-            f" what {len(section) - _RAW.size} deflate bytes can hold",
-            offset=at,
-        )
     inflater = zlib.decompressobj(-15)
     try:
-        raw = inflater.decompress(memoryview(section)[_RAW.size :], raw_bytes)
+        raw = inflater.decompress(section, _INFLATE_MAX * len(section))
     except zlib.error as exc:
         raise CorruptStreamError(
-            f"geometry section: {exc} (in the deflate data from byte {start})", offset=start
+            f"geometry section: {exc} (in the deflate data from byte {at})", offset=at
         ) from exc
-    deflate = f"geometry section: the deflate data from byte {start}"
-    if not inflater.eof and len(raw) == raw_bytes:
-        raise CorruptStreamError(f"{deflate} inflates to more than {raw_bytes} bytes",
-                                 offset=start)
     if not inflater.eof:
         raise CorruptStreamError(
-            f"{deflate} ends after {len(raw)} of {raw_bytes} bytes, before its last block",
-            offset=start,
+            f"geometry section: the deflate data from byte {at} ends after {len(raw)}"
+            " bytes, before its last block",
+            offset=at,
         )
     if inflater.unused_data:
         trailing = len(inflater.unused_data)
         raise CorruptStreamError(
             f"geometry section: {trailing} bytes after the end of the deflate data",
             offset=at + len(section) - trailing,
-        )
-    if len(raw) != raw_bytes:
-        raise CorruptStreamError(
-            f"{deflate} inflates to {len(raw)} bytes, not the raw occupancy length {raw_bytes}",
-            offset=start,
         )
     return raw
 
@@ -259,7 +236,6 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
             header,
             _GEOMETRY.pack(len(geometry)),
             geometry,
-            _ATTRIBUTE.pack(len(payload.data), payload.count),
             payload.data,
         ]
     )
@@ -268,7 +244,7 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
 class Encoder:
     """One point cloud voxelized on one grid, ready to encode at any qstep.
 
-    Voxelization, the coded geometry section (``occupancy``), the
+    Voxelization, the coded geometry section (``geometry``), the
     transform schedule and the forward transform do not depend on the
     qstep, so they run once here; each ``encode`` only quantizes,
     entropy-codes and packs. A sweep rebuilds each qstep from the ints it
@@ -279,7 +255,8 @@ class Encoder:
                  log_radial: bool = False, r_min: float = 1.0):
         cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
         self.voxels = voxelize(pc, cfg)
-        self.occupancy = _geometry_section(octree_from_leaf_codes(self.voxels.codes, depth))
+        self.geometry_raw_bytes, self.geometry = _geometry_section(
+            octree_from_leaf_codes(self.voxels.codes, depth))
         self.schedule = wire_schedule(self.voxels.codes, depth)
         self.coeffs = raht_forward_arrays(self.schedule, self.voxels.attributes)
 
@@ -293,15 +270,15 @@ class Encoder:
         ints = quantize(self.coeffs, qstep)
         payload = rlgr_encode(ints)
         data = pack_stream(
-            self.voxels.config, self.voxels.n_points, qstep, self.occupancy, payload
+            self.voxels.config, self.voxels.n_points, qstep, self.geometry, payload
         )
         summary = EncodeSummary(
             n_points=self.voxels.n_points,
             n_voxels=len(self.voxels),
-            geometry_bytes=len(self.occupancy),
+            geometry_bytes=len(self.geometry),
             attribute_bytes=len(payload.data),
             total_bytes=len(data),
-            geometry_raw_bytes=_RAW.unpack_from(self.occupancy)[0],
+            geometry_raw_bytes=self.geometry_raw_bytes,
         )
         return data, summary, ints
 
@@ -372,7 +349,7 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         octree = deserialize(occupancy, depth)
     except CorruptStreamError as exc:
         raise CorruptStreamError(
-            f"geometry section: inflated byte {exc.offset}: {exc}", offset=pos + _RAW.size
+            f"geometry section: inflated byte {exc.offset}: {exc}", offset=pos
         ) from exc
     pos += geom_len
     codes = octree.leaves
@@ -380,24 +357,8 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError(
             f"point count {n_points} is below the {codes.size} occupied leaves", offset=66
         )
-
-    attr_len, count = _ATTRIBUTE.unpack(
-        _take(data, pos, _ATTRIBUTE.size, "attribute header")
-    )
-    pos += _ATTRIBUTE.size
-    payload = RlgrPayload(_take(data, pos, attr_len, "attribute section"), int(count))
-    if len(data) != pos + attr_len:
-        raise CorruptStreamError(
-            f"{len(data) - pos - attr_len} trailing bytes after attribute section",
-            offset=pos + attr_len,
-        )
-    if count != codes.size:
-        raise CorruptStreamError(
-            f"coefficient count {count} does not match {codes.size} occupied leaves",
-            offset=pos - 8,
-        )
     try:
-        ints = rlgr_decode(payload, as_array=True)
+        ints = rlgr_decode(RlgrPayload(data[pos:], codes.size), as_array=True)
         attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(

@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, InvalidConfigError, InvalidInputError
-from .raht import CoefficientStream
+from .raht import CoefficientStream, _bit_length
 
 _LSGR = 3  # kp -> k shift; adaptation works in 1/8 steps
 _KPMAX = 80  # caps k and kr at 10
@@ -179,17 +179,6 @@ def _kp_table() -> tuple[bytes, ...]:
         row = (kp + _UQ_GR * z - _K_INIT) * _GAPS
         rows.append(literal + runs[row : row + _GAPS - z])
     return tuple(rows)
-
-
-def _bit_length(u: np.ndarray) -> np.ndarray:
-    """Exact bit lengths of uint64 values, as uint64."""
-    m = np.zeros(u.shape, np.uint64)
-    for s in (32, 16, 8, 4, 2, 1):
-        high = u >> np.uint64(s)
-        more = high != 0
-        m[more] += np.uint64(s)
-        u = np.where(more, high, u)
-    return m + (u != 0)
 
 
 def _or_fields(words: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
@@ -324,7 +313,7 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     del vk, kr
     raw = mapped[escape]
     del mapped
-    raw_bits = _bit_length(raw)
+    raw_bits = _bit_length(raw).astype(np.uint64)
     code[escape] = np.uint64(((1 << _ESC) - 1) << 8) | raw_bits
     code_bits[escape] = _ESC + 8
     # a terminator's code starts with its sign bit

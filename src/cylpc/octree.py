@@ -56,13 +56,12 @@ class Octree:
     ``depth`` holds the leaves. The tree carries geometry only.
 
     ``occupancy`` holds the uint8 occupancy bytes of levels 0 to
-    depth - 1 when the tree was built or decoded; a tree assembled from
-    bare levels leaves it empty and ``serialize`` derives the bytes.
+    depth - 1.
     """
 
     depth: int
     levels: tuple[np.ndarray, ...]
-    occupancy: tuple[np.ndarray, ...] = ()
+    occupancy: tuple[np.ndarray, ...]
 
     @property
     def leaves(self) -> np.ndarray:
@@ -97,8 +96,7 @@ def octree_from_leaf_codes(codes: np.ndarray, depth: int) -> Octree:
 
 def serialize(ot: Octree) -> OccupancyStream:
     """Breadth-first occupancy bytes for every occupied internal node."""
-    occupancy = ot.occupancy or [_level(children)[1] for children in ot.levels[1:]]
-    return OccupancyStream(b"".join(occupancy))
+    return OccupancyStream(b"".join(ot.occupancy))
 
 
 def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:

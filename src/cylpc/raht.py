@@ -74,12 +74,13 @@ class RahtSchedule:
     passes: list[tuple[np.ndarray, ...]]
 
 
-def _bit_length(diff: np.ndarray) -> np.ndarray:
-    """Exact bit length of each positive int64, as int8."""
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Exact bit length of each positive int64 or uint64, as int8."""
     # frexp of the nearest float64, less one where the float rounded up to
-    # the next power of two (only from 2^53 on); e <= 64, so the shift <= 63
-    e = np.frexp(diff.astype(np.float64))[1]
-    return (e - (diff >> (e - 1) == 0)).astype(np.int8)
+    # the next power of two (only from 2^53 on); the shift takes v's dtype,
+    # so numpy 1.24's value-based casting and NEP 50 agree on uint64
+    e = np.frexp(v.astype(np.float64))[1]
+    return (e - (v >> (e - 1).astype(v.dtype) == 0)).astype(np.int8)
 
 
 def raht_schedule(codes: np.ndarray, weights: np.ndarray, depth: int) -> RahtSchedule:

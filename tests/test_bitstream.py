@@ -48,14 +48,14 @@ ALL_MODES = [
 # The geometry section's deflate bytes are zlib's, pinned here for zlib
 # 1.2.13; another zlib build that writes other bytes is a finding to
 # record, not a golden to update (the decoder is pinned independently by
-# V2_STREAM below)
+# V3_STREAM below)
 GOLDEN_SHA256 = {
     (CoordinateSystem.CARTESIAN, 8, False):
-        "a10d28155854ac4e3f89ded86d9360783fc2e9a6d14ea3a47b588fd84e64b6ff",
+        "6c8dbcef2a465da4cb9deadd48aa336ce4c2b6682e491867277856cbbb8d6f20",
     (CoordinateSystem.CYLINDRICAL, 7, False):
-        "b0237e1f392e2d5f5cd09a80f6d294e3c3140b18bcbce8cc9719b4f4ff72bcd8",
+        "f6ea1fa3ef183308d9b98085bbb5d9a5c521c4608f58019db9c967c5714bc432",
     (CoordinateSystem.CYLINDRICAL, 7, True):
-        "822fe8503c69eab81c83192672671fe0c25b1ddb26ee49585c89ccf26d784c5c",
+        "f92e3f18443c25a9ae2795992135c4d5c17b8df0cc8610b053e7853df8ea68ce",
 }
 
 
@@ -243,6 +243,7 @@ def test_encode_is_deterministic(cloud):
 def test_rate_accounting_sums_to_file_size(cloud):
     data, summary = encode_cloud(cloud, CoordinateSystem.CARTESIAN, 8, qstep=4.0)
     assert summary.total_bytes == len(data)
+    assert summary.header_bytes == HEADER_BYTES + 8
     assert (
         summary.header_bytes + summary.geometry_bytes + summary.attribute_bytes
         == len(data)
@@ -370,26 +371,42 @@ def test_non_positive_cylinder_bounds_are_corrupt(cloud, log_radial, offset, val
     assert exc.value.offset == 10
 
 
+def _sections(data):
+    """(header, geometry section, RLGR payload) of a stream."""
+    (g,) = struct.unpack_from("<Q", data, HEADER_BYTES)
+    start = HEADER_BYTES + 8
+    return data[:HEADER_BYTES], data[start : start + g], data[start + g :]
+
+
+def _pack(header, geometry, payload):
+    """The stream of these parts, with G the geometry section's length."""
+    return header + struct.pack("<Q", len(geometry)) + geometry + payload
+
+
 def test_truncations_are_corrupt(cloud):
+    # the payload runs to the end of the stream: a cut inside it is an
+    # attribute section error, not a framing one
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
-    for cut in (0, 10, HEADER_BYTES - 1, HEADER_BYTES + 3, len(data) // 2, len(data) - 1):
-        with pytest.raises(CorruptStreamError):
+    _, geometry, _ = _sections(data)
+    for cut in range(len(data)):
+        with pytest.raises(CorruptStreamError) as exc:
             decode_cloud(data[:cut])
+        if cut >= HEADER_BYTES + 8 + len(geometry):
+            assert str(exc.value).startswith("attribute section: ")
 
 
 def test_every_truncation_names_its_part(cloud):
-    data, summary = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
-    g, a = summary.geometry_bytes, summary.attribute_bytes
-    assert g > 5 and a > 2
+    data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
+    _, geometry, payload = _sections(data)
+    g = len(geometry)
+    assert g > 5 and len(payload) > 2
     parts = [  # (cut, part, its size, its start byte)
         (0, "header", HEADER_BYTES, 0),
         (10, "header", HEADER_BYTES, 0),
         (81, "header", HEADER_BYTES, 0),
         (85, "geometry length", 8, 82),
         (95, "geometry section", g, 90),
-        (90 + g + 3, "attribute header", 16, 90 + g),
-        (106 + g + a // 2, "attribute section", a, 106 + g),
-        (len(data) - 1, "attribute section", a, 106 + g),
+        (90 + g - 1, "geometry section", g, 90),
     ]
     for cut, part, size, start in parts:
         with pytest.raises(CorruptStreamError) as exc:
@@ -400,14 +417,18 @@ def test_every_truncation_names_its_part(cloud):
             f"stream ends at byte {cut} inside the {size}-byte {part} at byte {start}"
         )
         assert exc.value.offset == cut
+    # no payload at all: RLGR runs out before the first coefficient
+    with pytest.raises(CorruptStreamError) as exc:
+        decode_cloud(data[: 90 + g])
+    assert str(exc.value) == "attribute section: payload exhausted at bit offset 0"
 
 
 def _layout_rows(lines):
     """(offset, size) of each row of a layout table: offsets like 90 or 90+G,
-    sizes a byte count or the section length G or A."""
+    sizes a byte count, the section length G, or the rest of the stream."""
     rows = []
     for line in lines:
-        m = re.match(r"\s*\|?\s*(\d+(?:\+G)?)\s*\|?\s+(\d+|G|A)\s+\|?\s*\S", line)
+        m = re.match(r"\s*\|?\s*(\d+(?:\+G)?)\s*\|?\s+(\d+|G|rest)\s+\|?\s*\S", line)
         if m:
             rows.append(m.groups())
     return rows
@@ -437,8 +458,7 @@ def test_layout_tables_match_the_structs(source):
         table = bitstream.__doc__.split("offset  size  field", 1)[1].split("\n\n", 1)[0]
         lines = table.splitlines()
     rows = _layout_rows(lines)
-    fields = (_struct_fields(bitstream._HEADER) + _struct_fields(bitstream._GEOMETRY)
-              + ["G"] + _struct_fields(bitstream._ATTRIBUTE))
+    fields = _struct_fields(bitstream._HEADER) + _struct_fields(bitstream._GEOMETRY) + ["G"]
     ends, pos = set(), (0, 0)
     for size in fields:
         pos = _after(pos, size)
@@ -451,24 +471,17 @@ def test_layout_tables_match_the_structs(source):
         at = _after(at, size)
         assert at in ends, f"{source}: row at {offset} ends inside a field"
     assert at == pos
-    assert rows[-1] == (f"{bitstream.OVERHEAD_BYTES}+G", "A")
+    assert rows[-1] == (f"{bitstream.OVERHEAD_BYTES}+G", "rest")
 
 
 def test_trailing_bytes_are_corrupt(cloud):
+    # RLGR must end inside the payload's last byte, so any byte after it
+    # leaves at least 8 unread bits
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
-    with pytest.raises(CorruptStreamError, match="trailing"):
-        decode_cloud(data + b"\x00")
-
-
-def test_coefficient_count_cross_checked(cloud):
-    data, summary = encode_cloud(cloud, CoordinateSystem.CARTESIAN, 6, qstep=8.0)
-    count_offset = HEADER_BYTES + 8 + summary.geometry_bytes + 8
-    (count,) = struct.unpack_from("<Q", data, count_offset)
-    patched = (
-        data[:count_offset] + struct.pack("<Q", count + 1) + data[count_offset + 8:]
-    )
-    with pytest.raises(CorruptStreamError, match="count"):
-        decode_cloud(patched)
+    for byte in range(256):
+        with pytest.raises(CorruptStreamError,
+                           match=r"^attribute section: \d+ unread bits after decoding"):
+            decode_cloud(data + bytes([byte]))
 
 
 def test_bit_flip_fuzz_never_crashes(cloud):
@@ -525,62 +538,43 @@ def test_decoded_attributes_clamped_to_8bit_range():
     assert (decoded.leaf_attributes <= 255.0).all()
 
 
-# ------------------------------------------------ version 2 geometry section
+# ------------------------------------------------ version 3 container
 
-# a 40-point cylindrical log-radial d6 stream at qstep 8 whose geometry
-# section is R and then zlib's raw deflate of the occupancy bytes: four
-# multi-child levels, then two single-child ones
-V2_STREAM = bytes.fromhex(
-    "43594c50433102010601000000000000f03f0b2b31df635d28407b7d93a8a7be2e404d02"
+# a 40-point cylindrical log-radial d6 stream at qstep 8: the header, G,
+# zlib's raw deflate of the occupancy bytes (four multi-child levels, then
+# two single-child ones) and the RLGR payload
+V3_STREAM = bytes.fromhex(
+    "43594c50433103010601000000000000f03f0b2b31df635d28407b7d93a8a7be2e404d02"
     "f2d51eda21c0000000000000000000000000000000000000000000000000280000000000"
-    "00000000000000002040a0000000000000009e00000000000000fa0f505384874ddff5de"
-    "b30031352808082838080a382c30626162e15610e060e11060f3506064926061021004c7"
-    "4400c0300cc4ceb90c1e0de1a1184aa1047a25bb829c8e613385a96075c9ca3df2dc4f10"
-    "1cdb0000032110d34514948cc0288cf6a3c716921d77762e252bd7f1cae388c32a3e4170"
-    "4c03000083002c901d9c48400ad290bef690ca542672011c2f3d808d9b8d80ee7e002200"
-    "00000000000028000000000000009fffffffe0f5c4913544dc69b2cca91aaeeec66889ee"
-    "73d0741338656ecdf91de1b0"
+    "000000000000000020409800000000000000fa0f505384874ddff5deb300313528080828"
+    "38080a382c30626162e15610e060e11060f3506064926061021004c74400c0300cc4ceb9"
+    "0c1e0de1a1184aa1047a25bb829c8e613385a96075c9ca3df2dc4f101cdb0000032110d3"
+    "4514948cc0288cf6a3c716921d77762e252bd7f1cae388c32a3e41704c03000083002c90"
+    "1d9c48400ad290bef690ca542672011c2f3d808d9b8d80ee7e009fffffffe0f5c4913544"
+    "dc69b2cca91aaeeec66889ee73d0741338656ecdf91de1b0"
 )
 # sha256 of its decoded codes, xyz and leaf attributes; any correct
 # inflate meets them, whichever zlib build wrote the deflate bytes
-V2_DECODED_SHA256 = (
+V3_DECODED_SHA256 = (
     "e5d10c04ff545aa6217d7886dd5a085466c0dd6210b9a36da60edb5269a113c4",
     "11ff51578c328f09a4fe14c93894dc2cbc708c9f38cb31fa0b20c41f8d80f883",
     "d556c49b73ca40b221d5a162f9d62949539a172c01931a6ab171553e623c3fea",
 )
-GEOMETRY_AT = HEADER_BYTES + 8  # the section: R at byte 90, deflate data from 98
+DEFLATE_AT = HEADER_BYTES + 8  # the geometry section, all deflate data
 
 
-def _geometry(data):
-    """(R, deflate data) of a stream's geometry section."""
-    (g,) = struct.unpack_from("<Q", data, HEADER_BYTES)
-    section = data[GEOMETRY_AT : GEOMETRY_AT + g]
-    return struct.unpack_from("<Q", section)[0], section[8:]
-
-
-def _with_section(data, section):
-    """``data`` with its geometry section replaced, the length G updated."""
-    (g,) = struct.unpack_from("<Q", data, HEADER_BYTES)
-    return (data[:HEADER_BYTES] + struct.pack("<Q", len(section)) + section
-            + data[GEOMETRY_AT + g :])
-
-
-def _with_geometry(data, raw_length, deflated):
-    return _with_section(data, struct.pack("<Q", raw_length) + deflated)
-
-
-def _assert_v2_golden(data):
+def _assert_v3_golden(data):
     decoded = decode_cloud(data)
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                     for a in (decoded.codes, decoded.cloud.xyz, decoded.leaf_attributes))
-    assert digests == V2_DECODED_SHA256
+    assert digests == V3_DECODED_SHA256
     assert decoded.config.depth == 6 and decoded.config.log_radial
     assert (decoded.qstep, decoded.n_points) == (8.0, 40)
 
 
-def test_pinned_v2_stream_decodes_to_its_golden_arrays():
-    assert len(V2_STREAM) < 1024 and V2_STREAM[6] == 2
-    _assert_v2_golden(V2_STREAM)
+def test_pinned_v3_stream_decodes_to_its_golden_arrays():
+    assert len(V3_STREAM) < 1024 and V3_STREAM[6] == 3
+    _assert_v3_golden(V3_STREAM)
 
 
 @pytest.mark.parametrize("level,strategy", [(0, zlib.Z_DEFAULT_STRATEGY),
@@ -588,18 +582,17 @@ def test_pinned_v2_stream_decodes_to_its_golden_arrays():
                                             (9, zlib.Z_FIXED)])
 def test_any_raw_deflate_of_the_occupancy_decodes_alike(level, strategy):
     # stored blocks, LZ77 matches or fixed codes: the decoder only inflates
-    raw_length, deflated = _geometry(V2_STREAM)
-    raw = zlib.decompress(deflated, -15)
-    assert len(raw) == raw_length
+    header, deflated, payload = _sections(V3_STREAM)
     z = zlib.compressobj(level, zlib.DEFLATED, -15, 9, strategy)
-    other = z.compress(raw) + z.flush()
+    other = z.compress(zlib.decompress(deflated, -15)) + z.flush()
     assert other != deflated
-    _assert_v2_golden(_with_geometry(V2_STREAM, raw_length, other))
+    _assert_v3_golden(_pack(header, other, payload))
 
 
-def test_version_1_streams_are_rejected():
-    with pytest.raises(CorruptStreamError, match="^unsupported version 1$") as exc:
-        decode_cloud(V2_STREAM[:6] + b"\x01" + V2_STREAM[7:])
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_versions_are_rejected(version):
+    with pytest.raises(CorruptStreamError, match=f"^unsupported version {version}$") as exc:
+        decode_cloud(V3_STREAM[:6] + bytes([version]) + V3_STREAM[7:])
     assert exc.value.offset == 6
 
 
@@ -610,70 +603,54 @@ def _rejects(data, message, offset):
     assert exc.value.offset == offset
 
 
-@pytest.mark.parametrize("g", [0, 1, 7])
-def test_geometry_section_shorter_than_its_raw_length_field(g):
-    _rejects(_with_section(V2_STREAM, bytes(range(1, g + 1))),
-             f"geometry section of {g} bytes ends inside its 8-byte raw occupancy"
-             " length at byte 90", 90)
-
-
-def test_raw_length_beyond_what_the_deflate_bytes_can_hold():
-    raw_length, deflated = _geometry(V2_STREAM)
-    limit = 1032 * len(deflated)
-    for bad in (limit + 1, 2**64 - 1, 0):
-        _rejects(_with_geometry(V2_STREAM, bad, deflated),
-                 f"raw occupancy length {bad} at byte 90 is outside [1, {limit}],"
-                 f" what {len(deflated)} deflate bytes can hold", 90)
-    # a section of R alone holds nothing
-    _rejects(_with_geometry(V2_STREAM, raw_length, b""),
-             f"raw occupancy length {raw_length} at byte 90 is outside [1, 0],"
-             " what 0 deflate bytes can hold", 90)
+def test_empty_geometry_section_has_no_last_block():
+    # zlib reads a max_length of 0 as no limit; an empty section inflates
+    # nothing and fails the end-of-stream check
+    header, _, payload = _sections(V3_STREAM)
+    _rejects(_pack(header, b"", payload),
+             "geometry section: the deflate data from byte 90 ends after 0 bytes,"
+             " before its last block", 90)
 
 
 def test_invalid_deflate_data_names_its_first_byte():
-    raw_length, deflated = _geometry(V2_STREAM)
+    header, deflated, payload = _sections(V3_STREAM)
     # a final block of the reserved type 3
-    _rejects(_with_geometry(V2_STREAM, raw_length, b"\x07" + deflated[1:]),
+    _rejects(_pack(header, b"\x07" + deflated[1:], payload),
              "geometry section: Error -3 while decompressing data: invalid block type"
-             " (in the deflate data from byte 98)", 98)
+             " (in the deflate data from byte 90)", 90)
 
 
 def test_deflate_data_that_ends_before_its_last_block():
-    raw_length, deflated = _geometry(V2_STREAM)
+    header, deflated, payload = _sections(V3_STREAM)
     cut = deflated[: len(deflated) // 2]
     out = len(zlib.decompressobj(-15).decompress(cut))
-    _rejects(_with_geometry(V2_STREAM, raw_length, cut),
-             f"geometry section: the deflate data from byte 98 ends after {out} of"
-             f" {raw_length} bytes, before its last block", 98)
-
-
-def test_deflate_data_that_inflates_past_the_raw_length():
-    raw_length, deflated = _geometry(V2_STREAM)
-    _rejects(_with_geometry(V2_STREAM, raw_length - 1, deflated),
-             f"geometry section: the deflate data from byte 98 inflates to more than"
-             f" {raw_length - 1} bytes", 98)
-
-
-def test_deflate_data_that_inflates_short_of_the_raw_length():
-    raw_length, deflated = _geometry(V2_STREAM)
-    _rejects(_with_geometry(V2_STREAM, raw_length + 1, deflated),
-             f"geometry section: the deflate data from byte 98 inflates to {raw_length}"
-             f" bytes, not the raw occupancy length {raw_length + 1}", 98)
+    _rejects(_pack(header, cut, payload),
+             f"geometry section: the deflate data from byte 90 ends after {out} bytes,"
+             " before its last block", 90)
 
 
 def test_bytes_after_the_deflate_data_name_their_offset():
-    raw_length, deflated = _geometry(V2_STREAM)
-    end = GEOMETRY_AT + 8 + len(deflated)
-    _rejects(_with_geometry(V2_STREAM, raw_length, deflated + b"\x00\x01\x02"),
-             "geometry section: 3 bytes after the end of the deflate data", end)
+    header, deflated, payload = _sections(V3_STREAM)
+    _rejects(_pack(header, deflated + b"\x00\x01\x02", payload),
+             "geometry section: 3 bytes after the end of the deflate data",
+             DEFLATE_AT + len(deflated))
 
 
 def test_occupancy_errors_name_the_inflated_byte():
-    raw_length, deflated = _geometry(V2_STREAM)
-    raw = zlib.decompress(deflated, -15) + b"\x01"
-    _rejects(_with_geometry(V2_STREAM, raw_length + 1, zlib.compress(raw, wbits=-15)),
-             f"geometry section: inflated byte {raw_length}: 1 trailing bytes after"
-             f" occupancy stream at offset {raw_length}", 98)
+    header, deflated, payload = _sections(V3_STREAM)
+    raw = zlib.decompress(deflated, -15)
+    _rejects(_pack(header, zlib.compress(raw + b"\x01", wbits=-15), payload),
+             f"geometry section: inflated byte {len(raw)}: 1 trailing bytes after"
+             f" occupancy stream at offset {len(raw)}", 90)
+
+
+def test_occupancy_one_byte_short_names_the_inflated_byte():
+    header, deflated, payload = _sections(V3_STREAM)
+    raw = zlib.decompress(deflated, -15)
+    short = len(raw) - 1
+    _rejects(_pack(header, zlib.compress(raw[:short], wbits=-15), payload),
+             f"geometry section: inflated byte {short}: occupancy stream truncated at"
+             f" byte {short}, expected {len(raw)} bytes", 90)
 
 
 @pytest.mark.parametrize("depth", range(1, 22))
@@ -687,9 +664,9 @@ def test_container_round_trips_at_every_depth(cloud, system, depth, log_radial):
     np.testing.assert_array_equal(decoded.codes, vc.codes)
     np.testing.assert_array_equal(decoded.cloud.xyz, voxel_centers(cfg, vc.codes))
     raw = serialize(octree_from_leaf_codes(vc.codes, depth)).data
-    raw_length, deflated = _geometry(data)
-    assert raw_length == len(raw) and zlib.decompress(deflated, -15) == raw
-    assert (summary.geometry_raw_bytes, summary.geometry_bytes) == (len(raw), 8 + len(deflated))
+    _, deflated, _ = _sections(data)
+    assert zlib.decompress(deflated, -15) == raw
+    assert (summary.geometry_raw_bytes, summary.geometry_bytes) == (len(raw), len(deflated))
 
 
 @pytest.mark.parametrize("system", [CoordinateSystem.CARTESIAN, CoordinateSystem.CYLINDRICAL])
@@ -719,8 +696,8 @@ def test_log_radial_streams_keep_their_r_min(cloud):
 def test_bit_flips_in_the_deflate_data_never_crash(cloud, tmp_path):
     rng = np.random.default_rng(18)
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
-    _, deflated = _geometry(data)
-    start = GEOMETRY_AT + 8
+    _, deflated, _ = _sections(data)
+    start = DEFLATE_AT
     stream, out = tmp_path / "flipped.cyl", tmp_path / "out.ply"
     outcomes = {0: 0, 4: 0}
     for _ in range(150):

@@ -263,7 +263,7 @@ def test_encode_prints_the_raw_and_the_coded_geometry_rate(tmp_path, small_ply, 
     _, summary = encode_cloud(pc, CoordinateSystem.CYLINDRICAL, 9, qstep=4.0, log_radial=True)
     assert kv["geometry_raw_bpp"] == f"{summary.geometry_raw_bpp:.6g}"
     assert kv["geometry_bpp"] == f"{summary.geometry_bpp:.6g}"
-    # the deflated section, R included, is below the raw occupancy bytes
+    # the deflated section is below the raw occupancy bytes
     assert summary.geometry_bytes < summary.geometry_raw_bytes
 
 
@@ -275,7 +275,7 @@ def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     out = capsys.readouterr().out.splitlines(keepends=True)
     report = "".join(line for line in out if not line.startswith("input="))
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "e55d9a1c78f87f6a6c32e96c375dfcfd3fe51b7b4bbadc74a68b003267500800"
+        "94de441d7378770c69fe2cdefd4e09bd00f3a53c8089c145522662b5f0c7755b"
     )
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "1fd7e38f7e8354c6dd0ec98efc5db6d7fe67ce702204cf3d3fabfadb35fc8224"
@@ -374,7 +374,7 @@ def test_exit_code_4_on_corrupt_attribute_section(
     payload = reference_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
     bad = tmp_path / "bad.cyl"
     bad.write_bytes(pack_stream(
-        encoder.voxels.config, encoder.voxels.n_points, qstep, encoder.occupancy, payload
+        encoder.voxels.config, encoder.voxels.n_points, qstep, encoder.geometry, payload
     ))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -239,7 +239,7 @@ def test_zero_byte_in_single_child_level_of_a_stream_names_its_offset():
     at = len(raw) - 5  # 5th-last occupancy byte
     raw[at] = 0
     # any raw deflate of the patched bytes: the decoder only inflates
-    section = struct.pack("<Q", len(raw)) + zlib.compress(bytes(raw), wbits=-15)
+    section = zlib.compress(bytes(raw), wbits=-15)
     end = HEADER_BYTES + 8 + summary.geometry_bytes
     patched = data[:HEADER_BYTES] + struct.pack("<Q", len(section)) + section + data[end:]
     with pytest.raises(
@@ -247,7 +247,7 @@ def test_zero_byte_in_single_child_level_of_a_stream_names_its_offset():
     ) as exc:
         decode_cloud(patched)
     # zlib gives no bit offset: the error points at the first deflate byte
-    assert exc.value.offset == HEADER_BYTES + 16
+    assert exc.value.offset == HEADER_BYTES + 8
 
 
 def test_geometry_bpp():
@@ -275,9 +275,11 @@ def levels(*lists):
 
 
 def test_octree_accepts_a_closed_tree():
-    ot = Octree(depth=2, levels=levels([0], [1, 2], [8, 15, 17]))
+    # root: children 1 and 2; node 1: children 8 and 15; node 2: child 17
+    occupancy = (np.array([0b110], np.uint8), np.array([0b10000001, 0b10], np.uint8))
+    ot = Octree(depth=2, levels=levels([0], [1, 2], [8, 15, 17]), occupancy=occupancy)
     assert ot.leaves.size == 3
-    assert len(serialize(ot).data) == 3
+    assert serialize(ot).data == bytes([0b110, 0b10000001, 0b10])
 
 
 @pytest.mark.parametrize("level", [[2, 1], [1, 1]])

@@ -190,12 +190,14 @@ def test_high_pass_emission_order_is_deepest_axis0_first():
 
 def test_pass_numbers_are_exact_at_the_float_rounding_edge():
     # from 2^53 on, 2^k - 1 rounds up to 2^k as a float64; 2^63 - 1 is the
-    # largest code difference a depth-21 leaf set can have
-    diffs = sorted({d for k in range(63) for d in (2**k - 1, 2**k, 2**k + 1) if d > 0}
-                   | {2**63 - 1})
-    passes = _bit_length(np.array(diffs, dtype=np.int64))
-    assert passes.dtype == np.int8
-    assert passes.tolist() == [d.bit_length() for d in diffs]
+    # largest code difference a depth-21 leaf set can have, and RLGR takes
+    # the bit lengths of escaped uint64 magnitudes up to 2^64 - 1
+    for dtype, top in ((np.int64, 63), (np.uint64, 64)):
+        values = sorted({v for k in range(top + 1) for v in (2**k - 1, 2**k, 2**k + 1)
+                         if 0 < v < 2**top})
+        lengths = _bit_length(np.array(values, dtype=dtype))
+        assert lengths.dtype == np.int8
+        assert lengths.tolist() == [v.bit_length() for v in values]
 
 
 def test_count_mismatch_rejected():
