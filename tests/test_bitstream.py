@@ -27,6 +27,7 @@ from cylpc import (
 from cylpc import bitstream, octree_from_leaf_codes, serialize
 from cylpc.cli import main
 from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN, Encoder, decode_attributes
+from cylpc.coeff_codec import RlgrPayload, rlgr_decode, rlgr_encode
 
 
 @pytest.fixture(scope="module")
@@ -589,18 +590,21 @@ def test_any_raw_deflate_of_the_occupancy_decodes_alike(level, strategy):
     _assert_v3_golden(_pack(header, other, payload))
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_earlier_versions_are_rejected(version):
-    with pytest.raises(CorruptStreamError, match=f"^unsupported version {version}$") as exc:
-        decode_cloud(V3_STREAM[:6] + bytes([version]) + V3_STREAM[7:])
-    assert exc.value.offset == 6
-
-
 def _rejects(data, message, offset):
     with pytest.raises(CorruptStreamError) as exc:
         decode_cloud(data)
     assert str(exc.value) == message
     assert exc.value.offset == offset
+
+
+def test_version_1_streams_are_rejected():
+    _rejects(V3_STREAM[:6] + b"\x01" + V3_STREAM[7:], "unsupported version 1", 6)
+
+
+def test_version_2_streams_are_rejected():
+    # v2 also stored the raw occupancy length, the payload length and the
+    # coefficient count, which a v3 decoder would read as deflate data
+    _rejects(V3_STREAM[:6] + b"\x02" + V3_STREAM[7:], "unsupported version 2", 6)
 
 
 def test_empty_geometry_section_has_no_last_block():
@@ -651,6 +655,58 @@ def test_occupancy_one_byte_short_names_the_inflated_byte():
     _rejects(_pack(header, zlib.compress(raw[:short], wbits=-15), payload),
              f"geometry section: inflated byte {short}: occupancy stream truncated at"
              f" byte {short}, expected {len(raw)} bytes", 90)
+
+
+def _deflated_zeros():
+    """A MiB of zeros and its raw deflate, zlib's best ratio."""
+    zeros = bytes(1 << 20)
+    z = zlib.compressobj(9, zlib.DEFLATED, -15, 9)
+    return zeros, z.compress(zeros) + z.flush()
+
+
+def test_best_deflate_ratio_inflates_under_the_cap():
+    zeros, deflated = _deflated_zeros()
+    assert 1000 * len(deflated) < len(zeros) < bitstream._INFLATE_MAX * len(deflated)
+    assert bitstream._inflate_geometry(deflated, DEFLATE_AT) == zeros
+
+
+def test_inflate_stops_at_the_cap_per_section_byte(monkeypatch):
+    # with the cap at 1 byte per section byte the same data stops short
+    # and never reaches its last block
+    _, deflated = _deflated_zeros()
+    monkeypatch.setattr(bitstream, "_INFLATE_MAX", 1)
+    with pytest.raises(CorruptStreamError) as exc:
+        bitstream._inflate_geometry(deflated, DEFLATE_AT)
+    assert str(exc.value) == (
+        f"geometry section: the deflate data from byte 90 ends after {len(deflated)}"
+        " bytes, before its last block")
+
+
+def _payload_for(ints):
+    """V3_STREAM with its RLGR payload replaced by the coding of ``ints``."""
+    header, deflated, _ = _sections(V3_STREAM)
+    return _pack(header, deflated, rlgr_encode(ints).data)
+
+
+def _v3_ints():
+    _, _, payload = _sections(V3_STREAM)
+    return rlgr_decode(RlgrPayload(payload, 40), as_array=True)
+
+
+def test_coefficient_count_cross_checked():
+    # the 40 occupied leaves give the count: a payload coded for one more
+    # coefficient leaves its bits unread, whatever that coefficient is
+    ints = _v3_ints()
+    _assert_v3_golden(_payload_for(ints))
+    for extra in (0, 5, -3):
+        _rejects(_payload_for(np.append(ints, extra)),
+                 "attribute section: 11 unread bits after decoding 40 values at bit"
+                 " offset 269", 269)
+
+
+def test_payload_one_coefficient_short_is_exhausted():
+    _rejects(_payload_for(_v3_ints()[:-1]),
+             "attribute section: payload exhausted at bit offset 264", 264)
 
 
 @pytest.mark.parametrize("depth", range(1, 22))
