@@ -108,7 +108,7 @@ class EncodeSummary:
     geometry_bytes: int
     attribute_bytes: int
     total_bytes: int
-    geometry_raw_bytes: int = 0
+    geometry_raw_bytes: int
 
     @property
     def header_bytes(self) -> int:

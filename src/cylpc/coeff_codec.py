@@ -30,12 +30,13 @@ that nonzero, and a last episode of the zeros after the last nonzero.
 kp depends only on the gaps, and a zero literal always codes vk = 0, so
 two small scalar passes carry all the state:
 
-  * the kp pass steps once per nonzero through a table of the kp after
-    each (kp, gap) episode, built on first use; a gap of 2047 zeros
-    drives any kp to the cap, so longer gaps share that column;
-  * from kp before each gap, numpy splits every episode into its 0-3
-    zero literals, a literal or run-terminating nonzero, and the count,
-    k and remainder of its complete runs;
+  * one table, built on first use, holds what an episode writes for each
+    kp before its gap and each gap: its 0-3 zero literals, complete runs,
+    k of the marker, k-bit remainder and the kp after its nonzero; 2047
+    zeros drive any kp to the cap, so a longer gap reads that column and
+    carries its extra zeros into the remainder and the runs;
+  * the kp pass steps once per nonzero through the kp-after column, and
+    one gather per other column splits every episode;
   * the krp pass steps once per nonzero: down by 2 per zero literal,
     then the usual update from vk of the nonzero's code.
 
@@ -158,27 +159,33 @@ def _nonzeros(values: Iterable[int] | np.ndarray) -> tuple[int, np.ndarray, np.n
 
 
 @functools.cache
-def _kp_table() -> tuple[bytes, ...]:
-    """kp after a gap of zeros and the nonzero that ends it: row kp, the
-    kp before the gap, holds it at min(gap, _GAP_CLIP)."""
-    # a gap in run mode from kp = start: the kp after m complete runs, and
-    # the zeros they take; 2 * _KMAX runs from k = 1 take more than _GAPS
-    start = np.arange(_K_INIT, _KPMAX + 1)[:, None]
-    kps = np.minimum(start + _UP_GR * np.arange(2 * _KMAX), _KPMAX)
-    taken = np.minimum(np.cumsum(1 << (kps >> _LSGR), axis=1), _GAPS)
-    # m complete runs leave a remainder below the m + 1st run's length
+def _episode_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[bytes, ...]]:
+    """What a gap of zeros and the nonzero that ends it write, at
+    kp * _GAPS + min(gap, _GAP_CLIP) for kp before the gap: the zero
+    literals, the complete runs, k of the marker (0 when the nonzero is a
+    literal), the k-bit remainder, and the kp after the nonzero, which the
+    scalar kp pass reads fastest as one bytes row per kp."""
+    # from each kp, step j takes one zero literal while kp < _K_INIT and a
+    # complete run of 2^k zeros after that; from kp = 0, 3 literals and
+    # 2 * _KMAX - 1 runs take more than _GAPS zeros
+    kp = np.arange(_KPMAX + 1, dtype=np.int64)[:, None]
+    j = np.arange(2 * _KMAX + 2, dtype=np.int64)
+    literals = np.minimum(j, (np.maximum(_K_INIT - kp, 0) + _UQ_GR - 1) // _UQ_GR)
+    kps = np.minimum(kp + _UQ_GR * literals + _UP_GR * (j - literals), _KPMAX)
+    literal = kps < _K_INIT
+    taken = np.minimum(np.cumsum(np.where(literal, 1, 1 << (kps >> _LSGR)), axis=1), _GAPS)
+    # a nonzero in step j is a literal, or it ends that step's run with the
+    # zeros past the earlier steps as its remainder
     lengths = np.diff(taken, axis=1, prepend=0)
-    after = np.maximum(kps - _DN_GR, 0).astype(np.uint8)
-    runs = np.repeat(after.ravel(), lengths.ravel()).tobytes()
-    rows = []
-    for kp in range(_KPMAX + 1):
-        # below _K_INIT the first zeros are literals, and so is a nonzero
-        # that comes before kp reaches _K_INIT
-        z = max(-((kp - _K_INIT) // _UQ_GR), 0)
-        literal = bytes(max(kp + _UQ_GR * gap - _DQ_GR, 0) for gap in range(z))
-        row = (kp + _UQ_GR * z - _K_INIT) * _GAPS
-        rows.append(literal + runs[row : row + _GAPS - z])
-    return tuple(rows)
+    after = np.maximum(kps - np.where(literal, _DQ_GR, _DN_GR), 0)
+    literals, runs, k, after, before = (
+        np.repeat(column.astype(dtype).ravel(), lengths.ravel())
+        for column, dtype in ((literals, np.uint8), (j - literals, np.uint8),
+                              (kps >> _LSGR, np.uint8), (after, np.uint8),
+                              (taken - lengths, np.uint16))
+    )
+    rest = np.tile(np.arange(_GAPS, dtype=np.uint16), kp.size) - before
+    return literals, runs, k, rest, tuple(row.tobytes() for row in after.reshape(-1, _GAPS))
 
 
 def _or_fields(words: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
@@ -208,23 +215,29 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     gaps = np.diff(where, prepend=-1, append=n)
     gaps -= 1
     del where
-    table = _kp_table()
+    *columns, after = _episode_table()
+    clipped = np.minimum(gaps, _GAP_CLIP)
     kp = _K_INIT
     kp_before = bytearray()
     record = kp_before.append
-    for gap in np.minimum(gaps[:-1], _GAP_CLIP).tolist():
+    for gap in clipped[:-1].tolist():
         record(kp)
-        kp = table[kp][gap]
+        kp = after[kp][gap]
     record(kp)
-    kp = np.frombuffer(kp_before, np.uint8)
-    # k = 0 codes zeros as literals until kp reaches _K_INIT, 3 up per zero;
-    # a nonzero that comes first is a literal too, any other ends a zero run
-    literals = (_K_INIT + _UQ_GR - 1 - np.minimum(kp, _K_INIT)) // _UQ_GR
-    short = gaps < literals
-    literals[short] = gaps[short]
-    kp += _UQ_GR * literals
-    literal = kp < _K_INIT
-    terminator = ~literal[:-1]
+    at = np.frombuffer(kp_before, np.uint8).astype(np.intp) * _GAPS + clipped
+    literals, runs, k, rest = (column[at] for column in columns)
+    del clipped, at
+    # the all-zero bits ahead of each nonzero: one per complete run, then
+    # kr + 1 per zero literal; a gap past the clip reaches its marker at
+    # k = _KMAX, so its extra zeros lengthen the remainder and carry its
+    # whole runs of 2^_KMAX
+    zero_bits = literals + runs.astype(np.int64)
+    long = np.flatnonzero(gaps > _GAP_CLIP)
+    extra = gaps[long] - _GAP_CLIP + rest[long]
+    zero_bits[long] += extra >> _KMAX
+    rest[long] = extra & ((1 << _KMAX) - 1)
+    del gaps, runs, long, extra
+    terminator = k[:-1] > 0
     # the Golomb-Rice argument: the zigzag code of a literal, and of a
     # terminator (zigzag - 1) >> 1 = |value| - 1
     mapped = nonzero << 1
@@ -255,44 +268,21 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
                 krp = _KPMAX
     record(krp)
     krp = np.frombuffer(krp_before, np.uint8)
-    # the all-zero bits ahead of each nonzero: kr + 1 per zero literal, then
-    # one per complete run
-    zero_bits = literals.astype(np.int64)
+    # zero literal j codes kr from krp less 2 per earlier zero literal
     for j in range(int(literals.max())):
         drop = _KRP_DOWN * j
         zero_bits += (literals > j) * ((np.maximum(krp, drop) - drop) >> _LSGR)
+    del literals
     kr = ((np.maximum(krp[:-1], drops) - drops) >> _LSGR).astype(np.uint64)
-    # complete runs of 2^k zeros: one masked step each while k grows, then
-    # all that are left at once when k reaches its cap
-    runs = np.flatnonzero(~literal)
-    kp = kp[runs].astype(np.int64)  # in uint8, 1 << k would wrap at k = 8
-    rest = gaps[runs]
-    rest -= literals[runs]
-    del gaps, literals
-    full = np.zeros(runs.size, np.int64)
-    todo = np.flatnonzero(rest >> (kp >> _LSGR))
-    while todo.size:
-        step = kp[todo]
-        top = step == _KPMAX
-        if top.any():
-            done, todo, step = todo[top], todo[~top], step[~top]
-            full[done] += rest[done] >> _KMAX
-            rest[done] &= (1 << _KMAX) - 1
-        rest[todo] -= 1 << (step >> _LSGR)
-        full[todo] += 1
-        kp[todo] = step = np.minimum(step + _UP_GR, _KPMAX)
-        todo = todo[(rest[todo] >> (step >> _LSGR)) > 0]
-    zero_bits[runs] += full
     # after them a "1" marker and the k-bit remainder; the dangling run
     # writes them only if the remainder is not 0
-    k = kp >> _LSGR
-    head_bits = np.zeros(zero_bits.size, np.int64)
-    head_bits[runs] = k + 1
-    head = np.zeros(zero_bits.size, np.uint64)
-    head[runs] = (1 << k) | rest
-    if not literal[-1] and not rest[-1]:
+    marker = k > 0
+    head_bits = k + marker
+    head = marker.astype(np.uint64) << k
+    head |= rest
+    if not rest[-1]:
         head_bits[-1] = head[-1] = 0
-    del k, rest, runs, literal
+    del k, rest, marker
     # Golomb-Rice code of each mapped value: unary prefix vk, a "0", kr low
     # bits; or the escape (full prefix, 8-bit length m), then m raw bits
     vk = mapped >> kr

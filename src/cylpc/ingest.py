@@ -216,6 +216,16 @@ def load_ply(path) -> PointCloud:
                     raise MalformedFileError(
                         f"{path}: vertex row {i} holds a value that is not a number"
                     ) from None
+            for (name, kind), column in zip(props, rows.T):
+                if kind[0] in "iu":  # a NaN fails the floor test
+                    lo, hi = np.iinfo(kind).min, np.iinfo(kind).max
+                    bad = (column < lo) | (column > hi) | (column != np.floor(column))
+                    if bad.any():
+                        i = int(bad.argmax())
+                        raise MalformedFileError(
+                            f"{path}: vertex row {i} holds {column[i]:g} in property "
+                            f"'{name}', which is not an integer in [{lo}, {hi}]"
+                        )
             columns = {name: rows[:, i] for i, name in enumerate(names)}
     xyz = np.column_stack([columns["x"], columns["y"], columns["z"]])
     declared = props[names.index("intensity")][1]
@@ -240,8 +250,7 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
         if binary:
             rows.astype("<f8").tofile(f)
         else:
-            for x, y, z, a in rows:
-                f.write(f"{x:.17g} {y:.17g} {z:.17g} {a:.17g}\n".encode())
+            np.savetxt(f, rows, fmt="%.17g")
 
 
 # Largest sweep synth_sweep makes, counted in ray-surface tests: rays (beams

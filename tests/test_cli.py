@@ -472,6 +472,21 @@ def test_exit_code_3_on_vertex_count_beyond_ascii_file_size(tmp_path, capsys):
     assert "declares 100000000000000 vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["300", "7.5"])
+def test_exit_code_3_on_ascii_value_outside_its_integer_type(tmp_path, capsys, value):
+    bad = tmp_path / "bad.ply"
+    bad.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        f"property float z\nproperty uchar intensity\nend_header\n"
+        f"0 0 0 1\n1 1 1 {value}\n2 2 2 3\n"
+    )
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    err = capsys.readouterr().err
+    assert f"bad.ply: vertex row 1 holds {value} in property 'intensity', which is not an" in err
+    assert "[0, 255]" in err
+    assert not (tmp_path / "x.cyl").exists()
+
+
 @pytest.mark.parametrize(
     "fmt,count",
     [("ascii", "3000000"), ("binary_little_endian", "99999999999999999999")],

@@ -260,37 +260,52 @@ def test_encoder_bytes_do_not_depend_on_the_container():
 # -------------------------------------- rlgr encoder against the scalar one
 
 
-def _walk(kp: int, pending: int, value: int) -> tuple[int, int]:
+def _walk(kp: int, pending: int, value: int) -> tuple[int, int, int, int, int, int]:
     """One value through the kp state machine, read one value at a time as
-    the decoder reads them: (kp, zeros of the unfinished complete run)."""
+    the decoder reads them: (kp, zeros of the unfinished complete run), then
+    what the value wrote: (zero literals, complete runs, k of the marker,
+    remainder). A run-terminating value writes a marker and the zeros of
+    the unfinished run as its remainder; a literal writes k = 0."""
     if pending == 0 and kp < 8:  # k = 0: a literal
-        return (max(kp - 3, 0), 0) if value else (kp + 3, 0)
+        return (max(kp - 3, 0), 0, 0, 0, 0, 0) if value else (kp + 3, 0, 1, 0, 0, 0)
     if value:  # terminates the run
-        return max(kp - 6, 0), 0
+        return max(kp - 6, 0), 0, 0, 0, kp >> 3, pending
     pending += 1
     if pending == 1 << (kp >> 3):  # a complete run of 2^k zeros
-        return min(kp + 4, 80), 0
-    return kp, pending
+        return min(kp + 4, 80), 0, 0, 1, 0, 0
+    return kp, pending, 0, 0, 0, 0
 
 
 def _kp_after(values) -> tuple[int, int]:
     kp, pending = 8, 0
     for v in values:
-        kp, pending = _walk(kp, pending, v)
+        kp, pending, *_ = _walk(kp, pending, v)
     return kp, pending
 
 
-def test_kp_table_matches_the_state_machine():
-    table = coeff_codec._kp_table()
-    assert len(table) == 81
+def test_episode_table_matches_the_state_machine():
+    *columns, rows = coeff_codec._episode_table()
+    literals, runs, k, rest, after = (list(map(int, c)) for c in (*columns, b"".join(rows)))
+    clip = coeff_codec._GAP_CLIP
+    assert len(rows) == 81
+    assert {len(c) for c in (literals, runs, k, rest, after)} == {81 * (clip + 1)}
     for kp in range(81):
-        assert len(table[kp]) == coeff_codec._GAP_CLIP + 1
-        state = (kp, 0)
+        state, zeros = (kp, 0), (0, 0)
         for gap in range(2101):
-            assert table[kp][min(gap, coeff_codec._GAP_CLIP)] == _walk(*state, 1)[0]
-            state = _walk(*state, 0)
-    # the clip is exact: from every kp the longest gap ends in one state
-    assert len({row[coeff_codec._GAP_CLIP] for row in table}) == 1
+            # a gap past the clip adds its extra zeros to the remainder and
+            # carries whole runs of 2^10
+            at = kp * (clip + 1) + min(gap, clip)
+            carry = rest[at] + max(gap - clip, 0)
+            kp_after, _, _, _, marker, remainder = _walk(*state, 1)
+            assert (literals[at], runs[at] + (carry >> 10), k[at], carry & 1023, after[at]) == (
+                *zeros, marker, remainder, kp_after
+            )
+            *state, literal, run, _, _ = _walk(*state, 0)
+            zeros = (zeros[0] + literal, zeros[1] + run)
+    # the clip is exact: from every kp the longest gap ends in one state,
+    # with its marker at the largest k
+    ends = {(k[at], after[at]) for at in range(clip, len(k), clip + 1)}
+    assert ends == {(coeff_codec._KMAX, coeff_codec._KPMAX - 6)}
 
 
 def _prefixes_to_literal_mode() -> dict[int, list[int]]:

@@ -56,9 +56,11 @@ def test_attribute_bpp():
     def summary(attribute_bytes, n_points):
         return EncodeSummary(n_points=n_points, n_voxels=1, geometry_bytes=5,
                              attribute_bytes=attribute_bytes,
-                             total_bytes=OVERHEAD_BYTES + 5 + attribute_bytes)
+                             total_bytes=OVERHEAD_BYTES + 5 + attribute_bytes,
+                             geometry_raw_bytes=34)
 
     assert summary(0, 10).attribute_bpp == 0.0
+    assert summary(0, 136).geometry_raw_bpp == 2.0
     assert summary(3 * 17, 136).attribute_bpp == 3.0
     assert summary(33, 11).attribute_bpp == 24.0
     assert summary(33, 11).geometry_bpp == 40.0 / 11
