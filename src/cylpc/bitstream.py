@@ -4,35 +4,31 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
 
     offset  size  field
     0        6    magic "CYLPC1"
-    6        1    version (3)
+    6        1    version (4)
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
     9        1    flags: bit 0 = log-radial partition (cylindrical only)
-    10       8    r_min (meters; shapes log-radial grids only, and
-                  every other grid holds 1.0)
-    18      48    bounds, 6 doubles (VoxelGridConfig.bounds):
-                    Cartesian:   origin_x, origin_y, origin_z, side, 0, 0
-                    cylindrical: radius, height, h_min, 0, 0, 0
-                  radius is the padded bounding R in meters, also on
-                  log-radial grids; each 0 field is reserved and must be
-                  eight zero bytes (+0.0)
-    66       8    original point count N (>= the occupied leaf count)
-    74       8    quantization step
-    82       8    geometry section length G
-    90       G    geometry section: the raw deflate (RFC 1951) of
+    10      24    grid origin, 3 doubles (VoxelGridConfig.origin)
+    34      24    grid extents, 3 doubles (VoxelGridConfig.extents), in
+                  the axis domain: x/y/z, or r (ln r if log-radial),
+                  theta and h
+    58       8    original point count N (>= the occupied leaf count)
+    66       8    quantization step
+    74       8    geometry section length G
+    82       G    geometry section: the raw deflate (RFC 1951) of
                   the occupancy bytes, one Huffman-only block per
                   octree level
-    90+G     rest RLGR payload bytes, to the end of the stream
+    82+G     rest RLGR payload bytes, to the end of the stream
 
 A stream that ends inside the header, G or the geometry section raises
 CorruptStreamError (exit 4), naming the part and the byte where the
 stream ends. The decoder inflates at most 1032 bytes per section byte,
 deflate's largest expansion, so its memory stays bounded by the stream,
 and needs the deflate data to end exactly at the end of the section.
-zlib reports no bit offset, so an inflate error names byte 90, where the
+zlib reports no bit offset, so an inflate error names byte 82, where the
 deflate data starts; an error in the inflated occupancy (a zero byte,
 too few or too many bytes for the tree) names its inflated byte in the
-message and byte 90 as its offset. The occupied leaves give the
+message and byte 82 as its offset. The occupied leaves give the
 coefficient count, and RLGR must use up the payload to its padding, so a
 payload cut short or followed by more bytes is an attribute section
 error. The encoder's deflate bytes are those of the zlib build it runs
@@ -67,12 +63,11 @@ from .voxelizer import (
 )
 
 MAGIC = b"CYLPC1"
-VERSION = 3
+VERSION = 4
 
-_HEADER = struct.Struct("<6sBBBB7dQd")
+_HEADER = struct.Struct("<6sBBBB6dQd")
 _GEOMETRY = struct.Struct("<Q")  # geometry section length
-_UNIT_R_MIN = struct.pack("<d", 1.0)  # r_min of every grid that is not log-radial
-HEADER_BYTES = _HEADER.size  # 82
+HEADER_BYTES = _HEADER.size  # 74
 OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size
 
 # Finest qstep the encoder accepts. float64 holds an attribute below
@@ -226,8 +221,8 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
         0 if cfg.system is CoordinateSystem.CARTESIAN else 1,
         cfg.depth,
         1 if cfg.log_radial else 0,
-        cfg.r_min,
-        *cfg.bounds,
+        *cfg.origin,
+        *cfg.extents,
         n_points,
         qstep,
     )
@@ -308,7 +303,7 @@ def _take(data: bytes, pos: int, size: int, what: str) -> bytes:
 
 def decode_cloud(data: bytes) -> DecodedCloud:
     """Decode a bitstream produced by encode_cloud; needs only the bytes."""
-    (magic, version, coords, depth, flags, r_min, *bounds, n_points,
+    (magic, version, coords, depth, flags, *grid, n_points,
      qstep) = _HEADER.unpack(_take(data, 0, HEADER_BYTES, "header"))
     if magic != MAGIC:
         raise CorruptStreamError(f"bad magic {magic!r}", offset=0)
@@ -322,24 +317,13 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         raise CorruptStreamError(f"unknown flags 0x{flags:02x}", offset=9)
     if flags and coords == 0:
         raise CorruptStreamError("log-radial flag on a Cartesian stream", offset=9)
-    if not flags and data[10:18] != _UNIT_R_MIN:
-        raise CorruptStreamError(
-            f"r_min {r_min!r} on a grid that is not log-radial, which holds 1.0", offset=10
-        )
     if not (qstep > 0.0 and np.isfinite(qstep)):
-        raise CorruptStreamError(f"invalid qstep {qstep}", offset=74)
-    for field in range(4 if coords == 0 else 3, 6):
-        offset = 18 + 8 * field
-        if data[offset : offset + 8] != bytes(8):
-            raise CorruptStreamError(
-                f"reserved bounds field {field} is not eight zero bytes", offset=offset
-            )
+        raise CorruptStreamError(f"invalid qstep {qstep}", offset=66)
     system = CoordinateSystem.CARTESIAN if coords == 0 else CoordinateSystem.CYLINDRICAL
     try:
-        cfg = VoxelGridConfig(system, depth, tuple(bounds), bool(flags & 1), r_min)
+        cfg = VoxelGridConfig(system, depth, tuple(grid[:3]), tuple(grid[3:]), bool(flags))
     except CylpcError as exc:
-        # r_min and the six bounds fields start at byte 10
-        raise CorruptStreamError(f"invalid bounds in header: {exc}", offset=10) from exc
+        raise CorruptStreamError(f"invalid grid in header: {exc}", offset=10) from exc
 
     pos = HEADER_BYTES
     (geom_len,) = _GEOMETRY.unpack(_take(data, pos, _GEOMETRY.size, "geometry length"))
@@ -355,7 +339,7 @@ def decode_cloud(data: bytes) -> DecodedCloud:
     codes = octree.leaves
     if n_points < codes.size:
         raise CorruptStreamError(
-            f"point count {n_points} is below the {codes.size} occupied leaves", offset=66
+            f"point count {n_points} is below the {codes.size} occupied leaves", offset=58
         )
     try:
         ints = rlgr_decode(RlgrPayload(data[pos:], codes.size), as_array=True)
@@ -368,7 +352,7 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         xyz = voxel_centers(cfg, codes)
     if not np.isfinite(xyz).all():
         raise CorruptStreamError(
-            "header bounds put voxel centers outside the float64 range", offset=18
+            "header grid puts voxel centers outside the float64 range", offset=10
         )
     return DecodedCloud(
         cloud=PointCloud(xyz, attrs),

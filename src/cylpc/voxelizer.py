@@ -5,8 +5,9 @@ in the axis domain. For the cylindrical system the axis domains are
 (r, theta, h) with theta spanning exactly [-pi, pi); the radial axis may
 optionally be partitioned uniformly in ln(r) between ln(r_min) and
 ln(R), which makes radial shells grow geometrically with distance from
-the sensor. Points with r < r_min (including r = 0) clamp into the
-first radial bin.
+the sensor. Points with ln r below ln r_min (including r = 0) clamp into
+the first radial bin, and a theta that rounds up to the end of its axis
+goes to the last angular bin.
 
 Points on a bin boundary go to the upper bin (floor semantics).
 Duplicate points are kept and add to the voxel's point count.
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
 from .geometry import PointCloud, cartesian_to_cylindrical
@@ -37,59 +37,35 @@ class CoordinateSystem(enum.Enum):
 
 @dataclass(frozen=True)
 class VoxelGridConfig:
-    """Geometry of one voxel partition, held as the stream header holds it.
+    """Geometry of one voxel partition, as the stream header holds it.
 
-    ``bounds`` are the header's six doubles:
-
-      Cartesian:    (x0, y0, z0, W, 0, 0)   the cube [x0, x0 + W) x ... x [z0, z0 + W)
-      cylindrical:  (R, H, h_min, 0, 0, 0)  r < R, h in [h_min, h_min + H), in meters
-
-    R is the padded bounding radius also on log-radial grids. ``origin``
-    and ``extents`` are derived from them and give the three axis
-    intervals in the (possibly log-transformed) axis domain:
+    Axis a covers [origin[a], origin[a] + extents[a]) in the (possibly
+    log-transformed) axis domain; ``make_config`` builds
 
       Cartesian:    origin = (x0, y0, z0),           extents = (W, W, W)
       cylindrical:  origin = (0, -pi, h_min),         extents = (R, 2*pi, H)
       cyl. + log:   origin = (ln r_min, -pi, h_min),  extents = (ln R - ln r_min, 2*pi, H)
 
-    The per-axis quantization step is extents[a] / 2**depth.
+    with R the padded bounding radius in meters. The per-axis
+    quantization step is extents[a] / 2**depth.
     """
 
     system: CoordinateSystem
     depth: int
-    bounds: tuple[float, float, float, float, float, float]
+    origin: tuple[float, float, float]
+    extents: tuple[float, float, float]
     log_radial: bool = False
-    r_min: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise InvalidConfigError(f"depth {self.depth} outside [1, {MAX_DEPTH}]")
-        if self.log_radial:
-            if self.system is not CoordinateSystem.CYLINDRICAL:
-                raise InvalidConfigError("log_radial requires the cylindrical system")
-            # before any ln R: the radial extent takes logs of both
-            if not 0.0 < self.r_min < self.bounds[0]:
-                raise InvalidConfigError(
-                    f"log_radial requires 0 < r_min < R, got r_min {self.r_min},"
-                    f" R {self.bounds[0]}"
-                )
-        if any(not (e > 0.0) for e in self.extents):
-            raise InvalidConfigError(f"axis extents must be positive, got {self.extents}")
-
-    @property
-    def origin(self) -> tuple[float, float, float]:
-        b = self.bounds
-        if self.system is CoordinateSystem.CARTESIAN:
-            return (b[0], b[1], b[2])
-        return (math.log(self.r_min) if self.log_radial else 0.0, -math.pi, b[2])
-
-    @property
-    def extents(self) -> tuple[float, float, float]:
-        b = self.bounds
-        if self.system is CoordinateSystem.CARTESIAN:
-            return (b[3], b[3], b[3])
-        radial = math.log(b[0]) - math.log(self.r_min) if self.log_radial else b[0]
-        return (radial, 2.0 * math.pi, b[1])
+        if self.log_radial and self.system is not CoordinateSystem.CYLINDRICAL:
+            raise InvalidConfigError("log_radial requires the cylindrical system")
+        if not all(map(math.isfinite, self.origin)):
+            raise InvalidConfigError(f"axis origins must be finite, got {self.origin}")
+        if not all(0.0 < e < math.inf for e in self.extents):
+            raise InvalidConfigError(
+                f"axis extents must be positive and finite, got {self.extents}")
 
     @property
     def steps(self) -> tuple[float, float, float]:
@@ -154,22 +130,27 @@ def make_config(
     log_radial: bool = False,
     r_min: float = 1.0,
 ) -> VoxelGridConfig:
-    """Build a grid config whose bounds tightly (plus padding) enclose ``pc``."""
+    """Build a grid config that tightly (plus padding) encloses ``pc``.
+    ``r_min`` shapes log-radial grids only."""
     if len(pc) == 0:
         raise InvalidInputError("cannot bound an empty point cloud")
-    if not log_radial:
-        r_min = 1.0  # r_min shapes log-radial grids only; others keep the default
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = [float(c.min()) for c in pc.xyz.T], [float(c.max()) for c in pc.xyz.T]
         side = max(_padded_span(a, b, f"side on the {axis} axis")
                    for axis, a, b in zip("xyz", lo, hi))
-        return VoxelGridConfig(system, depth, (*lo, side, 0.0, 0.0), log_radial, r_min)
+        return VoxelGridConfig(system, depth, tuple(lo), (side, side, side), log_radial)
     h_min, h_max = float(pc.xyz[:, 2].min()), float(pc.xyz[:, 2].max())
     with np.errstate(over="ignore"):  # an infinite radius fails in _padded_span
         r_max = float(np.hypot(pc.xyz[:, 0], pc.xyz[:, 1]).max())
     radius = _padded_span(0.0, r_max, "radius on the r axis")
-    bounds = (radius, _padded_span(h_min, h_max, "height on the h axis"), h_min, 0.0, 0.0, 0.0)
-    return VoxelGridConfig(system, depth, bounds, log_radial, r_min)
+    height = _padded_span(h_min, h_max, "height on the h axis")
+    if not log_radial:
+        return VoxelGridConfig(system, depth, (0.0, -math.pi, h_min),
+                               (radius, 2.0 * math.pi, height))
+    if not 0.0 < r_min < radius:  # before any log
+        raise InvalidConfigError(f"log_radial requires 0 < r_min < R, got r_min {r_min}, R {radius}")
+    return VoxelGridConfig(system, depth, (math.log(r_min), -math.pi, h_min),
+                           (math.log(radius) - math.log(r_min), 2.0 * math.pi, height), True)
 
 
 def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
@@ -178,7 +159,9 @@ def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
         return pc.xyz
     rth = cartesian_to_cylindrical(pc.xyz)
     if cfg.log_radial:
-        rth[:, 0] = np.log(np.maximum(rth[:, 0], cfg.r_min))
+        # clamp against the origin the bins start from; ln 0 = -inf clamps too
+        with np.errstate(divide="ignore"):
+            rth[:, 0] = np.maximum(np.log(rth[:, 0]), cfg.origin[0])
     return rth
 
 
@@ -190,9 +173,13 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
     # one contiguous row per axis; a negative index wraps to >= 2^depth as uint64
     idx = np.empty((3, len(pc)), dtype=np.int64)
     bad = np.zeros(len(pc), dtype=bool)
+    top = (1 << cfg.depth) - 1
     for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)):
         idx[a] = np.floor((coords[:, a] - lo) / step)
-        bad |= idx[a].view(np.uint64) >= (1 << cfg.depth)
+        if a == 1 and cfg.system is CoordinateSystem.CYLINDRICAL:
+            # theta + pi rounds to 2 pi for theta just below pi
+            np.minimum(idx[a], top, out=idx[a])
+        bad |= idx[a].view(np.uint64) > top
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         raise OutOfRangeError(
@@ -268,6 +255,8 @@ def knn_mean_distance(pc: PointCloud, k: int) -> np.ndarray:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n <= k:
         raise InvalidInputError(f"need more than k={k} points, got {n}")
+    from scipy.spatial import cKDTree  # here, to keep scipy off the codec's import path
+
     tree = cKDTree(pc.xyz)
     dists, _ = tree.query(pc.xyz, k=k + 1)  # first hit is the point itself
     mean_knn = dists[:, 1:].mean(axis=1)

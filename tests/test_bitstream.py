@@ -49,14 +49,14 @@ ALL_MODES = [
 # The geometry section's deflate bytes are zlib's, pinned here for zlib
 # 1.2.13; another zlib build that writes other bytes is a finding to
 # record, not a golden to update (the decoder is pinned independently by
-# V3_STREAM below)
+# V4_STREAM below)
 GOLDEN_SHA256 = {
     (CoordinateSystem.CARTESIAN, 8, False):
-        "6c8dbcef2a465da4cb9deadd48aa336ce4c2b6682e491867277856cbbb8d6f20",
+        "1f85f63dfc60f3010ea9631043e7c806b96bc03878439049b7934f9c97b707e0",
     (CoordinateSystem.CYLINDRICAL, 7, False):
-        "f6ea1fa3ef183308d9b98085bbb5d9a5c521c4608f58019db9c967c5714bc432",
+        "2a561b12a6cc150e64085b9859ae15921b0f6f0048c852e3f0f8acf2d652b935",
     (CoordinateSystem.CYLINDRICAL, 7, True):
-        "f92e3f18443c25a9ae2795992135c4d5c17b8df0cc8610b053e7853df8ea68ce",
+        "c20f5104f155a0b0ed3c0e7b5bc4303b3b6601bb0476733e6e5ba819db885b16",
 }
 
 
@@ -162,26 +162,6 @@ def test_decoder_rebuilds_the_encoder_grid_on_sub_metre_clouds(rmax, r_min):
     np.testing.assert_array_equal(decoded.cloud.xyz, voxel_centers(cfg, decoded.codes))
 
 
-@pytest.mark.parametrize("rmax,r_min", SUB_METRE)
-def test_streams_with_the_derived_radius_still_decode(rmax, r_min):
-    # earlier encoders wrote the radius of a log-radial grid as
-    # exp(ln r_min + (ln R - ln r_min)), which may differ from R by an ulp
-    data, _ = encode_cloud(sub_metre_cloud(rmax, r_min), CoordinateSystem.CYLINDRICAL,
-                           13, qstep=4.0, log_radial=True, r_min=r_min)
-    (radius,) = struct.unpack_from("<d", data, 18)
-    derived = math.exp(math.log(r_min) + (math.log(radius) - math.log(r_min)))
-    assert derived != radius
-    old = decode_cloud(data[:18] + struct.pack("<d", derived) + data[26:])
-    new = decode_cloud(data)
-    np.testing.assert_array_equal(old.codes, new.codes)
-    np.testing.assert_array_equal(old.leaf_attributes, new.leaf_attributes)
-    # the radial extent moves by at most 1 ulp, so each point by at most 1 ulp
-    # of its radius
-    np.testing.assert_array_max_ulp(old.config.extents[0], new.config.extents[0], 1)
-    r = np.hypot(new.cloud.xyz[:, 0], new.cloud.xyz[:, 1])
-    assert (np.abs(old.cloud.xyz - new.cloud.xyz) <= np.spacing(r)[:, None]).all()
-
-
 @pytest.mark.parametrize("qstep", [64.0, 8.0, 1.0, 0.25])
 def test_attribute_mse_bound_over_qsteps(cloud, qstep):
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=qstep,
@@ -261,16 +241,16 @@ def test_decoder_needs_only_the_bytes(cloud):
                            log_radial=True, r_min=2.0)
     decoded = decode_cloud(bytes(bytearray(data)))
     assert decoded.config.log_radial
-    assert decoded.config.r_min == 2.0
+    assert decoded.config.origin[0] == math.log(2.0)
     assert decoded.qstep == 8.0
 
 
-def test_plain_cylindrical_header_keeps_the_default_r_min(cloud):
+def test_plain_cylindrical_streams_ignore_r_min(cloud):
     # r_min shapes log-radial grids only, so it must not reach other headers
     streams = set()
     for r_min in (0.5, float("nan"), -3.0):
         cfg = make_config(cloud, CoordinateSystem.CYLINDRICAL, 7, r_min=r_min)
-        assert cfg.r_min == 1.0
+        assert cfg.origin[0] == 0.0
         data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=4.0, r_min=r_min)
         streams.add(data)
     assert len(streams) == 1
@@ -303,73 +283,81 @@ def test_header_field_validation(cloud):
     with pytest.raises(CorruptStreamError, match="log-radial flag on a Cartesian") as exc:
         decode_cloud(patch(9, b"\x01"))
     assert exc.value.offset == 9
-    with pytest.raises(CorruptStreamError, match="qstep"):
-        decode_cloud(patch(74, struct.pack("<d", -1.0)))
-    with pytest.raises(CorruptStreamError, match="bounds"):
-        decode_cloud(patch(18, struct.pack("<6d", 0, 0, 0, -5.0, 0, 0)))
-    # reserved bounds doubles must be eight zero bytes; 7.5 there once
-    # decoded into config.bounds
-    cyl, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=8.0,
-                          log_radial=True)
-    for stream, offsets in ((data, (50, 58)), (cyl, (42, 50, 58))):
-        for offset in offsets:
-            for value in (7.5, -0.0, math.nan):
-                bad = stream[:offset] + struct.pack("<d", value) + stream[offset + 8:]
-                with pytest.raises(CorruptStreamError, match="reserved bounds") as exc:
-                    decode_cloud(bad)
-                assert exc.value.offset == offset
+    with pytest.raises(CorruptStreamError, match="qstep") as exc:
+        decode_cloud(patch(66, struct.pack("<d", -1.0)))
+    assert exc.value.offset == 66
+    with pytest.raises(CorruptStreamError, match="grid") as exc:
+        decode_cloud(patch(10, struct.pack("<6d", 0, 0, 0, -5.0, 1, 1)))
+    assert exc.value.offset == 10
 
 
 def test_point_count_below_leaf_count_is_corrupt(cloud):
     data, summary = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
     for n_points in (summary.n_voxels, len(cloud)):
-        patched = data[:66] + struct.pack("<Q", n_points) + data[74:]
+        patched = data[:58] + struct.pack("<Q", n_points) + data[66:]
         assert decode_cloud(patched).n_points == n_points
     for n_points in (0, 1, summary.n_voxels - 1):
-        patched = data[:66] + struct.pack("<Q", n_points) + data[74:]
+        patched = data[:58] + struct.pack("<Q", n_points) + data[66:]
         with pytest.raises(CorruptStreamError, match="point count") as exc:
             decode_cloud(patched)
-        assert exc.value.offset == 66
+        assert exc.value.offset == 58
+
+
+def _patch_grid(data, field, value):
+    """``data`` with grid double ``field`` (origin 0-2, extents 3-5) set to ``value``."""
+    offset = 10 + 8 * field
+    return data[:offset] + struct.pack("<d", value) + data[offset + 8:]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("field", range(6))
+def test_non_finite_or_non_positive_grid_fields_are_corrupt(cloud, mode, field):
+    # a non-finite field once decoded to non-finite points and exited 2, not 4
+    system, depth, log_radial = mode
+    data, _ = encode_cloud(cloud, system, depth, qstep=8.0, log_radial=log_radial)
+    values = (math.inf, -math.inf, math.nan) + ((0.0, -0.0, -2.0) if field >= 3 else ())
+    for value in values:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptStreamError, match="^invalid grid in header: ") as exc:
+                decode_cloud(_patch_grid(data, field, value))
+        assert exc.value.offset == 10
 
 
 @pytest.mark.parametrize(
-    "system,patches",
+    "mode,patches",
     [
-        (CoordinateSystem.CARTESIAN, [(18, math.inf)]),  # origin x
-        (CoordinateSystem.CARTESIAN, [(34, math.nan)]),  # origin z
-        # finite fields whose voxel centers overflow: origin x + side > 1.8e308
-        (CoordinateSystem.CARTESIAN, [(18, 1.79e308), (42, 1e308)]),
-        (CoordinateSystem.CYLINDRICAL, [(18, math.inf)]),  # radius
-        (CoordinateSystem.CYLINDRICAL, [(34, math.nan)]),  # h_min
+        # origin x + side > 1.8e308
+        (ALL_MODES[0], [(0, 1.79e308), (3, 1e308)]),
+        # h_min + height > 1.8e308
+        (ALL_MODES[1], [(2, 1.79e308), (5, 1e308)]),
+        # exp(ln r_min + ln-radial extent) > 1.8e308
+        (ALL_MODES[2], [(0, 700.0), (3, 100.0)]),
     ],
 )
-def test_bounds_that_break_voxel_centers_are_corrupt(cloud, system, patches):
-    # these once decoded to non-finite points and exited 2, not 4
-    data, _ = encode_cloud(cloud, system, 6, qstep=8.0)
-    for offset, value in patches:
-        data = data[:offset] + struct.pack("<d", value) + data[offset + 8:]
+def test_finite_grid_that_breaks_voxel_centers_is_corrupt(cloud, mode, patches):
+    system, depth, log_radial = mode
+    data, _ = encode_cloud(cloud, system, depth, qstep=8.0, log_radial=log_radial)
+    for field, value in patches:
+        data = _patch_grid(data, field, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CorruptStreamError, match="header bounds") as exc:
+        with pytest.raises(CorruptStreamError) as exc:
             decode_cloud(data)
-    assert exc.value.offset == 18
-
-
-@pytest.mark.parametrize("log_radial", [False, True])
-@pytest.mark.parametrize(
-    "offset,value",
-    [(18, 0.0), (18, -1.0), (18, math.nan), (26, 0.0), (26, -2.0), (26, math.nan)],
-)  # cylinder radius at 18, height at 26
-def test_non_positive_cylinder_bounds_are_corrupt(cloud, log_radial, offset, value):
-    data, _ = encode_cloud(
-        cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0, log_radial=log_radial
-    )
-    data = data[:offset] + struct.pack("<d", value) + data[offset + 8:]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(CorruptStreamError, match="invalid bounds in header") as exc:
-            decode_cloud(data)
+    assert str(exc.value) == "header grid puts voxel centers outside the float64 range"
     assert exc.value.offset == 10
+
+
+def test_decoder_takes_the_grid_as_written(cloud):
+    # nothing pins the angular axis or the cube: any finite origin and
+    # positive extents decode to finite centers
+    for system, depth, log_radial in ALL_MODES:
+        data, _ = encode_cloud(cloud, system, depth, qstep=8.0, log_radial=log_radial)
+        for field, value in ((0, 1.5), (1, -7.5), (4, 0.25), (5, 1e-300)):
+            decoded = decode_cloud(_patch_grid(data, field, value))
+            grid = decoded.config.origin + decoded.config.extents
+            assert grid[field] == value
+            assert np.isfinite(decoded.cloud.xyz).all()
 
 
 def _sections(data):
@@ -404,10 +392,10 @@ def test_every_truncation_names_its_part(cloud):
     parts = [  # (cut, part, its size, its start byte)
         (0, "header", HEADER_BYTES, 0),
         (10, "header", HEADER_BYTES, 0),
-        (81, "header", HEADER_BYTES, 0),
-        (85, "geometry length", 8, 82),
-        (95, "geometry section", g, 90),
-        (90 + g - 1, "geometry section", g, 90),
+        (73, "header", HEADER_BYTES, 0),
+        (77, "geometry length", 8, 74),
+        (87, "geometry section", g, 82),
+        (82 + g - 1, "geometry section", g, 82),
     ]
     for cut, part, size, start in parts:
         with pytest.raises(CorruptStreamError) as exc:
@@ -420,12 +408,12 @@ def test_every_truncation_names_its_part(cloud):
         assert exc.value.offset == cut
     # no payload at all: RLGR runs out before the first coefficient
     with pytest.raises(CorruptStreamError) as exc:
-        decode_cloud(data[: 90 + g])
+        decode_cloud(data[: 82 + g])
     assert str(exc.value) == "attribute section: payload exhausted at bit offset 0"
 
 
 def _layout_rows(lines):
-    """(offset, size) of each row of a layout table: offsets like 90 or 90+G,
+    """(offset, size) of each row of a layout table: offsets like 82 or 82+G,
     sizes a byte count, the section length G, or the rest of the stream."""
     rows = []
     for line in lines:
@@ -539,11 +527,13 @@ def test_decoded_attributes_clamped_to_8bit_range():
     assert (decoded.leaf_attributes <= 255.0).all()
 
 
-# ------------------------------------------------ version 3 container
+# ------------------------------------------------ version 4 container
 
-# a 40-point cylindrical log-radial d6 stream at qstep 8: the header, G,
-# zlib's raw deflate of the occupancy bytes (four multi-child levels, then
-# two single-child ones) and the RLGR payload
+# a 40-point cylindrical log-radial d6 stream at qstep 8 in container v3:
+# the 82-byte header (r_min 1.0 at byte 10, then R, H, h_min and three
+# reserved zero doubles), G, zlib's raw deflate of the occupancy bytes
+# (four multi-child levels, then two single-child ones) and the RLGR
+# payload
 V3_STREAM = bytes.fromhex(
     "43594c50433103010601000000000000f03f0b2b31df635d28407b7d93a8a7be2e404d02"
     "f2d51eda21c0000000000000000000000000000000000000000000000000280000000000"
@@ -561,7 +551,26 @@ V3_DECODED_SHA256 = (
     "11ff51578c328f09a4fe14c93894dc2cbc708c9f38cb31fa0b20c41f8d80f883",
     "d556c49b73ca40b221d5a162f9d62949539a172c01931a6ab171553e623c3fea",
 )
+# the same stream in container v4: a 74-byte header whose grid is origin
+# (ln 1.0, -pi, h_min) and extents (ln R - ln 1.0, 2 pi, H), then v3's
+# G, geometry section and payload unchanged
+V4_STREAM = bytes.fromhex(
+    "43594c504331040106010000000000000000182d4454fb2109c04d02f2d51eda21c05b0d"
+    "4e11fcff0340182d4454fb2119407b7d93a8a7be2e402800000000000000000000000000"
+    "2040"
+) + V3_STREAM[82:]
 DEFLATE_AT = HEADER_BYTES + 8  # the geometry section, all deflate data
+
+
+def test_v4_stream_rewrites_only_the_v3_header():
+    (r_min, radius, height, h_min, *reserved,
+     n_points, qstep) = struct.unpack_from("<7dQd", V3_STREAM, 10)
+    assert r_min == 1.0 and reserved == [0.0, 0.0, 0.0]
+    grid = (math.log(r_min), -math.pi, h_min,
+            math.log(radius) - math.log(r_min), 2.0 * math.pi, height)
+    assert struct.unpack_from("<6dQd", V4_STREAM, 10) == (*grid, n_points, qstep)
+    assert V4_STREAM[:10] == V3_STREAM[:6] + b"\x04" + V3_STREAM[7:10]
+    assert V4_STREAM[HEADER_BYTES:] == V3_STREAM[82:]
 
 
 def _assert_v3_golden(data):
@@ -573,9 +582,9 @@ def _assert_v3_golden(data):
     assert (decoded.qstep, decoded.n_points) == (8.0, 40)
 
 
-def test_pinned_v3_stream_decodes_to_its_golden_arrays():
-    assert len(V3_STREAM) < 1024 and V3_STREAM[6] == 3
-    _assert_v3_golden(V3_STREAM)
+def test_pinned_v4_stream_decodes_to_the_v3_golden_arrays():
+    assert len(V4_STREAM) < 1024 and V4_STREAM[6] == 4
+    _assert_v3_golden(V4_STREAM)
 
 
 @pytest.mark.parametrize("level,strategy", [(0, zlib.Z_DEFAULT_STRATEGY),
@@ -583,7 +592,7 @@ def test_pinned_v3_stream_decodes_to_its_golden_arrays():
                                             (9, zlib.Z_FIXED)])
 def test_any_raw_deflate_of_the_occupancy_decodes_alike(level, strategy):
     # stored blocks, LZ77 matches or fixed codes: the decoder only inflates
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     z = zlib.compressobj(level, zlib.DEFLATED, -15, 9, strategy)
     other = z.compress(zlib.decompress(deflated, -15)) + z.flush()
     assert other != deflated
@@ -607,54 +616,60 @@ def test_version_2_streams_are_rejected():
     _rejects(V3_STREAM[:6] + b"\x02" + V3_STREAM[7:], "unsupported version 2", 6)
 
 
+def test_version_3_streams_are_rejected():
+    # v3 stored r_min and system-dependent bounds in an 82-byte header,
+    # which a v4 decoder would read as a grid followed by deflate data
+    _rejects(V3_STREAM, "unsupported version 3", 6)
+
+
 def test_empty_geometry_section_has_no_last_block():
     # zlib reads a max_length of 0 as no limit; an empty section inflates
     # nothing and fails the end-of-stream check
-    header, _, payload = _sections(V3_STREAM)
+    header, _, payload = _sections(V4_STREAM)
     _rejects(_pack(header, b"", payload),
-             "geometry section: the deflate data from byte 90 ends after 0 bytes,"
-             " before its last block", 90)
+             "geometry section: the deflate data from byte 82 ends after 0 bytes,"
+             " before its last block", 82)
 
 
 def test_invalid_deflate_data_names_its_first_byte():
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     # a final block of the reserved type 3
     _rejects(_pack(header, b"\x07" + deflated[1:], payload),
              "geometry section: Error -3 while decompressing data: invalid block type"
-             " (in the deflate data from byte 90)", 90)
+             " (in the deflate data from byte 82)", 82)
 
 
 def test_deflate_data_that_ends_before_its_last_block():
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     cut = deflated[: len(deflated) // 2]
     out = len(zlib.decompressobj(-15).decompress(cut))
     _rejects(_pack(header, cut, payload),
-             f"geometry section: the deflate data from byte 90 ends after {out} bytes,"
-             " before its last block", 90)
+             f"geometry section: the deflate data from byte 82 ends after {out} bytes,"
+             " before its last block", 82)
 
 
 def test_bytes_after_the_deflate_data_name_their_offset():
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     _rejects(_pack(header, deflated + b"\x00\x01\x02", payload),
              "geometry section: 3 bytes after the end of the deflate data",
              DEFLATE_AT + len(deflated))
 
 
 def test_occupancy_errors_name_the_inflated_byte():
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     raw = zlib.decompress(deflated, -15)
     _rejects(_pack(header, zlib.compress(raw + b"\x01", wbits=-15), payload),
              f"geometry section: inflated byte {len(raw)}: 1 trailing bytes after"
-             f" occupancy stream at offset {len(raw)}", 90)
+             f" occupancy stream at offset {len(raw)}", 82)
 
 
 def test_occupancy_one_byte_short_names_the_inflated_byte():
-    header, deflated, payload = _sections(V3_STREAM)
+    header, deflated, payload = _sections(V4_STREAM)
     raw = zlib.decompress(deflated, -15)
     short = len(raw) - 1
     _rejects(_pack(header, zlib.compress(raw[:short], wbits=-15), payload),
              f"geometry section: inflated byte {short}: occupancy stream truncated at"
-             f" byte {short}, expected {len(raw)} bytes", 90)
+             f" byte {short}, expected {len(raw)} bytes", 82)
 
 
 def _deflated_zeros():
@@ -678,18 +693,18 @@ def test_inflate_stops_at_the_cap_per_section_byte(monkeypatch):
     with pytest.raises(CorruptStreamError) as exc:
         bitstream._inflate_geometry(deflated, DEFLATE_AT)
     assert str(exc.value) == (
-        f"geometry section: the deflate data from byte 90 ends after {len(deflated)}"
+        f"geometry section: the deflate data from byte 82 ends after {len(deflated)}"
         " bytes, before its last block")
 
 
 def _payload_for(ints):
-    """V3_STREAM with its RLGR payload replaced by the coding of ``ints``."""
-    header, deflated, _ = _sections(V3_STREAM)
+    """V4_STREAM with its RLGR payload replaced by the coding of ``ints``."""
+    header, deflated, _ = _sections(V4_STREAM)
     return _pack(header, deflated, rlgr_encode(ints).data)
 
 
 def _v3_ints():
-    _, _, payload = _sections(V3_STREAM)
+    _, _, payload = _sections(V4_STREAM)
     return rlgr_decode(RlgrPayload(payload, 40), as_array=True)
 
 
@@ -723,30 +738,6 @@ def test_container_round_trips_at_every_depth(cloud, system, depth, log_radial):
     _, deflated, _ = _sections(data)
     assert zlib.decompress(deflated, -15) == raw
     assert (summary.geometry_raw_bytes, summary.geometry_bytes) == (len(raw), len(deflated))
-
-
-@pytest.mark.parametrize("system", [CoordinateSystem.CARTESIAN, CoordinateSystem.CYLINDRICAL])
-@pytest.mark.parametrize("value", [7.5, math.nan, -1.0])
-def test_r_min_other_than_one_on_a_grid_that_is_not_log_radial(cloud, system, value):
-    # r_min shapes nothing there; 7.5 or NaN once decoded into config.r_min
-    data, _ = encode_cloud(cloud, system, 6, qstep=8.0)
-    assert data[10:18] == struct.pack("<d", 1.0)
-    with pytest.raises(CorruptStreamError) as exc:
-        decode_cloud(data[:10] + struct.pack("<d", value) + data[18:])
-    assert str(exc.value) == f"r_min {value!r} on a grid that is not log-radial, which holds 1.0"
-    assert exc.value.offset == 10
-
-
-def test_log_radial_streams_keep_their_r_min(cloud):
-    data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0,
-                           log_radial=True, r_min=2.0)
-    for value in (1.5, 7.5):
-        patched = data[:10] + struct.pack("<d", value) + data[18:]
-        assert decode_cloud(patched).config.r_min == value
-    for value in (math.nan, -1.0):
-        with pytest.raises(CorruptStreamError, match="invalid bounds in header") as exc:
-            decode_cloud(data[:10] + struct.pack("<d", value) + data[18:])
-        assert exc.value.offset == 10
 
 
 def test_bit_flips_in_the_deflate_data_never_crash(cloud, tmp_path):

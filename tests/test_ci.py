@@ -1,4 +1,5 @@
-"""The CI workflow runs the tier-1 command exactly as ROADMAP.md writes it."""
+"""The CI workflow installs what pyproject.toml declares and runs the tier-1
+command exactly as ROADMAP.md writes it."""
 
 import re
 from pathlib import Path
@@ -10,9 +11,18 @@ yaml = pytest.importorskip("yaml")
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _runs():
+    """The ``run`` line of every step of the tier-1 workflow."""
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    return [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
+
+
 def test_ci_runs_the_roadmap_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
     assert tier1, "ROADMAP.md no longer states the tier-1 command"
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
-    runs = [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
-    assert tier1.group(1) in runs
+    assert tier1.group(1) in _runs()
+
+
+def test_ci_installs_through_the_package_metadata():
+    # a package list written into the workflow drifts from what pyproject.toml declares
+    assert any(run and "pip install" in run and '".[test]"' in run for run in _runs())

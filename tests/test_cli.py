@@ -337,14 +337,15 @@ def test_exit_code_4_on_corrupt_bitstream(tmp_path, small_ply, capsys):
     "offset,field,message",
     [
         (9, b"\x01", "log-radial flag on a Cartesian stream"),  # flags
-        (66, struct.pack("<Q", 1), "point count 1 is below the"),  # point count
-        (50, struct.pack("<d", 7.5), "reserved bounds field 4"),  # bounds[4]
+        (58, struct.pack("<Q", 1), "point count 1 is below the"),  # point count
+        (10, struct.pack("<d", float("nan")), "invalid grid in header"),  # origin x
+        (50, struct.pack("<d", 0.0), "invalid grid in header"),  # extent on z
     ],
 )
 def test_exit_code_4_on_inconsistent_header(tmp_path, small_ply, capsys, offset, field,
                                             message):
-    # each once decoded: as plain Cartesian, with source_points=1, and
-    # with 7.5 in the grid's bounds
+    # the first two once decoded: as plain Cartesian, and with
+    # source_points=1
     stream = tmp_path / "ok.cyl"
     run("encode", small_ply, "--coords", "cartesian", "--depth", "8", "--out", stream)
     data = stream.read_bytes()
@@ -512,19 +513,24 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def _child_env():
+    """The environment with the parent directory of the cylpc under test
+    first on PYTHONPATH: the caller's PYTHONPATH may be relative to
+    another cwd, or cylpc may not be installed at all."""
+    env = dict(os.environ)
+    root = str(Path(cylpc.__file__).resolve().parent.parent)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + os.pathsep + rest if rest else root
+    return env
+
+
 def test_decoder_runs_isolated_from_input(tmp_path, small_ply):
     # subprocess in an empty cwd with only the bitstream present
     stream = tmp_path / "only" / "frame.cyl"
     stream.parent.mkdir()
     assert run("encode", small_ply, "--depth", "8", "--out", stream) == 0
     cwd = stream.parent
-    # put the parent directory of the cylpc under test first on PYTHONPATH:
-    # the caller's PYTHONPATH may be relative to another cwd, or cylpc may
-    # not be installed at all
-    env = dict(os.environ)
-    root = str(Path(cylpc.__file__).resolve().parent.parent)
-    rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = root + os.pathsep + rest if rest else root
+    env = _child_env()
     assert sorted(os.listdir(cwd)) == ["frame.cyl"]
 
     # the child must run the cylpc under test, not some other install
@@ -546,6 +552,33 @@ def test_decoder_runs_isolated_from_input(tmp_path, small_ply):
     assert (cwd / "out.ply").exists()
     assert "out=out.ply" in proc.stdout
     assert sorted(os.listdir(cwd)) == ["frame.cyl", "out.ply"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.spatial cost encode and decode about half a second per process;
+    # only analyze's k-nearest-neighbour distances need it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cylpc.cli; print('scipy' in sys.modules)"],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("depth", [1, 8, 13, 21])
+@pytest.mark.parametrize("grid", [[], ["--log-radial"],
+                                  ["--log-radial", "--r-min", "0.981775961747949"]])
+def test_encode_and_decode_the_grid_edges(tmp_path, capsys, depth, grid):
+    # theta just below pi, r = 0 and r = 0.5 below that r_min: each once
+    # fell outside the voxel grid and exited 2
+    ply, stream = tmp_path / "edges.ply", tmp_path / "edges.cyl"
+    xyz = [[-1.0, 4e-16, 0.0], [0.0, 0.0, 0.5], [0.5, 0.0, 0.25], [5.0, 1.0, 1.0],
+           [10.0, -3.0, 2.0]]
+    write_ply(ply, PointCloud(np.array(xyz), np.array([10.0, 20.0, 30.0, 40.0, 50.0])))
+    assert run("encode", ply, "--coords", "cylindrical", "--depth", depth, *grid,
+               "--out", stream) == 0
+    assert run("decode", stream, "--out", tmp_path / "out.ply") == 0
+    assert len(load_ply(tmp_path / "out.ply")) == len(decode_cloud(stream.read_bytes()).codes)
 
 
 @pytest.fixture(scope="module")

@@ -18,13 +18,18 @@ from cylpc.geometry import cartesian_to_cylindrical, cylindrical_to_cartesian
 
 
 def box_bounds(pc):
-    """(x0, y0, z0, W, 0, 0) of the Cartesian grid around ``pc``."""
-    return make_config(pc, CoordinateSystem.CARTESIAN, 1).bounds
+    """(x0, y0, z0, W) of the Cartesian grid around ``pc``, whose sides are all W."""
+    cfg = make_config(pc, CoordinateSystem.CARTESIAN, 1)
+    assert cfg.extents == (cfg.extents[0],) * 3
+    return (*cfg.origin, cfg.extents[0])
 
 
 def cylinder_bounds(pc):
-    """(R, H, h_min, 0, 0, 0) of the cylindrical grid around ``pc``."""
-    return make_config(pc, CoordinateSystem.CYLINDRICAL, 1).bounds
+    """(R, H, h_min) of the cylindrical grid around ``pc``, whose angular
+    axis is [-pi, pi)."""
+    cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 1)
+    assert (cfg.origin[:2], cfg.extents[1]) == ((0.0, -math.pi), 2.0 * math.pi)
+    return cfg.extents[0], cfg.extents[2], cfg.origin[2]
 
 
 def cyl(x, y, z):
@@ -124,17 +129,16 @@ def test_point_cloud_validation():
 
 def test_bounding_cylinder_single_point():
     pc = PointCloud(np.array([[3.0, 4.0, 2.0]]), np.array([7.0]))
-    radius, height, h_min, *rest = cylinder_bounds(pc)
+    radius, height, h_min = cylinder_bounds(pc)
     assert radius == pytest.approx(5.0, rel=1e-6)
     assert radius > 5.0  # padded
     assert h_min == 2.0
     assert 0.0 < height < 1e-6
-    assert rest == [0.0, 0.0, 0.0]
 
 
 def test_bounding_cylinder_two_points():
     pc = PointCloud(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 5.0]]), np.array([0.0, 0.0]))
-    radius, height, h_min, *_ = cylinder_bounds(pc)
+    radius, height, h_min = cylinder_bounds(pc)
     assert radius == pytest.approx(2.0, rel=1e-6)
     assert h_min == 0.0
     assert height == pytest.approx(5.0, rel=1e-6)
@@ -143,11 +147,10 @@ def test_bounding_cylinder_two_points():
 
 def test_bounding_box_two_points():
     pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), np.array([0.0, 0.0]))
-    x0, y0, z0, side, *rest = box_bounds(pc)
+    x0, y0, z0, side = box_bounds(pc)
     assert (x0, y0, z0) == (0.0, 0.0, 0.0)
     assert side == pytest.approx(3.0, rel=1e-6)
     assert side > 3.0
-    assert rest == [0.0, 0.0]
 
 
 def test_bounding_volumes_contain_all_points():
@@ -156,8 +159,8 @@ def test_bounding_volumes_contain_all_points():
         n = rng.integers(1, 200)
         xyz = rng.normal(0.0, rng.uniform(0.1, 50.0), (n, 3))
         pc = PointCloud(xyz, np.full(n, 100.0))
-        x0, y0, z0, side, *_ = box_bounds(pc)
-        radius, height, h_min, *_ = cylinder_bounds(pc)
+        x0, y0, z0, side = box_bounds(pc)
+        radius, height, h_min = cylinder_bounds(pc)
         assert (xyz >= np.array([x0, y0, z0]) - 1e-12).all()
         assert (xyz < np.array([x0, y0, z0]) + side).all()
         r = np.hypot(xyz[:, 0], xyz[:, 1])

@@ -56,9 +56,9 @@ def test_log_radial_bin_edges_grow_geometrically():
     cfg = VoxelGridConfig(
         system=CoordinateSystem.CYLINDRICAL,
         depth=8,
-        bounds=(128.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+        origin=(math.log(0.5), -math.pi, 0.0),
+        extents=(math.log(128.0) - math.log(0.5), 2.0 * math.pi, 1.0),
         log_radial=True,
-        r_min=0.5,
     )
     assert cfg.extents[0] == pytest.approx(math.log(256.0), rel=1e-15)
     edges = np.exp(cfg.origin[0] + cfg.steps[0] * np.arange(257))
@@ -148,7 +148,7 @@ def test_cylindrical_binning_matches_interval_oracle():
         got = morton_decode(assign_codes(pc, cfg), 3)
         rth = cartesian_to_cylindrical(pc.xyz)
         if log_radial:
-            rth[:, 0] = np.log(np.maximum(rth[:, 0], cfg.r_min))
+            rth[:, 0] = np.log(np.maximum(rth[:, 0], 1.0))
         for coords, idx in zip(rth, got):
             for axis in range(3):
                 hits = [
@@ -261,6 +261,29 @@ def test_points_below_r_min_clamp_to_first_radial_bin():
     assert idx[0, 0] == 0 and idx[1, 0] == 0
 
 
+def test_clamp_below_r_min_uses_the_grids_own_log():
+    # numpy 2.4's np.log(r_min) is 1 ulp below math.log(r_min), the grid's
+    # origin: clamped to the former, these points once fell outside the grid
+    r_min = 0.981775961747949
+    pc = PointCloud(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [5.0, 1.0, 1.0]]), np.zeros(3))
+    for depth in (3, 13, 21):
+        cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, depth, log_radial=True, r_min=r_min)
+        idx = morton_decode(assign_codes(pc, cfg), depth)
+        assert idx[0, 0] == 0 and idx[1, 0] == 0
+
+
+@pytest.mark.parametrize("depth", [1, 8, 13, 21])
+@pytest.mark.parametrize("log_radial", [False, True])
+def test_theta_just_below_pi_lands_in_the_last_angular_bin(depth, log_radial):
+    # atan2 gives nextafter(pi, 0) here, and theta + pi rounds to 2 pi
+    pc = PointCloud(np.array([[-1.0, 4e-16, 0.0], [5.0, 1.0, 1.0], [10.0, -3.0, 2.0]]),
+                    np.zeros(3))
+    assert cartesian_to_cylindrical(pc.xyz)[0, 1] == np.nextafter(math.pi, 0.0)
+    cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, depth, log_radial=log_radial)
+    idx = morton_decode(assign_codes(pc, cfg), depth)
+    assert idx[0, 1] == (1 << depth) - 1
+
+
 # ------------------------------------------- per-axis columns, same bits
 
 GRIDS = {
@@ -275,15 +298,16 @@ def sweep():
     return synth_sweep(SweepSpec(beam_count=16, azimuth_step=2.0 * math.pi / 640.0), seed=3)
 
 
-def broadcast_bounds(pc, system):
-    """make_config's bounds as computed with (N, 3) reductions."""
+def broadcast_grid(pc, system, log_radial):
+    """make_config's (origin, extents) as computed with (N, 3) reductions, at r_min 1."""
     xyz = pc.xyz
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = xyz.min(axis=0).tolist(), xyz.max(axis=0).tolist()
-        return (*lo, max(_padded_span(a, b, "side") for a, b in zip(lo, hi)), 0.0, 0.0)
+        return tuple(lo), (max(_padded_span(a, b, "side") for a, b in zip(lo, hi)),) * 3
     h_min, h_max = float(xyz[:, 2].min()), float(xyz[:, 2].max())
     radius = _padded_span(0.0, float(np.hypot(xyz[:, 0], xyz[:, 1]).max()), "radius")
-    return (radius, _padded_span(h_min, h_max, "height"), h_min, 0.0, 0.0, 0.0)
+    radial = math.log(radius) - math.log(1.0) if log_radial else radius
+    return (0.0, -math.pi, h_min), (radial, 2.0 * math.pi, _padded_span(h_min, h_max, "height"))
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -292,11 +316,11 @@ def test_per_axis_geometry_keeps_the_broadcast_bits(sweep, grid):
     pc = PointCloud(np.vstack([sweep.xyz, random_cloud(np.random.default_rng(4), 500).xyz]),
                     np.zeros(len(sweep) + 500))
     cfg = make_config(pc, system, depth, log_radial=log_radial)
-    assert cfg.bounds == broadcast_bounds(pc, system)
+    assert (cfg.origin, cfg.extents) == broadcast_grid(pc, system, log_radial)
 
     coords = pc.xyz if system is CoordinateSystem.CARTESIAN else cartesian_to_cylindrical(pc.xyz)
     if log_radial:
-        coords[:, 0] = np.log(np.maximum(coords[:, 0], cfg.r_min))
+        coords[:, 0] = np.log(np.maximum(coords[:, 0], 1.0))
     idx = np.floor((coords - np.asarray(cfg.origin)) / np.asarray(cfg.steps)).astype(np.int64)
     codes = assign_codes(pc, cfg)
     np.testing.assert_array_equal(codes, morton_encode(idx))
