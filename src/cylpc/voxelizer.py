@@ -3,11 +3,10 @@
 A grid partitions each axis into 2**depth half-open bins of equal width
 in the axis domain. For the cylindrical system the axis domains are
 (r, theta, h) with theta spanning exactly [-pi, pi); the radial axis may
-optionally be partitioned uniformly in ln(r) between ln(r_min) and
-ln(R), which makes radial shells grow geometrically with distance from
-the sensor. Points with ln r below ln r_min (including r = 0) clamp into
-the first radial bin, and a theta that rounds up to the end of its axis
-goes to the last angular bin.
+be partitioned uniformly in ln(r) between ln(r_min) and ln(R), so radial
+shells grow geometrically with distance from the sensor. Points with
+ln r below ln r_min (and r = 0) clamp into the first radial bin, and a
+theta that rounds up to pi goes to the last angular bin.
 
 Points on a bin boundary go to the upper bin (floor semantics).
 Duplicate points are kept and add to the voxel's point count.
@@ -47,7 +46,8 @@ class VoxelGridConfig:
       cyl. + log:   origin = (ln r_min, -pi, h_min),  extents = (ln R - ln r_min, 2*pi, H)
 
     with R the padded bounding radius in meters. The per-axis
-    quantization step is extents[a] / 2**depth.
+    quantization step is extents[a] / 2**depth. Nothing else is accepted:
+    a cube, theta over exactly [-pi, pi), and a plain r axis from 0.
     """
 
     system: CoordinateSystem
@@ -64,13 +64,16 @@ class VoxelGridConfig:
         if not all(map(math.isfinite, self.origin)):
             raise InvalidConfigError(f"axis origins must be finite, got {self.origin}")
         if not all(0.0 < e < math.inf for e in self.extents):
+            raise InvalidConfigError(f"axis extents must be positive and finite, got {self.extents}")
+        if not ((self.origin[1], self.extents[1]) == (-math.pi, 2.0 * math.pi)
+                and (self.log_radial or self.origin[0] == 0.0)
+                if self.system is CoordinateSystem.CYLINDRICAL else len(set(self.extents)) == 1):
             raise InvalidConfigError(
-                f"axis extents must be positive and finite, got {self.extents}")
+                f"not a {self.system.value} grid: origin {self.origin}, extents {self.extents}")
 
     @property
     def steps(self) -> tuple[float, float, float]:
-        n = 1 << self.depth
-        return (self.extents[0] / n, self.extents[1] / n, self.extents[2] / n)
+        return tuple(e / (1 << self.depth) for e in self.extents)
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,7 @@ def make_config(
         raise InvalidInputError("cannot bound an empty point cloud")
     if system is CoordinateSystem.CARTESIAN:
         lo, hi = [float(c.min()) for c in pc.xyz.T], [float(c.max()) for c in pc.xyz.T]
-        side = max(_padded_span(a, b, f"side on the {axis} axis")
-                   for axis, a, b in zip("xyz", lo, hi))
+        side = max(_padded_span(a, b, f"side on the {axis} axis") for axis, a, b in zip("xyz", lo, hi))
         return VoxelGridConfig(system, depth, tuple(lo), (side, side, side), log_radial)
     h_min, h_max = float(pc.xyz[:, 2].min()), float(pc.xyz[:, 2].max())
     with np.errstate(over="ignore"):  # an infinite radius fails in _padded_span
@@ -145,8 +147,7 @@ def make_config(
     radius = _padded_span(0.0, r_max, "radius on the r axis")
     height = _padded_span(h_min, h_max, "height on the h axis")
     if not log_radial:
-        return VoxelGridConfig(system, depth, (0.0, -math.pi, h_min),
-                               (radius, 2.0 * math.pi, height))
+        return VoxelGridConfig(system, depth, (0.0, -math.pi, h_min), (radius, 2.0 * math.pi, height))
     if not 0.0 < r_min < radius:  # before any log
         raise InvalidConfigError(f"log_radial requires 0 < r_min < R, got r_min {r_min}, R {radius}")
     return VoxelGridConfig(system, depth, (math.log(r_min), -math.pi, h_min),
@@ -177,7 +178,7 @@ def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
     for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)):
         idx[a] = np.floor((coords[:, a] - lo) / step)
         if a == 1 and cfg.system is CoordinateSystem.CYLINDRICAL:
-            # theta + pi rounds to 2 pi for theta just below pi
+            # theta lies in [-pi, pi), but theta + pi rounds to 2 pi just below pi
             np.minimum(idx[a], top, out=idx[a])
         bad |= idx[a].view(np.uint64) > top
     if bad.any():

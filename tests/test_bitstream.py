@@ -327,8 +327,8 @@ def test_non_finite_or_non_positive_grid_fields_are_corrupt(cloud, mode, field):
 @pytest.mark.parametrize(
     "mode,patches",
     [
-        # origin x + side > 1.8e308
-        (ALL_MODES[0], [(0, 1.79e308), (3, 1e308)]),
+        # origin x + side > 1.8e308, with the cube kept
+        (ALL_MODES[0], [(0, 1.79e308), (3, 1e308), (4, 1e308), (5, 1e308)]),
         # h_min + height > 1.8e308
         (ALL_MODES[1], [(2, 1.79e308), (5, 1e308)]),
         # exp(ln r_min + ln-radial extent) > 1.8e308
@@ -349,15 +349,43 @@ def test_finite_grid_that_breaks_voxel_centers_is_corrupt(cloud, mode, patches):
 
 
 def test_decoder_takes_the_grid_as_written(cloud):
-    # nothing pins the angular axis or the cube: any finite origin and
-    # positive extents decode to finite centers
-    for system, depth, log_radial in ALL_MODES:
+    # what make_config leaves free decodes to finite centers as written
+    free = {  # mode -> grid fields set together
+        ALL_MODES[0]: [(0, 1.5), (1, -7.5), (3, 0.25), (4, 0.25), (5, 0.25)],
+        ALL_MODES[1]: [(2, -7.5), (3, 0.25), (5, 1e-300)],
+        ALL_MODES[2]: [(0, 1.5), (3, 0.25), (5, 1e-300)],
+    }
+    for (system, depth, log_radial), patches in free.items():
         data, _ = encode_cloud(cloud, system, depth, qstep=8.0, log_radial=log_radial)
-        for field, value in ((0, 1.5), (1, -7.5), (4, 0.25), (5, 1e-300)):
-            decoded = decode_cloud(_patch_grid(data, field, value))
-            grid = decoded.config.origin + decoded.config.extents
-            assert grid[field] == value
-            assert np.isfinite(decoded.cloud.xyz).all()
+        for field, value in patches:
+            data = _patch_grid(data, field, value)
+        decoded = decode_cloud(data)
+        grid = decoded.config.origin + decoded.config.extents
+        assert all(grid[field] == value for field, value in patches)
+        assert np.isfinite(decoded.cloud.xyz).all()
+
+
+@pytest.mark.parametrize(
+    "mode,field,value",
+    [
+        # a Cartesian grid is a cube
+        (ALL_MODES[0], 4, 0.25),
+        (ALL_MODES[0], 5, 1e300),
+        # theta spans exactly [-pi, pi)
+        (ALL_MODES[1], 1, 0.0),
+        (ALL_MODES[1], 4, math.pi),
+        (ALL_MODES[2], 1, -3.0),
+        (ALL_MODES[2], 4, 7.0),
+        # a plain radial axis starts at 0
+        (ALL_MODES[1], 0, 1.5),
+    ],
+)
+def test_grid_values_that_nothing_varies_are_corrupt(cloud, mode, field, value):
+    system, depth, log_radial = mode
+    data, _ = encode_cloud(cloud, system, depth, qstep=8.0, log_radial=log_radial)
+    with pytest.raises(CorruptStreamError, match=f"^invalid grid in header: not a {system.value} grid: ") as exc:
+        decode_cloud(_patch_grid(data, field, value))
+    assert exc.value.offset == 10
 
 
 def _sections(data):

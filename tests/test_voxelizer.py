@@ -284,6 +284,29 @@ def test_theta_just_below_pi_lands_in_the_last_angular_bin(depth, log_radial):
     assert idx[0, 1] == (1 << depth) - 1
 
 
+def test_configs_fix_what_make_config_never_varies():
+    # the angular clip above is exact only on the full circle, so a narrower
+    # angular axis, which would hide points past its end, is not a grid
+    rng = np.random.default_rng(4)
+    pc = random_cloud(rng, 50)
+    cart = make_config(pc, CoordinateSystem.CARTESIAN, 8)
+    cyl = make_config(pc, CoordinateSystem.CYLINDRICAL, 8)
+    log = make_config(pc, CoordinateSystem.CYLINDRICAL, 8, log_radial=True, r_min=0.5)
+    bad = [
+        (cart, cart.origin, (1.0, 1.0, 2.0)),
+        (cyl, (0.0, 0.0, 0.0), cyl.extents),
+        (cyl, cyl.origin, (cyl.extents[0], math.pi, cyl.extents[2])),
+        (log, log.origin, (log.extents[0], math.pi, log.extents[2])),
+        (cyl, (0.5,) + cyl.origin[1:], cyl.extents),
+    ]
+    for cfg, origin, extents in bad:
+        with pytest.raises(InvalidConfigError, match=f"^not a {cfg.system.value} grid: "):
+            VoxelGridConfig(cfg.system, cfg.depth, origin, extents, cfg.log_radial)
+    # the free values: any corner and side, h range, and a log-radial ln r_min
+    VoxelGridConfig(cart.system, 8, (-1.0, 2.0, 3.0), (0.5, 0.5, 0.5))
+    VoxelGridConfig(log.system, 8, (-3.0, -math.pi, 9.0), (0.1, 2.0 * math.pi, 0.2), True)
+
+
 # ------------------------------------------- per-axis columns, same bits
 
 GRIDS = {
