@@ -330,13 +330,12 @@ def decode_cloud(data: bytes) -> DecodedCloud:
     pos += _GEOMETRY.size
     occupancy = _inflate_geometry(_take(data, pos, geom_len, "geometry section"), pos)
     try:
-        octree = deserialize(occupancy, depth)
+        codes = deserialize(occupancy, depth).leaves
     except CorruptStreamError as exc:
         raise CorruptStreamError(
             f"geometry section: inflated byte {exc.offset}: {exc}", offset=pos
         ) from exc
     pos += geom_len
-    codes = octree.leaves
     if n_points < codes.size:
         raise CorruptStreamError(
             f"point count {n_points} is below the {codes.size} occupied leaves", offset=58

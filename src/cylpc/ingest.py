@@ -17,6 +17,7 @@ warning, not fatally; real sweeps contain invalid returns.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -255,8 +256,8 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
 
 # Largest sweep synth_sweep makes, counted in ray-surface tests: rays (beams
 # x azimuth steps) times surfaces (the ground plane and each box). The
-# default sweep makes 655,360 of them. At about 130 bytes of arrays per
-# ray, the cap keeps a sweep under about 2 GiB.
+# default sweep makes 655,360 of them. At a traced peak of about 80 bytes
+# per ray (the 420k-point frame), the cap keeps a sweep under about 1.3 GB.
 MAX_SWEEP_TESTS = 1 << 24
 
 # synthetic intensity models, for SweepSpec and synth --intensity
@@ -284,6 +285,13 @@ class SweepSpec:
     box_count: int = 3
 
     def __post_init__(self):
+        for name in ("beam_count", "box_count"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if np.shape(self.elevation_range) != (2,):
+            raise InvalidInputError(
+                f"elevation_range must be a (low, high) pair, got {self.elevation_range!r}"
+            )
         if self.beam_count < 1:
             raise InvalidInputError(f"beam_count must be >= 1, got {self.beam_count}")
         for name in ("azimuth_step", "max_range", "sensor_height", "elevation_range"):
@@ -316,51 +324,39 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
     """Deterministic synthetic sweep: rays from a sensor above a ground
     plane dotted with random boxes, with Gaussian range noise.
 
-    Beams fan out between the two elevations; the azimuth sweeps a full
-    turn in ``azimuth_step`` increments. Point density decays with radial
-    distance exactly as for a real spinning scanner: both the ring
-    spacing and the along-ring spacing grow with range.
+    The rays form one (beam, azimuth) grid: each beam, spaced evenly
+    between the two elevations, fires once per ``azimuth_step`` of a full
+    turn. Point density decays with radial distance exactly as for a real
+    spinning scanner: both the ring spacing and the along-ring spacing
+    grow with range.
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    # scene first so the draw order is independent of ray parameters
-    n_pillar = (spec.box_count + 1) // 2
-    n_car = spec.box_count // 2
-    # pillars sit past the outermost ground ring: they bound the height
-    # extent of the cloud while shadowing no ground returns
-    p_r = rng.uniform(0.88 * spec.max_range, 0.96 * spec.max_range, n_pillar)
-    p_az = rng.uniform(-math.pi, math.pi, n_pillar)
-    p_hx = rng.uniform(0.6, 1.2, n_pillar)
-    p_hy = rng.uniform(0.6, 1.2, n_pillar)
-    p_hz = rng.uniform(4.0, 8.0, n_pillar)
-    c_r = rng.uniform(0.3 * spec.max_range, 0.6 * spec.max_range, n_car)
-    c_az = rng.uniform(-math.pi, math.pi, n_car)
-    c_hx = rng.uniform(0.7, 1.1, n_car)
-    c_hy = rng.uniform(0.7, 1.1, n_car)
-    c_hz = rng.uniform(1.2, 1.8, n_car)
-    cx = np.r_[p_r * np.cos(p_az), c_r * np.cos(c_az)]
-    cy = np.r_[p_r * np.sin(p_az), c_r * np.sin(c_az)]
-    half_x = np.r_[p_hx, c_hx]
-    half_y = np.r_[p_hy, c_hy]
-    height = np.r_[p_hz, c_hz]
+    # scene first so the draw order is independent of ray parameters; a box
+    # is a column of (radius, bearing, half x, half y, height). Pillars sit
+    # past the outermost ground ring: they bound the height extent of the
+    # cloud while shadowing no ground returns
+    pillars = rng.uniform([[0.88 * spec.max_range], [-math.pi], [0.6], [0.6], [4.0]],
+                          [[0.96 * spec.max_range], [math.pi], [1.2], [1.2], [8.0]],
+                          (5, (spec.box_count + 1) // 2))
+    cars = rng.uniform([[0.3 * spec.max_range], [-math.pi], [0.7], [0.7], [1.2]],
+                       [[0.6 * spec.max_range], [math.pi], [1.1], [1.1], [1.8]],
+                       (5, spec.box_count // 2))
+    radius, bearing, half_x, half_y, height = np.hstack([pillars, cars])
+    cx, cy = radius * np.cos(bearing), radius * np.sin(bearing)
     box_lo = np.column_stack([cx - half_x, cy - half_y, np.zeros(spec.box_count)])
     box_hi = np.column_stack([cx + half_x, cy + half_y, height])
 
-    elevations = np.linspace(*spec.elevation_range, spec.beam_count)
-    n_az = max(1, int(2.0 * math.pi / spec.azimuth_step))
-    azimuths = -math.pi + spec.azimuth_step * np.arange(n_az)
-    el = np.repeat(elevations, n_az)
-    az = np.tile(azimuths, spec.beam_count)
-    beam_idx = np.repeat(np.arange(spec.beam_count), n_az)
-    az_idx = np.tile(np.arange(n_az), spec.beam_count)
-
+    el = np.linspace(*spec.elevation_range, spec.beam_count)[:, None]
+    az = -math.pi + spec.azimuth_step * np.arange(max(1, int(2.0 * math.pi / spec.azimuth_step)))
     cos_el = np.cos(el)
-    dirs = (cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el))  # one array per axis
+    dirs = (cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el))  # (B, n), (B, n), (B, 1)
     origin = np.array([0.0, 0.0, spec.sensor_height])
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dirs[2] < 0.0, -spec.sensor_height / dirs[2], np.inf)
+        ground = np.where(dirs[2] < 0.0, -spec.sensor_height / dirs[2], np.inf)
+        t = np.broadcast_to(ground, dirs[0].shape)  # the grid's shape even with no boxes
         for lo, hi in zip(box_lo, box_hi):
             # slab test one axis at a time; fmax/fmin skip the NaN of a 0/0
             # slab, and no ray has all three direction components zero
@@ -376,13 +372,15 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
     if spec.noise_sigma:
         t = t + rng.normal(0.0, spec.noise_sigma, t.shape)
     keep = np.isfinite(t) & (t > 0.0) & (t <= spec.max_range)
+    beam, step = rays = np.nonzero(keep)  # in the C order of t[keep]
     t = t[keep]
-    xyz = np.column_stack([origin[axis] + t * dirs[axis][keep] for axis in range(3)])
+    xyz = np.column_stack([origin[axis] + t * np.broadcast_to(dirs[axis], keep.shape)[rays]
+                           for axis in range(3)])
 
     if spec.intensity_model == "constant":
         attrs = np.full(t.shape, 128.0)
     elif spec.intensity_model == "range-decay":
         attrs = 255.0 * np.exp(-t / 50.0)
     else:  # checker
-        attrs = 255.0 * ((beam_idx[keep] // 8 + az_idx[keep] // 64) % 2).astype(np.float64)
+        attrs = 255.0 * ((beam // 8 + step // 64) % 2).astype(np.float64)
     return PointCloud(xyz, np.clip(attrs, 0.0, 255.0))

@@ -26,3 +26,9 @@ def test_ci_runs_the_roadmap_tier1_command():
 def test_ci_installs_through_the_package_metadata():
     # a package list written into the workflow drifts from what pyproject.toml declares
     assert any(run and "pip install" in run and '".[test]"' in run for run in _runs())
+
+
+def test_ci_prints_the_versions_the_digests_pin():
+    # the golden streams pin zlib's deflate, the synthetic frames numpy's Generator
+    assert any(run and "numpy.__version__" in run and "zlib.ZLIB_VERSION" in run
+               for run in _runs())

@@ -1,5 +1,6 @@
 """Frame loaders, the PLY writer and the synthetic sweep generator."""
 
+import hashlib
 import math
 import struct
 import warnings
@@ -346,6 +347,33 @@ def test_same_seed_byte_identical_different_seed_differs():
     assert a.xyz.tobytes() != c.xyz.tobytes()
 
 
+# sha256 of xyz.tobytes() + attributes.tobytes(): one case per branch of
+# synth_sweep (two pillars and a car, a checker, no scene and no noise, a
+# pillar alone, a single beam, pillars and cars by turns). They pin what
+# numpy's Generator and the platform's libm produce, as the golden streams
+# pin zlib.
+SYNTH_SHA256 = [
+    ({}, 7, "c2f2854a3dea91d6f17ab93709be2e3ecf65c0504f989feb1185e676dc9753e3"),
+    ({"intensity_model": "checker"}, 3,
+     "06f7ef2ff84c427e4e45a1fbac31fee05e637425cbb40537db5e6e580aaabca2"),
+    ({"intensity_model": "constant", "box_count": 0, "noise_sigma": 0.0}, 5,
+     "3bc116107ed439b516d1e83694c59ed12c7d50ddd543fed52866bc21ab2c7953"),
+    ({"box_count": 1}, 2, "088a5602c1bc072ab055cdb327e12ec43f6e4a93b2a6f33bfb28432896c317d4"),
+    ({"beam_count": 1}, 4, "13ba033a854a478cc57ad1167a17faaf2a65c509405fbfcd574e73aadb601aec"),
+    ({"box_count": 7}, 9, "d2a736629d51bbb08a04a757740ffe7d82f4ce446027b0c39611ffe63beabe7c"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,seed,digest",
+    SYNTH_SHA256,
+    ids=["default", "checker", "bare-constant", "one-pillar", "one-beam", "seven-boxes"],
+)
+def test_synth_frames_are_pinned(fields, seed, digest):
+    pc = synth_sweep(SweepSpec(**fields), seed=seed)
+    assert hashlib.sha256(pc.xyz.tobytes() + pc.attributes.tobytes()).hexdigest() == digest
+
+
 def test_default_spec_density_decays_with_radius():
     pc = synth_sweep(SweepSpec(), seed=0)
     knn = knn_mean_distance(pc, 5)
@@ -402,6 +430,23 @@ def test_spec_validation():
 )
 def test_spec_rejects_non_finite_fields(field, value):
     with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+        SweepSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("elevation_range", (-0.1,)),
+        ("elevation_range", (-0.1, 0.0, 0.1)),
+        ("elevation_range", -0.1),
+        ("beam_count", 2.5),
+        ("beam_count", 2.0),
+        ("box_count", 2.0),
+        ("box_count", "3"),
+    ],
+)
+def test_spec_rejects_misshapen_fields(field, value):
+    with pytest.raises(InvalidInputError, match=field):
         SweepSpec(**{field: value})
 
 
