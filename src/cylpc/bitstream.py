@@ -4,7 +4,7 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
 
     offset  size  field
     0        6    magic "CYLPC1"
-    6        1    version (4)
+    6        1    version (5)
     7        1    coordinate system: 0 Cartesian, 1 cylindrical
     8        1    octree depth (1..21)
     9        1    flags: bit 0 = log-radial partition (cylindrical only)
@@ -14,23 +14,23 @@ Layout (all integers little-endian, floats IEEE-754 binary64):
                   theta and h
     58       8    original point count N (>= the occupied leaf count)
     66       8    quantization step
-    74       8    geometry section length G
-    82       G    geometry section: the raw deflate (RFC 1951) of
+    74       G    geometry section: the raw deflate (RFC 1951) of
                   the occupancy bytes, one Huffman-only block per
-                  octree level
-    82+G     rest RLGR payload bytes, to the end of the stream
+                  octree level; its last block (BFINAL) ends it
+    74+G     rest RLGR payload bytes, to the end of the stream
 
-A stream that ends inside the header, G or the geometry section raises
-CorruptStreamError (exit 4), naming the part and the byte where the
-stream ends. The decoder inflates at most 1032 bytes per section byte,
-deflate's largest expansion, so its memory stays bounded by the stream,
-and needs the deflate data to end exactly at the end of the section.
-zlib reports no bit offset, so an inflate error names byte 82, where the
-deflate data starts; an error in the inflated occupancy (a zero byte,
-too few or too many bytes for the tree) names its inflated byte in the
-message and byte 82 as its offset. The occupied leaves give the
-coefficient count, and RLGR must use up the payload to its padding, so a
-payload cut short or followed by more bytes is an attribute section
+A stream that ends inside the header raises CorruptStreamError (exit 4),
+naming the byte where the stream ends. The section length G is not
+stored: the decoder inflates from byte 74 until the deflate data's last
+block, and what follows is the payload. It inflates at most 1032 bytes
+per byte after the header, deflate's largest expansion, so its memory
+stays bounded by the stream. zlib reports no bit offset, so an inflate
+error, or deflate data that ends before its last block, names byte 74,
+where the deflate data starts; an error in the inflated occupancy (a
+zero byte, too few or too many bytes for the tree) names its inflated
+byte in the message and byte 74 as its offset. The occupied leaves give
+the coefficient count, and RLGR must use up the payload to its padding,
+so a payload cut short or followed by more bytes is an attribute section
 error. The encoder's deflate bytes are those of the zlib build it runs
 on; any correct inflate decodes them. The decoder needs nothing beyond
 these bytes. Leaf weights are not transmitted: the wire pipeline runs
@@ -63,12 +63,10 @@ from .voxelizer import (
 )
 
 MAGIC = b"CYLPC1"
-VERSION = 4
+VERSION = 5
 
 _HEADER = struct.Struct("<6sBBBB6dQd")
-_GEOMETRY = struct.Struct("<Q")  # geometry section length
 HEADER_BYTES = _HEADER.size  # 74
-OVERHEAD_BYTES = HEADER_BYTES + _GEOMETRY.size
 
 # Finest qstep the encoder accepts. float64 holds an attribute below
 # 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
@@ -94,7 +92,7 @@ _INFLATE_MAX = 1032
 class EncodeSummary:
     """Per-stream rate accounting. Section bpp figures count section bytes
     only: the geometry section is the deflate data, the attribute section
-    the RLGR payload. header_bpp covers the fixed header and G, so the
+    the RLGR payload. header_bpp covers the fixed header, so the
     three sum exactly to the file size. geometry_raw_bytes counts the
     occupancy bytes before deflate."""
 
@@ -182,17 +180,18 @@ def _geometry_section(octree: Octree) -> tuple[int, bytes]:
     return raw_bytes, b"".join(parts)
 
 
-def _inflate_geometry(section: bytes, at: int) -> bytes:
-    """The occupancy bytes of a geometry section starting at byte ``at``.
+def _inflate_geometry(data: bytes, at: int) -> tuple[bytes, bytes]:
+    """The occupancy bytes of the deflate data from byte ``at`` of ``data``,
+    and the bytes after its last block.
 
-    At most _INFLATE_MAX bytes per section byte come out, which no valid
-    deflate stream reaches, so memory stays bounded by the section. A
-    max_length of 0 means no limit to zlib, but an empty section inflates
-    nothing and fails the end-of-stream check.
+    At most _INFLATE_MAX bytes per byte from ``at`` on come out, which no
+    valid deflate stream reaches, so memory stays bounded by the stream. A
+    max_length of 0 means no limit to zlib, but a stream that ends at
+    ``at`` inflates nothing and fails the end-of-stream check.
     """
     inflater = zlib.decompressobj(-15)
     try:
-        raw = inflater.decompress(section, _INFLATE_MAX * len(section))
+        raw = inflater.decompress(data[at:], _INFLATE_MAX * (len(data) - at))
     except zlib.error as exc:
         raise CorruptStreamError(
             f"geometry section: {exc} (in the deflate data from byte {at})", offset=at
@@ -203,13 +202,7 @@ def _inflate_geometry(section: bytes, at: int) -> bytes:
             " bytes, before its last block",
             offset=at,
         )
-    if inflater.unused_data:
-        trailing = len(inflater.unused_data)
-        raise CorruptStreamError(
-            f"geometry section: {trailing} bytes after the end of the deflate data",
-            offset=at + len(section) - trailing,
-        )
-    return raw
+    return raw, inflater.unused_data
 
 
 def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
@@ -226,14 +219,7 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
         n_points,
         qstep,
     )
-    return b"".join(
-        [
-            header,
-            _GEOMETRY.pack(len(geometry)),
-            geometry,
-            payload.data,
-        ]
-    )
+    return b"".join([header, geometry, payload.data])
 
 
 class Encoder:
@@ -325,23 +311,19 @@ def decode_cloud(data: bytes) -> DecodedCloud:
     except CylpcError as exc:
         raise CorruptStreamError(f"invalid grid in header: {exc}", offset=10) from exc
 
-    pos = HEADER_BYTES
-    (geom_len,) = _GEOMETRY.unpack(_take(data, pos, _GEOMETRY.size, "geometry length"))
-    pos += _GEOMETRY.size
-    occupancy = _inflate_geometry(_take(data, pos, geom_len, "geometry section"), pos)
+    occupancy, payload = _inflate_geometry(data, HEADER_BYTES)
     try:
         codes = deserialize(occupancy, depth).leaves
     except CorruptStreamError as exc:
         raise CorruptStreamError(
-            f"geometry section: inflated byte {exc.offset}: {exc}", offset=pos
+            f"geometry section: inflated byte {exc.offset}: {exc}", offset=HEADER_BYTES
         ) from exc
-    pos += geom_len
     if n_points < codes.size:
         raise CorruptStreamError(
             f"point count {n_points} is below the {codes.size} occupied leaves", offset=58
         )
     try:
-        ints = rlgr_decode(RlgrPayload(data[pos:], codes.size), as_array=True)
+        ints = rlgr_decode(RlgrPayload(payload, codes.size), as_array=True)
         attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
         raise CorruptStreamError(

@@ -77,7 +77,8 @@ def psnr_attribute(original, decoded) -> float:
             f"got {orig.shape} and {dec.shape}"
         )
     err = orig - dec
-    sse = float(np.dot(err, err))
+    # numpy's pairwise sum, not BLAS, whose threads split the sum by core count
+    sse = float(np.square(err).sum())
     if sse == 0.0:
         return LOSSLESS
     return -10.0 * math.log10(sse / (255.0**2 * orig.size))

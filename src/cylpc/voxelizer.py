@@ -57,6 +57,10 @@ class VoxelGridConfig:
     log_radial: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.system, CoordinateSystem):
+            raise InvalidConfigError(f"system {self.system!r} is not a CoordinateSystem")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, (int, np.integer)):
+            raise InvalidConfigError(f"depth {self.depth!r} is not an integer")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise InvalidConfigError(f"depth {self.depth} outside [1, {MAX_DEPTH}]")
         if self.log_radial and self.system is not CoordinateSystem.CYLINDRICAL:

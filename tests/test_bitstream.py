@@ -49,8 +49,18 @@ ALL_MODES = [
 # The geometry section's deflate bytes are zlib's, pinned here for zlib
 # 1.2.13; another zlib build that writes other bytes is a finding to
 # record, not a golden to update (the decoder is pinned independently by
-# V4_STREAM below)
+# V5_STREAM below)
 GOLDEN_SHA256 = {
+    (CoordinateSystem.CARTESIAN, 8, False):
+        "a4ba15fdc1f98ab7cbfd593e7fa3f90d6736e20410105ae6950da2dcc22ee1c6",
+    (CoordinateSystem.CYLINDRICAL, 7, False):
+        "e7d4193f92e3e9d97b07c3cf83faadecd6120dcaa7ea50a510328242e6b0e75b",
+    (CoordinateSystem.CYLINDRICAL, 7, True):
+        "c37b402dcdec11dccaee3da1d7d2ef3fb152f8730beb2e7075baed169d05a2c1",
+}
+# the same streams in container v4, which stored the geometry section's
+# length G, 8 bytes, between the header and the section
+V4_GOLDEN_SHA256 = {
     (CoordinateSystem.CARTESIAN, 8, False):
         "1f85f63dfc60f3010ea9631043e7c806b96bc03878439049b7934f9c97b707e0",
     (CoordinateSystem.CYLINDRICAL, 7, False):
@@ -64,6 +74,15 @@ GOLDEN_SHA256 = {
 def test_encode_matches_golden_bytes(cloud, system, depth, log_radial):
     data, _ = encode_cloud(cloud, system, depth, qstep=4.0, log_radial=log_radial)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[system, depth, log_radial]
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_golden_streams_are_the_v4_streams_without_g(cloud, system, depth, log_radial):
+    # only the version byte and G changed: putting G back gives the v4 bytes
+    data, summary = encode_cloud(cloud, system, depth, qstep=4.0, log_radial=log_radial)
+    v4 = (data[:6] + b"\x04" + data[7:HEADER_BYTES]
+          + struct.pack("<Q", summary.geometry_bytes) + data[HEADER_BYTES:])
+    assert hashlib.sha256(v4).hexdigest() == V4_GOLDEN_SHA256[system, depth, log_radial]
 
 
 # sha256 of the codes, xyz and leaf_attributes bytes of
@@ -224,7 +243,7 @@ def test_encode_is_deterministic(cloud):
 def test_rate_accounting_sums_to_file_size(cloud):
     data, summary = encode_cloud(cloud, CoordinateSystem.CARTESIAN, 8, qstep=4.0)
     assert summary.total_bytes == len(data)
-    assert summary.header_bytes == HEADER_BYTES + 8
+    assert summary.header_bytes == HEADER_BYTES
     assert (
         summary.header_bytes + summary.geometry_bytes + summary.attribute_bytes
         == len(data)
@@ -389,15 +408,18 @@ def test_grid_values_that_nothing_varies_are_corrupt(cloud, mode, field, value):
 
 
 def _sections(data):
-    """(header, geometry section, RLGR payload) of a stream."""
-    (g,) = struct.unpack_from("<Q", data, HEADER_BYTES)
-    start = HEADER_BYTES + 8
-    return data[:HEADER_BYTES], data[start : start + g], data[start + g :]
+    """(header, geometry section, RLGR payload) of a stream; the section
+    ends where its deflate data's last block does."""
+    inflater = zlib.decompressobj(-15)
+    inflater.decompress(data[HEADER_BYTES:])
+    assert inflater.eof
+    end = len(data) - len(inflater.unused_data)
+    return data[:HEADER_BYTES], data[HEADER_BYTES:end], data[end:]
 
 
 def _pack(header, geometry, payload):
-    """The stream of these parts, with G the geometry section's length."""
-    return header + struct.pack("<Q", len(geometry)) + geometry + payload
+    """The stream of these parts: no length separates them."""
+    return header + geometry + payload
 
 
 def test_truncations_are_corrupt(cloud):
@@ -408,7 +430,7 @@ def test_truncations_are_corrupt(cloud):
     for cut in range(len(data)):
         with pytest.raises(CorruptStreamError) as exc:
             decode_cloud(data[:cut])
-        if cut >= HEADER_BYTES + 8 + len(geometry):
+        if cut >= HEADER_BYTES + len(geometry):
             assert str(exc.value).startswith("attribute section: ")
 
 
@@ -417,31 +439,20 @@ def test_every_truncation_names_its_part(cloud):
     _, geometry, payload = _sections(data)
     g = len(geometry)
     assert g > 5 and len(payload) > 2
-    parts = [  # (cut, part, its size, its start byte)
-        (0, "header", HEADER_BYTES, 0),
-        (10, "header", HEADER_BYTES, 0),
-        (73, "header", HEADER_BYTES, 0),
-        (77, "geometry length", 8, 74),
-        (87, "geometry section", g, 82),
-        (82 + g - 1, "geometry section", g, 82),
-    ]
-    for cut, part, size, start in parts:
-        with pytest.raises(CorruptStreamError) as exc:
-            decode_cloud(data[:cut])
-        # a framing error once passed through the geometry section's rebasing,
-        # which doubled its offset and prefixed "geometry section: " again
-        assert str(exc.value) == (
-            f"stream ends at byte {cut} inside the {size}-byte {part} at byte {start}"
-        )
-        assert exc.value.offset == cut
+    for cut in (0, 10, 73):
+        _rejects(data[:cut], f"stream ends at byte {cut} inside the 74-byte header at byte 0",
+                 cut)
+    # the deflate data runs on until its last block, wherever the stream ends
+    for cut in (74, 79, 74 + g - 1):
+        out = len(zlib.decompressobj(-15).decompress(data[74:cut]))
+        _rejects(data[:cut], f"geometry section: the deflate data from byte 74 ends after"
+                 f" {out} bytes, before its last block", 74)
     # no payload at all: RLGR runs out before the first coefficient
-    with pytest.raises(CorruptStreamError) as exc:
-        decode_cloud(data[: 82 + g])
-    assert str(exc.value) == "attribute section: payload exhausted at bit offset 0"
+    _rejects(data[: 74 + g], "attribute section: payload exhausted at bit offset 0", 0)
 
 
 def _layout_rows(lines):
-    """(offset, size) of each row of a layout table: offsets like 82 or 82+G,
+    """(offset, size) of each row of a layout table: offsets like 74 or 74+G,
     sizes a byte count, the section length G, or the rest of the stream."""
     rows = []
     for line in lines:
@@ -475,12 +486,12 @@ def test_layout_tables_match_the_structs(source):
         table = bitstream.__doc__.split("offset  size  field", 1)[1].split("\n\n", 1)[0]
         lines = table.splitlines()
     rows = _layout_rows(lines)
-    fields = _struct_fields(bitstream._HEADER) + _struct_fields(bitstream._GEOMETRY) + ["G"]
+    fields = _struct_fields(bitstream._HEADER) + ["G"]
     ends, pos = set(), (0, 0)
     for size in fields:
         pos = _after(pos, size)
         ends.add(pos)
-    assert pos == (bitstream.OVERHEAD_BYTES, 1)
+    assert pos == (HEADER_BYTES, 1)
     at = (0, 0)
     for offset, size in rows[:-1]:
         const, _, g = offset.partition("+")
@@ -488,7 +499,7 @@ def test_layout_tables_match_the_structs(source):
         at = _after(at, size)
         assert at in ends, f"{source}: row at {offset} ends inside a field"
     assert at == pos
-    assert rows[-1] == (f"{bitstream.OVERHEAD_BYTES}+G", "rest")
+    assert rows[-1] == (f"{HEADER_BYTES}+G", "rest")
 
 
 def test_trailing_bytes_are_corrupt(cloud):
@@ -555,7 +566,7 @@ def test_decoded_attributes_clamped_to_8bit_range():
     assert (decoded.leaf_attributes <= 255.0).all()
 
 
-# ------------------------------------------------ version 4 container
+# ------------------------------------------------ version 5 container
 
 # a 40-point cylindrical log-radial d6 stream at qstep 8 in container v3:
 # the 82-byte header (r_min 1.0 at byte 10, then R, H, h_min and three
@@ -587,7 +598,14 @@ V4_STREAM = bytes.fromhex(
     "4e11fcff0340182d4454fb2119407b7d93a8a7be2e402800000000000000000000000000"
     "2040"
 ) + V3_STREAM[82:]
-DEFLATE_AT = HEADER_BYTES + 8  # the geometry section, all deflate data
+# the same stream in container v5: v4's header with version 5, then v3's
+# geometry section and payload with no G before them
+V5_STREAM = bytes.fromhex(
+    "43594c504331050106010000000000000000182d4454fb2109c04d02f2d51eda21c05b0d"
+    "4e11fcff0340182d4454fb2119407b7d93a8a7be2e402800000000000000000000000000"
+    "2040"
+) + V3_STREAM[90:]
+DEFLATE_AT = HEADER_BYTES  # the geometry section, all deflate data
 
 
 def test_v4_stream_rewrites_only_the_v3_header():
@@ -610,9 +628,16 @@ def _assert_v3_golden(data):
     assert (decoded.qstep, decoded.n_points) == (8.0, 40)
 
 
-def test_pinned_v4_stream_decodes_to_the_v3_golden_arrays():
-    assert len(V4_STREAM) < 1024 and V4_STREAM[6] == 4
-    _assert_v3_golden(V4_STREAM)
+def test_v5_stream_is_the_v4_stream_without_g():
+    assert V5_STREAM == V4_STREAM[:6] + b"\x05" + V4_STREAM[7:74] + V4_STREAM[82:]
+    # G held exactly the deflate data's length
+    (g,) = struct.unpack_from("<Q", V4_STREAM, 74)
+    assert len(_sections(V5_STREAM)[1]) == g
+
+
+def test_pinned_v5_stream_decodes_to_the_v3_golden_arrays():
+    assert len(V5_STREAM) < 1024 and V5_STREAM[6] == 5
+    _assert_v3_golden(V5_STREAM)
 
 
 @pytest.mark.parametrize("level,strategy", [(0, zlib.Z_DEFAULT_STRATEGY),
@@ -620,7 +645,7 @@ def test_pinned_v4_stream_decodes_to_the_v3_golden_arrays():
                                             (9, zlib.Z_FIXED)])
 def test_any_raw_deflate_of_the_occupancy_decodes_alike(level, strategy):
     # stored blocks, LZ77 matches or fixed codes: the decoder only inflates
-    header, deflated, payload = _sections(V4_STREAM)
+    header, deflated, payload = _sections(V5_STREAM)
     z = zlib.compressobj(level, zlib.DEFLATED, -15, 9, strategy)
     other = z.compress(zlib.decompress(deflated, -15)) + z.flush()
     assert other != deflated
@@ -646,58 +671,56 @@ def test_version_2_streams_are_rejected():
 
 def test_version_3_streams_are_rejected():
     # v3 stored r_min and system-dependent bounds in an 82-byte header,
-    # which a v4 decoder would read as a grid followed by deflate data
+    # which a v5 decoder would read as a grid followed by deflate data
     _rejects(V3_STREAM, "unsupported version 3", 6)
 
 
+def test_version_4_streams_are_rejected():
+    # v4 stored the geometry section's length G, which a v5 decoder would
+    # read as deflate data
+    _rejects(V4_STREAM, "unsupported version 4", 6)
+
+
 def test_empty_geometry_section_has_no_last_block():
-    # zlib reads a max_length of 0 as no limit; an empty section inflates
-    # nothing and fails the end-of-stream check
-    header, _, payload = _sections(V4_STREAM)
-    _rejects(_pack(header, b"", payload),
-             "geometry section: the deflate data from byte 82 ends after 0 bytes,"
-             " before its last block", 82)
+    # zlib reads a max_length of 0 as no limit; a stream that ends with its
+    # header inflates nothing and fails the end-of-stream check
+    _rejects(V5_STREAM[:HEADER_BYTES],
+             "geometry section: the deflate data from byte 74 ends after 0 bytes,"
+             " before its last block", 74)
 
 
 def test_invalid_deflate_data_names_its_first_byte():
-    header, deflated, payload = _sections(V4_STREAM)
+    header, deflated, payload = _sections(V5_STREAM)
     # a final block of the reserved type 3
     _rejects(_pack(header, b"\x07" + deflated[1:], payload),
              "geometry section: Error -3 while decompressing data: invalid block type"
-             " (in the deflate data from byte 82)", 82)
+             " (in the deflate data from byte 74)", 74)
 
 
 def test_deflate_data_that_ends_before_its_last_block():
-    header, deflated, payload = _sections(V4_STREAM)
+    header, deflated, _ = _sections(V5_STREAM)
     cut = deflated[: len(deflated) // 2]
     out = len(zlib.decompressobj(-15).decompress(cut))
-    _rejects(_pack(header, cut, payload),
-             f"geometry section: the deflate data from byte 82 ends after {out} bytes,"
-             " before its last block", 82)
-
-
-def test_bytes_after_the_deflate_data_name_their_offset():
-    header, deflated, payload = _sections(V4_STREAM)
-    _rejects(_pack(header, deflated + b"\x00\x01\x02", payload),
-             "geometry section: 3 bytes after the end of the deflate data",
-             DEFLATE_AT + len(deflated))
+    _rejects(header + cut,
+             f"geometry section: the deflate data from byte 74 ends after {out} bytes,"
+             " before its last block", 74)
 
 
 def test_occupancy_errors_name_the_inflated_byte():
-    header, deflated, payload = _sections(V4_STREAM)
+    header, deflated, payload = _sections(V5_STREAM)
     raw = zlib.decompress(deflated, -15)
     _rejects(_pack(header, zlib.compress(raw + b"\x01", wbits=-15), payload),
              f"geometry section: inflated byte {len(raw)}: 1 trailing bytes after"
-             f" occupancy stream at offset {len(raw)}", 82)
+             f" occupancy stream at offset {len(raw)}", 74)
 
 
 def test_occupancy_one_byte_short_names_the_inflated_byte():
-    header, deflated, payload = _sections(V4_STREAM)
+    header, deflated, payload = _sections(V5_STREAM)
     raw = zlib.decompress(deflated, -15)
     short = len(raw) - 1
     _rejects(_pack(header, zlib.compress(raw[:short], wbits=-15), payload),
              f"geometry section: inflated byte {short}: occupancy stream truncated at"
-             f" byte {short}, expected {len(raw)} bytes", 82)
+             f" byte {short}, expected {len(raw)} bytes", 74)
 
 
 def _deflated_zeros():
@@ -710,29 +733,33 @@ def _deflated_zeros():
 def test_best_deflate_ratio_inflates_under_the_cap():
     zeros, deflated = _deflated_zeros()
     assert 1000 * len(deflated) < len(zeros) < bitstream._INFLATE_MAX * len(deflated)
-    assert bitstream._inflate_geometry(deflated, DEFLATE_AT) == zeros
+    header = V5_STREAM[:HEADER_BYTES]
+    assert bitstream._inflate_geometry(header + deflated, DEFLATE_AT) == (zeros, b"")
+    assert bitstream._inflate_geometry(header + deflated + b"\x07", DEFLATE_AT) == (zeros, b"\x07")
 
 
-def test_inflate_stops_at_the_cap_per_section_byte(monkeypatch):
-    # with the cap at 1 byte per section byte the same data stops short
-    # and never reaches its last block
+def test_inflate_stops_at_the_cap_per_byte_after_the_header(monkeypatch):
+    # with the cap at 1 byte per byte after the header the same data stops
+    # short and never reaches its last block; payload bytes count too
     _, deflated = _deflated_zeros()
     monkeypatch.setattr(bitstream, "_INFLATE_MAX", 1)
-    with pytest.raises(CorruptStreamError) as exc:
-        bitstream._inflate_geometry(deflated, DEFLATE_AT)
-    assert str(exc.value) == (
-        f"geometry section: the deflate data from byte 82 ends after {len(deflated)}"
-        " bytes, before its last block")
+    for payload in (0, 1, 5):
+        with pytest.raises(CorruptStreamError) as exc:
+            bitstream._inflate_geometry(
+                V5_STREAM[:HEADER_BYTES] + deflated + bytes(payload), DEFLATE_AT)
+        assert str(exc.value) == (
+            f"geometry section: the deflate data from byte 74 ends after"
+            f" {len(deflated) + payload} bytes, before its last block")
 
 
 def _payload_for(ints):
-    """V4_STREAM with its RLGR payload replaced by the coding of ``ints``."""
-    header, deflated, _ = _sections(V4_STREAM)
+    """V5_STREAM with its RLGR payload replaced by the coding of ``ints``."""
+    header, deflated, _ = _sections(V5_STREAM)
     return _pack(header, deflated, rlgr_encode(ints).data)
 
 
 def _v3_ints():
-    _, _, payload = _sections(V4_STREAM)
+    _, _, payload = _sections(V5_STREAM)
     return rlgr_decode(RlgrPayload(payload, 40), as_array=True)
 
 

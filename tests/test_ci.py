@@ -11,10 +11,13 @@ yaml = pytest.importorskip("yaml")
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _workflow():
+    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+
+
 def _runs():
     """The ``run`` line of every step of the tier-1 workflow."""
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
-    return [step.get("run") for job in workflow["jobs"].values() for step in job["steps"]]
+    return [step.get("run") for job in _workflow()["jobs"].values() for step in job["steps"]]
 
 
 def test_ci_runs_the_roadmap_tier1_command():
@@ -32,3 +35,19 @@ def test_ci_prints_the_versions_the_digests_pin():
     # the golden streams pin zlib's deflate, the synthetic frames numpy's Generator
     assert any(run and "numpy.__version__" in run and "zlib.ZLIB_VERSION" in run
                for run in _runs())
+
+
+def test_ci_legs_start_at_the_numpy_floor():
+    # the tests call np.trapezoid, which numpy 2.0 added: a numpy 1 leg fails
+    # tier-1, so pyproject.toml's floor and the oldest leg are both 2.0
+    floor = re.search(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor and floor.group(1) == "2.0"
+    legs = [leg["numpy"] for job in _workflow()["jobs"].values()
+            for leg in job["strategy"]["matrix"]["include"]]
+    assert "numpy==2.0.*" in legs
+    assert all(leg == "numpy" or leg.startswith("numpy==2.") for leg in legs)
+
+
+def test_ci_runs_every_benchmark_workload():
+    # perfbench/test_perfbench.py runs only tiny frames of two workloads
+    assert "python3 perfbench/run.py --workload all --seconds 1" in _runs()

@@ -1,10 +1,15 @@
 """PSNR, rate accounting and Bjontegaard deltas."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylpc
 from cylpc import (
     LOSSLESS,
     EncodeSummary,
@@ -16,7 +21,7 @@ from cylpc import (
     read_rd_csv,
     write_rd_csv,
 )
-from cylpc.bitstream import OVERHEAD_BYTES
+from cylpc.bitstream import HEADER_BYTES
 
 
 def test_all_diff_255_is_zero_db():
@@ -51,12 +56,37 @@ def test_psnr_length_mismatch():
         psnr_attribute(np.zeros(3), np.zeros(4))
 
 
+PSNR_BITS = """
+import numpy as np
+from cylpc import psnr_attribute
+rng = np.random.default_rng(1)
+orig = rng.uniform(0.0, 255.0, 105105)
+print(psnr_attribute(orig, orig + rng.normal(0.0, 3.0, orig.size)).hex())
+"""
+
+
+def test_psnr_bits_do_not_depend_on_the_blas_thread_count():
+    # np.dot summed the squared errors through BLAS, whose threads split the
+    # sum, so the last bit of the PSNR changed with the machine's core count
+    root = str(Path(cylpc.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    bits = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=root + os.pathsep + rest if rest else root)
+        proc = subprocess.run([sys.executable, "-c", PSNR_BITS], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        bits.add(proc.stdout)
+    assert len(bits) == 1, bits
+
+
 def test_attribute_bpp():
     # payload bits per source point; the header counts in neither section
     def summary(attribute_bytes, n_points):
         return EncodeSummary(n_points=n_points, n_voxels=1, geometry_bytes=5,
                              attribute_bytes=attribute_bytes,
-                             total_bytes=OVERHEAD_BYTES + 5 + attribute_bytes,
+                             total_bytes=HEADER_BYTES + 5 + attribute_bytes,
                              geometry_raw_bytes=34)
 
     assert summary(0, 10).attribute_bpp == 0.0

@@ -1,6 +1,5 @@
 """Occupancy octree construction and byte-stream serialization."""
 
-import struct
 import zlib
 
 import numpy as np
@@ -240,14 +239,14 @@ def test_zero_byte_in_single_child_level_of_a_stream_names_its_offset():
     raw[at] = 0
     # any raw deflate of the patched bytes: the decoder only inflates
     section = zlib.compress(bytes(raw), wbits=-15)
-    end = HEADER_BYTES + 8 + summary.geometry_bytes
-    patched = data[:HEADER_BYTES] + struct.pack("<Q", len(section)) + section + data[end:]
+    end = HEADER_BYTES + summary.geometry_bytes
+    patched = data[:HEADER_BYTES] + section + data[end:]
     with pytest.raises(
         CorruptStreamError, match=f"^geometry section: inflated byte {at}: zero occupancy"
     ) as exc:
         decode_cloud(patched)
     # zlib gives no bit offset: the error points at the first deflate byte
-    assert exc.value.offset == HEADER_BYTES + 8
+    assert exc.value.offset == HEADER_BYTES
 
 
 def test_geometry_bpp():

@@ -14,6 +14,7 @@ from cylpc import (
     PointCloud,
     VoxelGridConfig,
     assign_codes,
+    encode_cloud,
     expected_error_cartesian,
     expected_error_cylindrical,
     knn_mean_distance,
@@ -82,6 +83,37 @@ def test_depth_bounds_enforced():
         make_config(pc, CoordinateSystem.CARTESIAN, 0)
     with pytest.raises(InvalidConfigError):
         make_config(pc, CoordinateSystem.CARTESIAN, 22)
+
+
+# a string system once went down the cylindrical branch of make_config and
+# failed formatting system.value; a float depth failed inside 1 << depth
+@pytest.mark.parametrize(
+    "system,depth,match",
+    [
+        ("cartesian", 8, "^system 'cartesian' is not a CoordinateSystem$"),
+        ("cylindrical", 8, "^system 'cylindrical' is not a CoordinateSystem$"),
+        ("polar", 8, "^system 'polar' is not a CoordinateSystem$"),
+        (1, 8, "^system 1 is not a CoordinateSystem$"),
+        (None, 8, "^system None is not a CoordinateSystem$"),
+        (CoordinateSystem.CARTESIAN, 8.0, "^depth 8.0 is not an integer$"),
+        (CoordinateSystem.CYLINDRICAL, "8", "^depth '8' is not an integer$"),
+        (CoordinateSystem.CARTESIAN, None, "^depth None is not an integer$"),
+        (CoordinateSystem.CARTESIAN, True, "^depth True is not an integer$"),
+    ],
+)
+def test_grids_reject_a_wrong_typed_system_or_depth(system, depth, match):
+    pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2))
+    with pytest.raises(InvalidConfigError, match=match):
+        make_config(pc, system, depth)
+    with pytest.raises(InvalidConfigError, match=match):
+        encode_cloud(pc, system, depth, 4.0)
+    with pytest.raises(InvalidConfigError, match=match):
+        VoxelGridConfig(system, depth, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+def test_numpy_integer_depths_still_build_grids():
+    pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2))
+    assert make_config(pc, CoordinateSystem.CARTESIAN, np.int64(8)).steps[0] > 0.0
 
 
 # ---------------------------------------------------------------- voxelize
