@@ -31,11 +31,11 @@ zero byte, too few or too many bytes for the tree) names its inflated
 byte in the message and byte 74 as its offset. The occupied leaves give
 the coefficient count, and RLGR must use up the payload to its padding,
 so a payload cut short or followed by more bytes is an attribute section
-error. The encoder's deflate bytes are those of the zlib build it runs
-on; any correct inflate decodes them. The decoder needs nothing beyond
-these bytes. Leaf weights are not transmitted: the wire pipeline runs
-the hierarchical transform with unit weight per occupied voxel, which
-the decoder reproduces from the occupancy stream alone.
+error; it names the byte where the payload starts, and its offset is a
+payload bit. Any correct inflate decodes the encoder's deflate bytes,
+which are those of its zlib build. Leaf weights are not transmitted: the
+wire pipeline runs the hierarchical transform with unit weight per
+occupied voxel, which the decoder reproduces from the occupancy stream.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptStreamError, CylpcError, InvalidConfigError
+from .errors import CorruptStreamError, CylpcError
 from .geometry import PointCloud
 from .morton import MAX_DEPTH
 from .octree import Octree, deserialize, octree_from_leaf_codes, serialize
 from .coeff_codec import RlgrPayload, dequantize, quantize, rlgr_decode, rlgr_encode
-from .raht import RahtSchedule, raht_forward_arrays, raht_inverse_arrays, raht_schedule
+from .raht import (CoefficientStream, RahtSchedule, raht_forward_arrays,
+                   raht_inverse_arrays, raht_schedule)
 from .voxelizer import (
     CoordinateSystem,
     VoxelGridConfig,
@@ -67,17 +68,6 @@ VERSION = 5
 
 _HEADER = struct.Struct("<6sBBBB6dQd")
 HEADER_BYTES = _HEADER.size  # 74
-
-# Finest qstep the encoder accepts. float64 holds an attribute below
-# 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
-# transform round trip adds about one such error per step: 3 butterfly
-# passes per level each way plus quantize and dequantize, at most
-# 6 * MAX_DEPTH + 2 = 128 = 2^7 steps, or 2^-38 in all. From 2^-35 on that
-# is at most qstep/8; added to the qstep/sqrt(12) RMS of uniform
-# quantization it keeps the RMS error under qstep/2, so MSE <= qstep^2/4.
-# Measured: rounding alone leaves an RMS error near 1e-13, and at qstep
-# 1e-13 the MSE reaches 5x the bound.
-QSTEP_MIN = 2.0**-35
 
 # The geometry coder: zlib's raw deflate (no zlib header or checksum,
 # 32 KiB window) at level 9 and memLevel 9, Huffman codes only. Each
@@ -148,7 +138,7 @@ def wire_schedule(codes: np.ndarray, depth: int) -> RahtSchedule:
 def attribute_ints(vc: VoxelizedCloud, qstep: float) -> np.ndarray:
     """Transform and quantize the attribute coefficients, in coding order."""
     schedule = wire_schedule(vc.codes, vc.config.depth)
-    return quantize(raht_forward_arrays(schedule, vc.attributes), qstep)
+    return quantize(raht_forward_arrays(schedule, vc.attributes).values, qstep)
 
 
 def decode_attributes(
@@ -160,7 +150,7 @@ def decode_attributes(
     that are not finite, which only a corrupt stream can cause.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        attrs = raht_inverse_arrays(dequantize(ints, qstep), schedule)
+        attrs = raht_inverse_arrays(CoefficientStream(dequantize(ints, qstep)), schedule)
     if not np.isfinite(attrs).all():
         raise CorruptStreamError(
             f"coefficients at qstep {qstep:g} reconstruct to non-finite attributes"
@@ -243,12 +233,7 @@ class Encoder:
 
     def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, np.ndarray]:
         """Return (bitstream, summary, the int64 coefficients RLGR coded into it)."""
-        if 0.0 < qstep < QSTEP_MIN:
-            raise InvalidConfigError(
-                f"qstep {qstep} is too small: below {QSTEP_MIN:g}, float64 rounding"
-                " breaks MSE <= qstep^2/4"
-            )
-        ints = quantize(self.coeffs, qstep)
+        ints = quantize(self.coeffs.values, qstep)
         payload = rlgr_encode(ints)
         data = pack_stream(
             self.voxels.config, self.voxels.n_points, qstep, self.geometry, payload
@@ -326,9 +311,9 @@ def decode_cloud(data: bytes) -> DecodedCloud:
         ints = rlgr_decode(RlgrPayload(payload, codes.size), as_array=True)
         attrs = decode_attributes(ints, wire_schedule(codes, depth), qstep)
     except CorruptStreamError as exc:
-        raise CorruptStreamError(
-            f"attribute section: {exc}", offset=exc.offset
-        ) from exc
+        start = len(data) - len(payload)
+        raise CorruptStreamError(f"attribute section (payload from byte {start}): {exc}",
+                                 offset=exc.offset) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         xyz = voxel_centers(cfg, codes)
     if not np.isfinite(xyz).all():

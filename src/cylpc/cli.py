@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="Bjontegaard comparison of both systems")
     p.add_argument("input")
-    p.add_argument("--depth-cart", type=int, default=16)
-    p.add_argument("--depth-cyl", type=int, default=13)
+    p.add_argument("--depth-cart", type=int, default=DEFAULT_DEPTH[CoordinateSystem.CARTESIAN])
+    p.add_argument("--depth-cyl", type=int, default=DEFAULT_DEPTH[CoordinateSystem.CYLINDRICAL])
     add_grid_flags(p, with_coords=False)
     p.add_argument("--qsteps", default=",".join(f"{q:g}" for q in DEFAULT_QSTEPS))
     p.add_argument("--report", default=None, help="write key=value report here")

@@ -61,7 +61,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CorruptStreamError, InvalidConfigError, InvalidInputError
-from .raht import CoefficientStream, _bit_length
+from .raht import _bit_length
 
 _LSGR = 3  # kp -> k shift; adaptation works in 1/8 steps
 _KPMAX = 80  # caps k and kr at 10
@@ -86,6 +86,17 @@ _ZIGZAG_MAX = (1 << 64) - 1
 _POS_MAX = (1 << 63) - 2
 _NEG_MAX = (1 << 63) - 1
 
+# Finest qstep quantize accepts. float64 holds an attribute below
+# 256 = 2^8 with a rounding error of up to 2^8 * 2^-53 = 2^-45, and the
+# transform round trip adds about one such error per step: 3 butterfly
+# passes per level each way plus quantize and dequantize, at most
+# 6 * MAX_DEPTH + 2 = 128 = 2^7 steps, or 2^-38 in all. From 2^-35 on that
+# is at most qstep/8; added to the qstep/sqrt(12) RMS of uniform
+# quantization it keeps the RMS error under qstep/2, so MSE <= qstep^2/4.
+# Measured: rounding alone leaves an RMS error near 1e-13, and at qstep
+# 1e-13 the MSE reaches 5x the bound.
+QSTEP_MIN = 2.0**-35
+
 
 @dataclass(frozen=True)
 class RlgrPayload:
@@ -99,15 +110,14 @@ class RlgrPayload:
             raise InvalidInputError(f"negative payload count {self.count}")
 
 
-def quantize(coeffs: CoefficientStream, qstep: float) -> np.ndarray:
-    """Uniform scalar quantization, rounding half away from zero.
-
-    Returns the int64 coefficients in coding order: DC first, then the
-    highs in emission order.
-    """
+def quantize(x: np.ndarray, qstep: float) -> np.ndarray:
+    """Uniform scalar quantization to int64, rounding half away from zero; the
+    codec's one qstep gate (positive, finite, >= QSTEP_MIN, fits int64)."""
     if not qstep > 0.0 or not np.isfinite(qstep):
         raise InvalidConfigError(f"qstep must be a positive finite number, got {qstep}")
-    x = np.r_[coeffs.dc, coeffs.highs]
+    if qstep < QSTEP_MIN:
+        raise InvalidConfigError(f"qstep {qstep} is too small: below {QSTEP_MIN:g},"
+                                 " float64 rounding breaks MSE <= qstep^2/4")
     with np.errstate(over="ignore"):  # an infinite quotient fails the check below
         q = np.sign(x) * np.floor(np.abs(x) / qstep + 0.5)
     # a cast of a magnitude >= 2^63 to int64 wraps silently
@@ -118,12 +128,9 @@ def quantize(coeffs: CoefficientStream, qstep: float) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def dequantize(ints: Sequence[int] | np.ndarray, qstep: float) -> CoefficientStream:
-    """Reconstruct coefficients in coding order at the quantization lattice points."""
-    values = np.asarray(ints, dtype=np.int64) * qstep
-    if values.size == 0:
-        raise InvalidInputError("no coefficients to dequantize: the DC is missing")
-    return CoefficientStream(dc=values[0], highs=values[1:])
+def dequantize(ints: Sequence[int] | np.ndarray, qstep: float) -> np.ndarray:
+    """The float64 lattice points of quantized values."""
+    return np.asarray(ints, dtype=np.int64) * qstep
 
 
 def _exhausted(pos: int) -> CorruptStreamError:

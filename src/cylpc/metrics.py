@@ -52,10 +52,9 @@ class RdCurve:
         bpp = [p.bpp for p in pts]
         if any(b2 <= b1 for b1, b2 in zip(bpp, bpp[1:])):
             raise InvalidInputError("rate points must be strictly increasing in bpp")
-        finite = [p for p in pts if math.isfinite(p.psnr_db)]
-        psnr = [p.psnr_db for p in finite]
+        psnr = [p.psnr_db for p in pts if math.isfinite(p.psnr_db)]
         if any(q2 < q1 for q1, q2 in zip(psnr, psnr[1:])):
-            warnings.warn("RD curve PSNR decreases with rate", stacklevel=2)
+            warnings.warn("RD curve PSNR decreases with rate", stacklevel=3)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -92,14 +91,12 @@ class BdMetrics:
     delta_rate_percent: float
 
 
-def _finite_points(curve: RdCurve) -> tuple[np.ndarray, np.ndarray]:
-    pts = [p for p in curve.points if math.isfinite(p.psnr_db)]
-    if len(pts) < 4:
+def _lossy_points(curve: RdCurve) -> tuple[np.ndarray, np.ndarray]:
+    """log10(bpp) and PSNR of the curve's finite (lossy) points."""
+    lossy = np.isfinite(curve.psnr_db)
+    if lossy.sum() < 4:
         raise InvalidInputError("need >= 4 finite (lossy) points per curve")
-    return (
-        np.array([p.bpp for p in pts]),
-        np.array([p.psnr_db for p in pts]),
-    )
+    return np.log10(curve.bpp[lossy]), curve.psnr_db[lossy]
 
 
 def _poly_average_gap(x_a, y_a, x_b, y_b) -> float:
@@ -119,15 +116,18 @@ def bd_metrics(curve_a: RdCurve, curve_b: RdCurve) -> BdMetrics:
     """Bjontegaard deltas of curve B relative to curve A.
 
     Positive delta_psnr_db means B is better at equal rate; negative
-    delta_rate_percent means B spends less rate at equal quality.
+    delta_rate_percent means B spends less rate at equal quality. A delta
+    that is not finite raises InvalidInputError.
     """
-    bpp_a, psnr_a = _finite_points(curve_a)
-    bpp_b, psnr_b = _finite_points(curve_b)
-    log_a = np.log10(bpp_a)
-    log_b = np.log10(bpp_b)
-    delta_psnr = _poly_average_gap(log_a, psnr_a, log_b, psnr_b)
-    avg_log_gap = _poly_average_gap(psnr_a, log_a, psnr_b, log_b)
-    delta_rate = (10.0**avg_log_gap - 1.0) * 100.0
+    log_a, psnr_a = _lossy_points(curve_a)
+    log_b, psnr_b = _lossy_points(curve_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        delta_psnr = _poly_average_gap(log_a, psnr_a, log_b, psnr_b)
+        avg_log_gap = _poly_average_gap(psnr_a, log_a, psnr_b, log_b)
+        delta_rate = (10.0**avg_log_gap - 1.0) * 100.0
+    for name, delta in (("delta_psnr_db", delta_psnr), ("delta_rate_percent", delta_rate)):
+        if not np.isfinite(delta):
+            raise InvalidInputError(f"Bjontegaard {name} is {delta}: the cubic fits diverge")
     return BdMetrics(delta_psnr_db=float(delta_psnr), delta_rate_percent=float(delta_rate))
 
 

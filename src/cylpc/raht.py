@@ -26,11 +26,12 @@ left ends l and j = i + 1, writes only left ends, and never compacts an
 array.
 High-pass coefficients are emitted in schedule order: deepest pass
 first, ascending code within a pass. The low-pass value of the root run
-is the DC coefficient. The decoder replays the schedule backwards from
-the leaf codes and weights alone, so only the coefficients need to be
-transmitted. ``raht_schedule`` validates a leaf set and builds its
-schedule once; the forward transform and every inverse over that leaf
-set take the schedule.
+is the DC coefficient. A ``CoefficientStream`` holds them as one array
+in coding order, the DC first; no other module knows that order. The
+decoder replays the schedule backwards from the leaf codes and weights
+alone, so only the coefficients need to be transmitted.
+``raht_schedule`` validates a leaf set and builds its schedule once; the
+forward transform and every inverse over that leaf set take the schedule.
 
 Everything here consumes only the interleaved codes: identical leaf
 codes produce identical coefficients in either coordinate system.
@@ -48,17 +49,21 @@ from .morton import MAX_DEPTH
 
 @dataclass(frozen=True)
 class CoefficientStream:
-    """DC coefficient plus high-pass coefficients in emission order.
+    """The float64 coefficients in coding order: the DC, then the highs as emitted."""
 
-    ``raht_forward_arrays`` and ``dequantize`` build it with float64 highs.
-    """
+    values: np.ndarray
 
-    dc: float
-    highs: np.ndarray
+    @property
+    def dc(self) -> float:
+        return float(self.values[0])
+
+    @property
+    def highs(self) -> np.ndarray:
+        return self.values[1:]
 
     @property
     def count(self) -> int:
-        return self.highs.size + 1
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,8 @@ class RahtSchedule:
 def _bit_length(v: np.ndarray) -> np.ndarray:
     """Exact bit length of each positive int64 or uint64, as int8."""
     # frexp of the nearest float64, less one where the float rounded up to
-    # the next power of two (only from 2^53 on); the shift takes v's dtype,
-    # so numpy 1.24's value-based casting and NEP 50 agree on uint64
+    # the next power of two (only from 2^53 on); the shift count takes v's
+    # dtype, since NEP 50 refuses to shift uint64 by frexp's int32 exponents
     e = np.frexp(v.astype(np.float64))[1]
     return (e - (v >> (e - 1).astype(v.dtype) == 0)).astype(np.int8)
 
@@ -126,18 +131,21 @@ def raht_forward_arrays(
     schedule: RahtSchedule, attributes: np.ndarray
 ) -> CoefficientStream:
     """Forward transform of per-leaf attributes into one DC and n-1 highs."""
-    values = np.array(attributes, dtype=np.float64)  # low-pass values at left ends
-    if values.shape != (schedule.leaves,):
+    lows = np.array(attributes, dtype=np.float64)  # low-pass values at left ends
+    if lows.shape != (schedule.leaves,):
         raise InvalidInputError(
-            f"attributes of shape {values.shape} for {schedule.leaves} leaves"
+            f"attributes of shape {lows.shape} for {schedule.leaves} leaves"
         )
-    highs = [np.empty(0)]  # a single leaf has no pass
+    values = np.empty(schedule.leaves)
+    end = 1
     for j, l, sw1, sw2 in schedule.passes:
-        a1 = values.take(l)
-        a2 = values[j]
-        values[l] = sw1 * a1 + sw2 * a2
-        highs.append(sw1 * a2 - sw2 * a1)
-    return CoefficientStream(dc=float(values[0]), highs=np.concatenate(highs))
+        a1 = lows.take(l)
+        a2 = lows[j]
+        lows[l] = sw1 * a1 + sw2 * a2
+        values[end : end + j.size] = sw1 * a2 - sw2 * a1
+        end += j.size
+    values[0] = lows[0]
+    return CoefficientStream(values)
 
 
 def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np.ndarray:
@@ -146,11 +154,11 @@ def raht_inverse_arrays(coeffs: CoefficientStream, schedule: RahtSchedule) -> np
         raise InvalidInputError(
             f"{coeffs.count} coefficients for {schedule.leaves} leaves"
         )
-    values = np.full(schedule.leaves, coeffs.dc, dtype=np.float64)
-    end = coeffs.highs.size
+    values = np.full(schedule.leaves, coeffs.values[0], dtype=np.float64)
+    end = coeffs.count
     for j, l, sw1, sw2 in reversed(schedule.passes):
         low = values.take(l)
-        high = coeffs.highs[end - j.size : end]
+        high = coeffs.values[end - j.size : end]
         end -= j.size
         values[l] = sw1 * low - sw2 * high
         values[j] = sw2 * low + sw1 * high

@@ -26,8 +26,8 @@ from cylpc import (
 )
 from cylpc import bitstream, octree_from_leaf_codes, serialize
 from cylpc.cli import main
-from cylpc.bitstream import HEADER_BYTES, MAGIC, QSTEP_MIN, Encoder, decode_attributes
-from cylpc.coeff_codec import RlgrPayload, rlgr_decode, rlgr_encode
+from cylpc.bitstream import HEADER_BYTES, MAGIC, Encoder, attribute_ints, decode_attributes
+from cylpc.coeff_codec import QSTEP_MIN, RlgrPayload, rlgr_decode, rlgr_encode
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,22 @@ def test_qstep_just_below_floor_rejected(cloud):
         encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=below)
 
 
+def test_attribute_ints_rejects_a_qstep_below_the_floor(cloud):
+    # attribute_ints once quantized at any positive qstep: on the seed-7
+    # 105k-point cyl-log d13 frame, 1e-13 decoded to 5.1x the MSE bound
+    below = float(np.nextafter(QSTEP_MIN, 0.0))
+    vc = voxelize(cloud, make_config(cloud, CoordinateSystem.CYLINDRICAL, 7))
+    for qstep in (below, 1e-13):
+        message = (f"^qstep {qstep} is too small: below {QSTEP_MIN:g}, float64 rounding"
+                   r" breaks MSE <= qstep\^2/4$")
+        with pytest.raises(InvalidConfigError, match=message):
+            attribute_ints(vc, qstep)
+        with pytest.raises(InvalidConfigError, match=message):
+            encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=qstep)
+    _, _, ints = Encoder(cloud, CoordinateSystem.CYLINDRICAL, 7).encode(QSTEP_MIN)
+    np.testing.assert_array_equal(attribute_ints(vc, QSTEP_MIN), ints)
+
+
 def test_encode_is_deterministic(cloud):
     a, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=2.0)
     b, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=2.0)
@@ -430,8 +446,9 @@ def test_truncations_are_corrupt(cloud):
     for cut in range(len(data)):
         with pytest.raises(CorruptStreamError) as exc:
             decode_cloud(data[:cut])
-        if cut >= HEADER_BYTES + len(geometry):
-            assert str(exc.value).startswith("attribute section: ")
+        start = HEADER_BYTES + len(geometry)
+        if cut >= start:
+            assert str(exc.value).startswith(f"attribute section (payload from byte {start}): ")
 
 
 def test_every_truncation_names_its_part(cloud):
@@ -448,7 +465,8 @@ def test_every_truncation_names_its_part(cloud):
         _rejects(data[:cut], f"geometry section: the deflate data from byte 74 ends after"
                  f" {out} bytes, before its last block", 74)
     # no payload at all: RLGR runs out before the first coefficient
-    _rejects(data[: 74 + g], "attribute section: payload exhausted at bit offset 0", 0)
+    _rejects(data[: 74 + g], f"attribute section (payload from byte {74 + g}): payload"
+             " exhausted at bit offset 0", 0)
 
 
 def _layout_rows(lines):
@@ -506,9 +524,10 @@ def test_trailing_bytes_are_corrupt(cloud):
     # RLGR must end inside the payload's last byte, so any byte after it
     # leaves at least 8 unread bits
     data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 6, qstep=8.0)
+    start = len(data) - len(_sections(data)[2])
     for byte in range(256):
-        with pytest.raises(CorruptStreamError,
-                           match=r"^attribute section: \d+ unread bits after decoding"):
+        with pytest.raises(CorruptStreamError, match=rf"^attribute section \(payload from"
+                           rf" byte {start}\): \d+ unread bits after decoding"):
             decode_cloud(data + bytes([byte]))
 
 
@@ -770,13 +789,14 @@ def test_coefficient_count_cross_checked():
     _assert_v3_golden(_payload_for(ints))
     for extra in (0, 5, -3):
         _rejects(_payload_for(np.append(ints, extra)),
-                 "attribute section: 11 unread bits after decoding 40 values at bit"
-                 " offset 269", 269)
+                 "attribute section (payload from byte 226): 11 unread bits after decoding"
+                 " 40 values at bit offset 269", 269)
 
 
 def test_payload_one_coefficient_short_is_exhausted():
     _rejects(_payload_for(_v3_ints()[:-1]),
-             "attribute section: payload exhausted at bit offset 264", 264)
+             "attribute section (payload from byte 226): payload exhausted at bit offset 264",
+             264)
 
 
 @pytest.mark.parametrize("depth", range(1, 22))

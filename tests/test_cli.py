@@ -27,8 +27,9 @@ from cylpc import (
     read_rd_csv,
     write_ply,
 )
-from cylpc.bitstream import QSTEP_MIN, Encoder, pack_stream
-from cylpc.cli import build_parser, main
+from cylpc.bitstream import HEADER_BYTES, Encoder, pack_stream
+from cylpc.coeff_codec import QSTEP_MIN
+from cylpc.cli import DEFAULT_DEPTH, build_parser, main
 from cylpc.ingest import INTENSITY_MODELS
 from cylpc.voxelizer import assign_codes
 
@@ -282,6 +283,31 @@ def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     )
 
 
+def test_compare_rejects_diverging_bjontegaard_fits(tmp_path, capsys):
+    # at depth 1 on an 8-beam sweep the cubic fits diverge: compare printed
+    # bd_delta_rate_percent=inf and exited 0 after a numpy overflow warning
+    ply = tmp_path / "t.ply"
+    assert run("synth", "--seed", "1", "--beams", "8", "--binary", "--out", ply) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = run("compare", ply, "--depth-cart", "1", "--depth-cyl", "1")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "bd_delta" not in out
+    assert err == ("error: Bjontegaard delta_rate_percent is inf: the cubic fits"
+                   " diverge\n")
+    assert [w.category for w in record] == [UserWarning]
+    assert "PSNR decreases" in str(record[0].message)
+    assert record[0].filename == cylpc.cli.__file__  # the caller, not "<string>"
+
+
+def test_compare_depths_default_to_the_encoder_defaults():
+    args = build_parser().parse_args(["compare", "x.ply"])
+    assert args.depth_cart == DEFAULT_DEPTH[CoordinateSystem.CARTESIAN] == 16
+    assert args.depth_cyl == DEFAULT_DEPTH[CoordinateSystem.CYLINDRICAL] == 13
+
+
 def test_compare_names_the_qsteps_that_collapse_to_one_rate(tmp_path, small_ply, capsys):
     # qsteps 4 and 4.001 code to one attribute bpp on both grids; the error
     # once read "an RD curve needs >= 4 points, got 3" and named neither
@@ -382,7 +408,9 @@ def test_exit_code_4_on_corrupt_attribute_section(
         code = run("decode", bad, "--out", tmp_path / "out.ply")
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: corrupt bitstream: attribute section: ")
+    start = HEADER_BYTES + len(encoder.geometry)
+    assert err.startswith(
+        f"error: corrupt bitstream: attribute section (payload from byte {start}): ")
     assert message in err
     assert not (tmp_path / "out.ply").exists()
 

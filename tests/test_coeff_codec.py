@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylpc import (
-    CoefficientStream,
     CorruptStreamError,
     InvalidConfigError,
     InvalidInputError,
@@ -19,71 +18,70 @@ from cylpc import (
     rlgr_encode,
 )
 from cylpc import coeff_codec
+from cylpc.coeff_codec import QSTEP_MIN
 
 
 # ---------------------------------------------------------------- quantizer
 
 
 def test_zero_stays_zero():
-    q = quantize(CoefficientStream(dc=0.0, highs=np.zeros(5)), 17.3)
+    q = quantize(np.zeros(6), 17.3)
     assert q.dtype == np.int64
     assert q.shape == (6,)
     assert (q == 0).all()
 
 
 def test_round_half_away_from_zero():
-    q = quantize(CoefficientStream(dc=7.4, highs=np.array([-7.4, 3.0, -3.0, 2.5])), 2.0)
-    # DC first: 7.4 / 2 = 3.7 -> 4; 2.5/2 = 1.25 -> 1; 3/2 = 1.5 -> 2
+    q = quantize(np.array([7.4, -7.4, 3.0, -3.0, 2.5]), 2.0)
+    # 7.4 / 2 = 3.7 -> 4; 2.5/2 = 1.25 -> 1; 3/2 = 1.5 -> 2
     assert q.tolist() == [4, -4, 2, -2, 1]
 
 
 def test_quantizer_bound():
     rng = np.random.default_rng(0)
-    coeffs = CoefficientStream(dc=rng.uniform(-500, 500), highs=rng.uniform(-500, 500, 1000))
+    x = rng.uniform(-500, 500, 1001)
     for qstep in (0.25, 1.0, 7.7, 64.0):
-        back = dequantize(quantize(coeffs, qstep), qstep)
-        assert abs(back.dc - coeffs.dc) <= qstep / 2.0
-        assert np.abs(back.highs - coeffs.highs).max() <= qstep / 2.0
+        back = dequantize(quantize(x, qstep), qstep)
+        assert back.dtype == np.float64
+        assert np.abs(back - x).max() <= qstep / 2.0
 
 
 def test_dequantize_is_identity_on_lattice():
     qstep = 3.5
-    coeffs = CoefficientStream(dc=7.0, highs=np.array([-10.5, 0.0, 3.5]))
-    back = dequantize(quantize(coeffs, qstep), qstep)
-    assert back.dc == coeffs.dc
-    np.testing.assert_array_equal(back.highs, coeffs.highs)
-
-
-def test_dequantize_needs_a_dc():
-    with pytest.raises(InvalidInputError, match="DC"):
-        dequantize([], 2.0)
-    with pytest.raises(InvalidInputError, match="DC"):
-        dequantize(np.zeros(0, dtype=np.int64), 2.0)
+    x = np.array([7.0, -10.5, 0.0, 3.5])
+    np.testing.assert_array_equal(dequantize(quantize(x, qstep), qstep), x)
 
 
 def test_invalid_qstep():
-    coeffs = CoefficientStream(dc=1.0, highs=np.zeros(1))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(InvalidConfigError):
-            quantize(coeffs, bad)
+        with pytest.raises(InvalidConfigError, match="positive finite"):
+            quantize(np.ones(2), bad)
+
+
+def test_qstep_below_the_floor_rejected():
+    below = float(np.nextafter(QSTEP_MIN, 0.0))
+    for qstep in (below, 1e-13, 1e-20, 5e-324):
+        with pytest.raises(InvalidConfigError, match=(
+            f"^qstep {qstep} is too small: below {QSTEP_MIN:g}, float64 rounding"
+            r" breaks MSE <= qstep\^2/4$"
+        )):
+            quantize(np.ones(2), qstep)
+    assert quantize(np.ones(2), QSTEP_MIN).tolist() == [2**35, 2**35]
 
 
 def test_qstep_that_overflows_int64_rejected():
-    coeffs = CoefficientStream(dc=100.0, highs=np.array([0.5, -300.0]))
-    for qstep in (1e-20, 1e-300, 5e-324):
+    for x, qstep in (([100.0, 0.5, 2.0**40], QSTEP_MIN), ([1e300, 0.0], 1.0),
+                     ([0.0, -1e30], 1e3)):
         with pytest.raises(InvalidConfigError, match="does not fit in int64"):
-            quantize(coeffs, qstep)
-    # only the dc overflows
-    with pytest.raises(InvalidConfigError):
-        quantize(CoefficientStream(dc=1e4, highs=np.zeros(3)), 1e-16)
+            quantize(np.array(x), qstep)
 
 
 def test_largest_int64_magnitudes_kept_exactly():
     top = 2.0**63 - 1024  # the largest float64 below 2^63
-    q = quantize(CoefficientStream(dc=-top, highs=np.array([top, 2.0**62])), 1.0)
+    q = quantize(np.array([-top, top, 2.0**62]), 1.0)
     assert q.tolist() == [-(2**63 - 1024), 2**63 - 1024, 2**62]
     with pytest.raises(InvalidConfigError):
-        quantize(CoefficientStream(dc=0.0, highs=np.array([2.0**63])), 1.0)
+        quantize(np.array([0.0, 2.0**63]), 1.0)
 
 
 # ------------------------------------------------------------------- rlgr

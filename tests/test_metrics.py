@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,28 @@ def test_rd_curve_requires_strictly_increasing_bpp():
 def test_rd_curve_warns_on_decreasing_psnr():
     with pytest.warns(UserWarning):
         _curve(BPP, [32.0, 31.0, 40.0, 44.0, 50.0])
+
+
+def test_rd_curve_warning_names_its_caller():
+    # stacklevel 2 named "<string>", the __init__ that dataclass generates
+    with pytest.warns(UserWarning, match="PSNR decreases") as record:
+        RdCurve(tuple(RatePoint(b, p) for b, p in zip(BPP, [32.0, 31.0, 40.0, 44.0, 50.0])))
+    assert record[0].filename == __file__
+
+
+def test_diverging_fits_raise_instead_of_returning_inf():
+    # the cubic fits of log10 rate against PSNR lie 1298.5 decades apart on
+    # average: 10**gap overflowed to an inf delta with a numpy warning
+    curve_a = _curve([0.00246647, 0.00369971, 0.00616618, 0.0110991, 0.0135656],
+                     [19.6458, 19.7874, 19.8173, 19.8309, 19.8447])
+    with pytest.warns(UserWarning, match="PSNR decreases"):
+        curve_b = _curve([0.00246647, 0.00369971, 0.00493294, 0.00739941, 0.0135656,
+                          0.0160321], [18.3603, 26.3856, 26.3856, 26.3344, 26.3631, 26.4125])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError,
+                           match="^Bjontegaard delta_rate_percent is inf: the cubic fits"):
+            bd_metrics(curve_a, curve_b)
 
 
 def test_csv_round_trip(tmp_path):

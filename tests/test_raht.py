@@ -1,5 +1,6 @@
 """Hierarchical attribute transform: orthonormality, inversion, ordering."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -200,13 +201,24 @@ def test_pass_numbers_are_exact_at_the_float_rounding_edge():
         assert lengths.tolist() == [v.bit_length() for v in values]
 
 
+def test_coefficients_are_one_array_in_coding_order():
+    codes, attrs, weights, depth = random_instance(np.random.default_rng(3))
+    coeffs = raht_forward_arrays(raht_schedule(codes, weights, depth), attrs)
+    assert [f.name for f in dataclasses.fields(CoefficientStream)] == ["values"]
+    assert coeffs.values.dtype == np.float64
+    assert coeffs.count == coeffs.values.size == codes.size
+    assert coeffs.dc == coeffs.values[0]
+    assert coeffs.highs.base is coeffs.values  # a view, not a copy
+
+
 def test_count_mismatch_rejected():
     leaves = octree_from_leaf_codes(np.array([0, 1, 2]), 1).leaves
+    schedule = raht_schedule(leaves, np.ones(3), 1)
     with pytest.raises(InvalidInputError, match="2 coefficients for 3 leaves"):
-        raht_inverse_arrays(
-            CoefficientStream(dc=1.0, highs=np.zeros(1)),
-            raht_schedule(leaves, np.ones(3), 1),
-        )
+        raht_inverse_arrays(CoefficientStream(np.array([1.0, 0.0])), schedule)
+    # an empty stream has no DC to start the inverse from
+    with pytest.raises(InvalidInputError, match="0 coefficients for 3 leaves"):
+        raht_inverse_arrays(CoefficientStream(np.zeros(0)), schedule)
 
 
 def test_duplicate_and_unsorted_leaves_rejected():
