@@ -88,14 +88,24 @@ def to_cartesian(p: CylindricalPoint) -> CartesianPoint:
     return CartesianPoint(p.r * math.cos(p.theta), p.r * math.sin(p.theta), p.h)
 
 
+def cylindrical_axes(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized conversion of (N, 3) x/y/z into 1-D arrays r, theta, h.
+
+    The voxelizer bins these one axis at a time, with no (N, 3) stack.
+    This is the one place that wraps theta = +pi to -pi and sets
+    theta = 0 at the axis; r and theta are new arrays, h views z.
+    """
+    x, y, h = np.asarray(xyz, dtype=np.float64).T
+    r = np.hypot(x, y)
+    theta = np.arctan2(y, x)
+    theta[theta >= np.pi] = -np.pi
+    theta[r == 0.0] = 0.0
+    return r, theta, h
+
+
 def cartesian_to_cylindrical(xyz: np.ndarray) -> np.ndarray:
     """Vectorized conversion: (N, 3) x/y/z -> (N, 3) r/theta/h."""
-    xyz = np.asarray(xyz, dtype=np.float64)
-    r = np.hypot(xyz[:, 0], xyz[:, 1])
-    theta = np.arctan2(xyz[:, 1], xyz[:, 0])
-    theta = np.where(theta >= np.pi, -np.pi, theta)
-    theta = np.where(r == 0.0, 0.0, theta)
-    return np.column_stack((r, theta, xyz[:, 2]))
+    return np.column_stack(cylindrical_axes(xyz))
 
 
 def cylindrical_to_cartesian(rth: np.ndarray) -> np.ndarray:

@@ -234,11 +234,17 @@ def load_ply(path) -> PointCloud:
     return _drop_nonfinite(xyz, attrs, str(path))
 
 
+# rows that write_ply formats with one % operation: bounds the transient
+# string at a few MB
+_ASCII_BLOCK_ROWS = 1 << 16
+
+
 def write_ply(path, pc: PointCloud, binary: bool = False):
     """Write a cloud with float64 x, y, z, intensity properties.
 
     ASCII output uses 17 significant digits so coordinates round-trip
-    exactly; identical clouds produce byte-identical files.
+    exactly; identical clouds produce byte-identical files, the same bytes
+    as ``np.savetxt(fmt="%.17g")``.
     """
     with open(path, "wb") as f:
         f.write(b"ply\n")
@@ -251,7 +257,10 @@ def write_ply(path, pc: PointCloud, binary: bool = False):
         if binary:
             rows.astype("<f8").tofile(f)
         else:
-            np.savetxt(f, rows, fmt="%.17g")
+            for start in range(0, len(rows), _ASCII_BLOCK_ROWS):
+                block = rows[start:start + _ASCII_BLOCK_ROWS]
+                f.write((("%.17g %.17g %.17g %.17g\n" * len(block))
+                         % tuple(block.ravel().tolist())).encode())
 
 
 # Largest sweep synth_sweep makes, counted in ray-surface tests: rays (beams

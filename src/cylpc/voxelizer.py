@@ -10,6 +10,12 @@ theta that rounds up to pi goes to the last angular bin.
 
 Points on a bin boundary go to the upper bin (floor semantics).
 Duplicate points are kept and add to the voxel's point count.
+
+Coordinates are binned one contiguous axis array at a time. Voxel
+centers evaluate exp, cos and sin once per bin and gather them per leaf,
+but only when the 2**depth bins do not outnumber the leaves, so that a
+decoder's memory stays bounded by the stream it reads; with fewer leaves
+they run per leaf. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
-from .geometry import PointCloud, cartesian_to_cylindrical
+from .geometry import PointCloud, cylindrical_axes
 from .morton import MAX_DEPTH, morton_decode, morton_encode
 
 # Relative padding applied to bounding extents, so that maximal points
@@ -158,29 +164,29 @@ def make_config(
                            (math.log(radius) - math.log(r_min), 2.0 * math.pi, height), True)
 
 
-def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
-    """Per-point coordinates in the grid's (possibly transformed) axis domain."""
+def _axis_coordinates(pc: PointCloud, cfg: VoxelGridConfig) -> tuple[np.ndarray, ...]:
+    """Per-point coordinates in the grid's (possibly transformed) axis
+    domain, one 1-D array per axis."""
     if cfg.system is CoordinateSystem.CARTESIAN:
-        return pc.xyz
-    rth = cartesian_to_cylindrical(pc.xyz)
+        return tuple(pc.xyz.T)
+    r, theta, h = cylindrical_axes(pc.xyz)
     if cfg.log_radial:
         # clamp against the origin the bins start from; ln 0 = -inf clamps too
         with np.errstate(divide="ignore"):
-            rth[:, 0] = np.maximum(np.log(rth[:, 0]), cfg.origin[0])
-    return rth
+            np.maximum(np.log(r, out=r), cfg.origin[0], out=r)
+    return r, theta, h
 
 
 def assign_codes(pc: PointCloud, cfg: VoxelGridConfig) -> np.ndarray:
     """Interleaved voxel code of every point of ``pc`` under ``cfg``."""
     if len(pc) == 0:
         raise InvalidInputError("cannot voxelize an empty point cloud")
-    coords = _axis_coordinates(pc, cfg)
     # one contiguous row per axis; a negative index wraps to >= 2^depth as uint64
     idx = np.empty((3, len(pc)), dtype=np.int64)
     bad = np.zeros(len(pc), dtype=bool)
     top = (1 << cfg.depth) - 1
-    for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)):
-        idx[a] = np.floor((coords[:, a] - lo) / step)
+    for a, (coord, lo, step) in enumerate(zip(_axis_coordinates(pc, cfg), cfg.origin, cfg.steps)):
+        idx[a] = np.floor((coord - lo) / step)
         if a == 1 and cfg.system is CoordinateSystem.CYLINDRICAL:
             # theta lies in [-pi, pi), but theta + pi rounds to 2 pi just below pi
             np.minimum(idx[a], top, out=idx[a])
@@ -207,21 +213,42 @@ def voxelize(pc: PointCloud, cfg: VoxelGridConfig) -> VoxelizedCloud:
     )
 
 
+def _centers(cfg: VoxelGridConfig, a: int, i: np.ndarray, out=None) -> np.ndarray:
+    """lo + (i + 0.5) * step: the centers of bins i on axis a."""
+    return np.add(cfg.origin[a], (i + 0.5) * cfg.steps[a], out=out)
+
+
+def _bin_values(cfg: VoxelGridConfig, a: int, i: np.ndarray, *funcs) -> list[np.ndarray]:
+    """f(center of bin i on axis a) for each f in ``funcs``: from a table
+    of all 2**depth bins when that is no longer than i, else per leaf."""
+    if 1 << cfg.depth > i.size:
+        return [f(_centers(cfg, a, i)) for f in funcs]
+    table = _centers(cfg, a, np.arange(1 << cfg.depth))
+    return [f(table).take(i) for f in funcs]
+
+
 def voxel_centers(cfg: VoxelGridConfig, codes: np.ndarray) -> np.ndarray:
     """Cartesian (N, 3) centers of the voxels addressed by ``codes``.
 
     Centers are the midpoints of each axis bin in the axis domain; for a
     log-radial grid the radial midpoint is taken in the log domain and
-    exponentiated, i.e. the geometric center of the shell.
+    exponentiated, i.e. the geometric center of the shell. exp, cos and
+    sin are evaluated per bin and gathered per leaf, but only when the
+    bins do not outnumber the leaves, so memory stays bounded by the
+    number of leaves; otherwise they run per leaf. Both give the same bits.
     """
     ijk = morton_decode(np.asarray(codes, dtype=np.int64), cfg.depth)
-    u, v, w = (lo + (ijk[:, a] + 0.5) * step
-               for a, (lo, step) in enumerate(zip(cfg.origin, cfg.steps)))
-    if cfg.system is CoordinateSystem.CARTESIAN:
-        return np.column_stack((u, v, w))
-    if cfg.log_radial:
-        u = np.exp(u)
-    return np.column_stack((u * np.cos(v), u * np.sin(v), w))
+    out = np.empty(ijk.shape)
+    cartesian = cfg.system is CoordinateSystem.CARTESIAN
+    for a in range(3) if cartesian else (2,):
+        _centers(cfg, a, ijk[:, a], out=out[:, a])
+    if cartesian:
+        return out
+    r = _bin_values(cfg, 0, ijk[:, 0], np.exp)[0] if cfg.log_radial else _centers(cfg, 0, ijk[:, 0])
+    cos, sin = _bin_values(cfg, 1, ijk[:, 1], np.cos, np.sin)
+    np.multiply(r, cos, out=out[:, 0])
+    np.multiply(r, sin, out=out[:, 1])
+    return out
 
 
 def voxelization_error_cylindrical(r, e1, e2, e3):

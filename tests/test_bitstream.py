@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -110,6 +111,19 @@ def test_decode_matches_golden_arrays(cloud, system, depth, log_radial):
     for array in (decoded.codes, decoded.cloud.xyz, decoded.leaf_attributes):
         digest.update(array.tobytes())
     assert digest.hexdigest() == DECODED_SHA256[system, depth, log_radial]
+
+
+def test_decoder_memory_stays_bounded_by_the_leaves(cloud):
+    # a few thousand leaves on a depth-21 grid: 2^21-entry exp, cos and sin
+    # tables would take 16 MB each, so the centers must be computed per leaf
+    data, _ = encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 21, qstep=4.0, log_radial=True)
+    tracemalloc.start()
+    try:
+        decode_cloud(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)

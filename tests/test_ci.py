@@ -37,6 +37,12 @@ def test_ci_prints_the_versions_the_digests_pin():
                for run in _runs())
 
 
+def test_ci_prints_numpys_simd_dispatch():
+    # the decoded-point goldens pin numpy's exp, cos and sin, whose kernels
+    # numpy chooses by CPU at run time
+    assert 'python -c "import numpy; numpy.show_runtime()"' in _runs()
+
+
 def test_ci_legs_start_at_the_numpy_floor():
     # the tests call np.trapezoid, which numpy 2.0 added: a numpy 1 leg fails
     # tier-1, so pyproject.toml's floor and the oldest leg are both 2.0

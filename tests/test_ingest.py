@@ -1,6 +1,7 @@
 """Frame loaders, the PLY writer and the synthetic sweep generator."""
 
 import hashlib
+import io
 import math
 import struct
 import warnings
@@ -303,6 +304,27 @@ def test_ascii_ply_round_trips_float64_exactly(tmp_path):
     back = load_ply(path)
     np.testing.assert_array_equal(back.xyz, pc.xyz)
     np.testing.assert_array_equal(back.attributes, pc.attributes)
+
+
+def test_ascii_ply_body_is_savetxts_bytes(tmp_path):
+    # more rows than one formatting block, with the values whose %.17g
+    # spelling is easiest to get wrong on both sides of the block edge
+    rng = np.random.default_rng(3)
+    n = (1 << 16) + 5
+    xyz = rng.normal(0, 10, (n, 3))
+    attrs = rng.uniform(0, 255, n)
+    special = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+    for row in (0, (1 << 16) - 1, 1 << 16, n - 1):
+        xyz[row] = special[:3] if row % 2 else special[2:]
+        attrs[row] = special[row % 2]
+    pc = PointCloud(xyz, attrs)
+    path = tmp_path / "big.ply"
+    write_ply(path, pc)
+    expected = io.BytesIO()
+    np.savetxt(expected, np.column_stack([pc.xyz, pc.attributes]), fmt="%.17g")
+    body = path.read_bytes().split(b"end_header\n", 1)[1]
+    assert body == expected.getvalue()
+    assert b"\n-0 4.9406564584124654e-324 1.7976931348623157e+308 4.94" in body
 
 
 # ------------------------------------------------------------ synth sweep

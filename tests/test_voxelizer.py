@@ -393,6 +393,12 @@ def test_per_axis_geometry_keeps_the_broadcast_bits(sweep, grid):
     assert got.shape == centers.shape and got.flags.c_contiguous
     assert got.tobytes() == centers.tobytes()
 
+    # the full call gathers exp, cos and sin from per-bin tables; fewer
+    # leaves than bins evaluate them per leaf, to the same bits
+    k = (1 << depth) - 1
+    assert k < 1 << depth <= codes.size
+    assert voxel_centers(cfg, codes[:k]).tobytes() == got[:k].tobytes()
+
 
 # -------------------------------------------------------------- devoxelize
 
