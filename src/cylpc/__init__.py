@@ -54,7 +54,6 @@ from .voxelizer import (
     expected_error_cylindrical,
     knn_mean_distance,
     make_config,
-    occupancy_stats,
     voxel_centers,
     voxelization_error_cylindrical,
     voxelize,

@@ -213,22 +213,22 @@ def pack_stream(cfg: VoxelGridConfig, n_points: int, qstep: float,
 
 
 class Encoder:
-    """One point cloud voxelized on one grid, ready to encode at any qstep.
+    """One point cloud voxelized on the grid ``cfg``, ready to encode at any qstep.
 
-    Voxelization, the coded geometry section (``geometry``), the
-    transform schedule and the forward transform do not depend on the
-    qstep, so they run once here; each ``encode`` only quantizes,
-    entropy-codes and packs. A sweep rebuilds each qstep from the ints it
-    returns, this schedule and ``voxels.slots``.
+    ``cfg`` is the grid ``make_config`` built for ``pc``; a grid that does
+    not enclose the cloud raises OutOfRangeError. Voxelization, the coded
+    geometry section (``geometry``), the transform schedule and the
+    forward transform do not depend on the qstep, so they run once here;
+    each ``encode`` only quantizes, entropy-codes and packs. A sweep
+    rebuilds each qstep from the ints it returns, this schedule and
+    ``voxels.slots``.
     """
 
-    def __init__(self, pc: PointCloud, system: CoordinateSystem, depth: int,
-                 log_radial: bool = False, r_min: float = 1.0):
-        cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
+    def __init__(self, pc: PointCloud, cfg: VoxelGridConfig):
         self.voxels = voxelize(pc, cfg)
         self.geometry_raw_bytes, self.geometry = _geometry_section(
-            octree_from_leaf_codes(self.voxels.codes, depth))
-        self.schedule = wire_schedule(self.voxels.codes, depth)
+            octree_from_leaf_codes(self.voxels.codes, cfg.depth))
+        self.schedule = wire_schedule(self.voxels.codes, cfg.depth)
         self.coeffs = raht_forward_arrays(self.schedule, self.voxels.attributes)
 
     def encode(self, qstep: float) -> tuple[bytes, EncodeSummary, np.ndarray]:
@@ -258,24 +258,19 @@ def encode_cloud(
     r_min: float = 1.0,
 ) -> tuple[bytes, EncodeSummary]:
     """Run the full pipeline on ``pc`` and return (bitstream, summary)."""
-    data, summary, _ = Encoder(pc, system, depth, log_radial, r_min).encode(qstep)
+    cfg = make_config(pc, system, depth, log_radial=log_radial, r_min=r_min)
+    data, summary, _ = Encoder(pc, cfg).encode(qstep)
     return data, summary
-
-
-def _take(data: bytes, pos: int, size: int, what: str) -> bytes:
-    """Return ``data[pos : pos + size]``, or raise if the stream ends inside it."""
-    if len(data) < pos + size:
-        raise CorruptStreamError(
-            f"stream ends at byte {len(data)} inside the {size}-byte {what} at byte {pos}",
-            offset=len(data),
-        )
-    return data[pos : pos + size]
 
 
 def decode_cloud(data: bytes) -> DecodedCloud:
     """Decode a bitstream produced by encode_cloud; needs only the bytes."""
-    (magic, version, coords, depth, flags, *grid, n_points,
-     qstep) = _HEADER.unpack(_take(data, 0, HEADER_BYTES, "header"))
+    if len(data) < HEADER_BYTES:
+        raise CorruptStreamError(
+            f"stream ends at byte {len(data)} inside the {HEADER_BYTES}-byte header at byte 0",
+            offset=len(data),
+        )
+    magic, version, coords, depth, flags, *grid, n_points, qstep = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CorruptStreamError(f"bad magic {magic!r}", offset=0)
     if version != VERSION:

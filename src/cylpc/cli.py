@@ -21,13 +21,7 @@ from .geometry import PointCloud
 from .ingest import (INTENSITY_MODELS, SweepSpec, load_kitti_bin, load_ply, synth_sweep,
                      write_ply)
 from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute, write_rd_csv
-from .voxelizer import (
-    CoordinateSystem,
-    knn_mean_distance,
-    make_config,
-    occupancy_stats,
-    voxelize,
-)
+from .voxelizer import CoordinateSystem, VoxelGridConfig, knn_mean_distance, make_config, voxelize
 
 DEFAULT_DEPTH = {CoordinateSystem.CARTESIAN: 16, CoordinateSystem.CYLINDRICAL: 13}
 DEFAULT_QSTEPS = (64.0, 32.0, 16.0, 8.0, 4.0, 2.0, 1.0)
@@ -66,16 +60,15 @@ def _emit(pairs, file=None):
         print(f"{key}={value}", file=file or sys.stdout)
 
 
-def _sweep(pc: PointCloud, system: CoordinateSystem, depth: int, qsteps,
-           log_radial: bool, r_min: float):
-    """Encode once per qstep over a shared geometry.
+def _sweep(pc: PointCloud, cfg: VoxelGridConfig, qsteps):
+    """Encode ``pc`` on the grid ``cfg`` once per qstep over a shared geometry.
 
     Returns (rate points ordered by qstep descending, geometry bpp).
     PSNR is measured per original point against its voxel's value, which
     is rebuilt from the coded ints: the decoder recovers exactly those from
     the stream, so a sweep runs no entropy decode of its own.
     """
-    encoder = Encoder(pc, system, depth, log_radial, r_min)
+    encoder = Encoder(pc, cfg)
     points = []
     for qstep in sorted(qsteps, reverse=True):
         _, summary, ints = encoder.encode(qstep)
@@ -150,7 +143,8 @@ def cmd_rd_sweep(args) -> int:
     system = CoordinateSystem(args.coords)
     depth = _resolve_depth(args.depth, system)
     qsteps = _parse_qsteps(args.qsteps)
-    sweep, geom_bpp = _sweep(pc, system, depth, qsteps, args.log_radial, args.r_min)
+    cfg = make_config(pc, system, depth, log_radial=args.log_radial, r_min=args.r_min)
+    sweep, geom_bpp = _sweep(pc, cfg, qsteps)
     write_rd_csv(args.csv, [p for _, p in sweep], geometry_bpp=geom_bpp)
     _emit([("input", args.input), ("coords", system.value), ("depth", depth),
            ("geometry_bpp", geom_bpp)])
@@ -163,13 +157,11 @@ def cmd_rd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     pc = _load_cloud(args.input)
     qsteps = _parse_qsteps(args.qsteps)
-    cart, cart_geom = _sweep(
-        pc, CoordinateSystem.CARTESIAN, args.depth_cart, qsteps, False, args.r_min
-    )
-    cyl, cyl_geom = _sweep(
-        pc, CoordinateSystem.CYLINDRICAL, args.depth_cyl, qsteps,
-        args.log_radial, args.r_min
-    )
+    cart_cfg = make_config(pc, CoordinateSystem.CARTESIAN, args.depth_cart)
+    cyl_cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, args.depth_cyl,
+                          log_radial=args.log_radial, r_min=args.r_min)
+    cart, cart_geom = _sweep(pc, cart_cfg, qsteps)
+    cyl, cyl_geom = _sweep(pc, cyl_cfg, qsteps)
     bd = bd_metrics(
         _rd_curve(CoordinateSystem.CARTESIAN, cart),
         _rd_curve(CoordinateSystem.CYLINDRICAL, cyl),
@@ -217,9 +209,9 @@ def cmd_analyze(args) -> int:
         (CoordinateSystem.CYLINDRICAL, args.log_radial),
     ):
         cfg = make_config(pc, system, args.depth, log_radial=log_radial, r_min=args.r_min)
-        voxels, mean_points = occupancy_stats(voxelize(pc, cfg))
+        vc = voxelize(pc, cfg)
         name = system.value + ("-log" if log_radial else "")
-        rows.append((name, args.depth, voxels, mean_points))
+        rows.append((name, args.depth, len(vc), vc.n_points / len(vc)))
     with open(occ_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["system", "depth", "voxels", "mean_points"])

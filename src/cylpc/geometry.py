@@ -6,7 +6,9 @@ Conventions:
     angular binning is unambiguous.
   * theta = 0 at the axis (x = y = 0), keeping the conversion total.
 
-All types are immutable values and all functions are pure.
+All functions are pure. PointCloud holds read-only views of the arrays
+it is given (copies only where they are not contiguous float64), so it
+never locks the caller's arrays, and a write to those arrays shows in it.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class PointCloud:
     attributes: np.ndarray
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
-        attrs = np.ascontiguousarray(self.attributes, dtype=np.float64)
+        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64).view()
+        attrs = np.ascontiguousarray(self.attributes, dtype=np.float64).view()
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise InvalidInputError(f"xyz must have shape (N, 3), got {xyz.shape}")
         if attrs.shape != (xyz.shape[0],):
@@ -91,9 +93,10 @@ def to_cartesian(p: CylindricalPoint) -> CartesianPoint:
 def cylindrical_axes(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conversion of (N, 3) x/y/z into 1-D arrays r, theta, h.
 
-    The voxelizer bins these one axis at a time, with no (N, 3) stack.
-    This is the one place that wraps theta = +pi to -pi and sets
-    theta = 0 at the axis; r and theta are new arrays, h views z.
+    The only array conversion to cylindrical: the voxelizer bins these one
+    axis at a time, and ``np.column_stack`` gives (N, 3) rows. It alone
+    wraps theta = +pi to -pi and sets theta = 0 at the axis; r and theta
+    are new arrays, h views z.
     """
     x, y, h = np.asarray(xyz, dtype=np.float64).T
     r = np.hypot(x, y)
@@ -101,11 +104,6 @@ def cylindrical_axes(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     theta[theta >= np.pi] = -np.pi
     theta[r == 0.0] = 0.0
     return r, theta, h
-
-
-def cartesian_to_cylindrical(xyz: np.ndarray) -> np.ndarray:
-    """Vectorized conversion: (N, 3) x/y/z -> (N, 3) r/theta/h."""
-    return np.column_stack(cylindrical_axes(xyz))
 
 
 def cylindrical_to_cartesian(rth: np.ndarray) -> np.ndarray:

@@ -33,10 +33,11 @@ class RatePoint:
     psnr_db: float
 
     def __post_init__(self):
-        if not self.bpp > 0.0:
-            raise InvalidInputError(f"bpp must be positive, got {self.bpp}")
-        if math.isnan(self.psnr_db):
-            raise InvalidInputError("psnr_db must be a number or the lossless marker")
+        if not 0.0 < self.bpp < math.inf:
+            raise InvalidInputError(f"bpp must be positive and finite, got {self.bpp}")
+        if not (math.isfinite(self.psnr_db) or self.psnr_db == LOSSLESS):
+            raise InvalidInputError(
+                f"psnr_db must be finite or the lossless marker, got {self.psnr_db}")
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,6 @@ class VoxelizedCloud:
         return self.codes.shape[0]
 
     @property
-    def weights(self) -> np.ndarray:
-        """Point count of each voxel (each >= 1)."""
-        return np.bincount(self.slots, minlength=len(self.codes))
-
-    @property
     def n_points(self) -> int:
         return self.slots.size
 
@@ -122,8 +117,8 @@ class ErrorModel:
     sigma3_sq: float
 
     def __post_init__(self):
-        if min(self.sigma1_sq, self.sigma2_sq, self.sigma3_sq) < 0.0:
-            raise InvalidInputError("variances must be non-negative")
+        if not all(0.0 <= v < math.inf for v in (self.sigma1_sq, self.sigma2_sq, self.sigma3_sq)):
+            raise InvalidInputError("variances must be finite and non-negative")
 
 
 def _padded_span(lo: float, hi: float, name: str) -> float:
@@ -294,9 +289,3 @@ def knn_mean_distance(pc: PointCloud, k: int) -> np.ndarray:
     mean_knn = dists[:, 1:].mean(axis=1)
     r = np.hypot(pc.xyz[:, 0], pc.xyz[:, 1])
     return np.column_stack((r, mean_knn))
-
-
-def occupancy_stats(vc: VoxelizedCloud) -> tuple[int, float]:
-    """(occupied voxel count, mean number of points per occupied voxel)."""
-    count = len(vc)
-    return count, vc.n_points / count

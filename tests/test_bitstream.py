@@ -16,6 +16,7 @@ from cylpc import (
     CoordinateSystem,
     CorruptStreamError,
     InvalidConfigError,
+    OutOfRangeError,
     PointCloud,
     SweepSpec,
     decode_cloud,
@@ -130,7 +131,7 @@ def test_decoder_memory_stays_bounded_by_the_leaves(cloud):
 def test_decoder_hands_dequantize_an_int64_array(cloud, monkeypatch, system, depth, log_radial):
     # rlgr_decode returns an int64 array: no list of every coefficient is
     # built and converted back on the way to the inverse transform
-    data, _, ints = Encoder(cloud, system, depth, log_radial).encode(4.0)
+    data, _, ints = Encoder(cloud, make_config(cloud, system, depth, log_radial)).encode(4.0)
     seen, original = [], bitstream.dequantize
 
     def dequantize(values, qstep):
@@ -175,7 +176,7 @@ def sub_metre_cloud(rmax, r_min):
 @pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
 def test_coded_ints_reconstruct_what_the_decoder_decodes(cloud, system, depth, log_radial):
     # rd-sweep and compare take their PSNR from these ints, not from the stream
-    enc = Encoder(cloud, system, depth, log_radial)
+    enc = Encoder(cloud, make_config(cloud, system, depth, log_radial))
     for qstep in (64.0, 8.0, 1.0, 0.25):
         data, _, ints = enc.encode(qstep)
         assert ints.dtype == np.int64
@@ -260,8 +261,19 @@ def test_attribute_ints_rejects_a_qstep_below_the_floor(cloud):
             attribute_ints(vc, qstep)
         with pytest.raises(InvalidConfigError, match=message):
             encode_cloud(cloud, CoordinateSystem.CYLINDRICAL, 7, qstep=qstep)
-    _, _, ints = Encoder(cloud, CoordinateSystem.CYLINDRICAL, 7).encode(QSTEP_MIN)
+    cfg = make_config(cloud, CoordinateSystem.CYLINDRICAL, 7)
+    _, _, ints = Encoder(cloud, cfg).encode(QSTEP_MIN)
     np.testing.assert_array_equal(attribute_ints(vc, QSTEP_MIN), ints)
+
+
+@pytest.mark.parametrize("system,depth,log_radial", ALL_MODES)
+def test_encoder_refuses_a_grid_that_does_not_enclose_the_cloud(cloud, system, depth, log_radial):
+    # the grid of the cloud's first half, whose bounds the second half crosses
+    half = PointCloud(cloud.xyz[: len(cloud) // 2], cloud.attributes[: len(cloud) // 2])
+    cfg = make_config(half, system, depth, log_radial=log_radial)
+    assert Encoder(half, cfg).voxels.config is cfg
+    with pytest.raises(OutOfRangeError, match=r"^point \d+ at \(.*\) falls outside the voxel grid$"):
+        Encoder(cloud, cfg)
 
 
 def test_encode_is_deterministic(cloud):

@@ -336,6 +336,36 @@ def test_analyze_csv_formats(tmp_path, small_ply, capsys):
     assert occ_lines[2].startswith("cylindrical,6,")
 
 
+def test_analyze_counts_one_voxel_of_two_points(tmp_path, capsys):
+    ply = tmp_path / "twin.ply"
+    write_ply(ply, PointCloud(np.array([[1.0, 1.0, 1.0]] * 2), np.zeros(2)))
+    assert run("analyze", ply, "--depth", "1", "--k", "1", "--out-prefix", tmp_path / "a") == 0
+    out = parse_kv(capsys)
+    for name in ("cartesian", "cylindrical"):
+        assert (out[f"{name}_voxels"], out[f"{name}_mean_points"]) == ("1", "2")
+
+
+@pytest.mark.parametrize("log_radial", [False, True])
+def test_analyze_mean_points_is_points_per_occupied_voxel(tmp_path, capsys, log_radial):
+    rng = np.random.default_rng(16)
+    pc = PointCloud(rng.normal(0.0, 20.0, (400, 3)), rng.uniform(0.0, 255.0, 400))
+    ply = tmp_path / "cloud.ply"
+    write_ply(ply, pc, binary=True)
+    flags = ["--log-radial"] if log_radial else []
+    assert run("analyze", ply, "--depth", "3", *flags, "--out-prefix", tmp_path / "a") == 0
+    out = parse_kv(capsys)
+    for name, system, log in (
+        ("cartesian", CoordinateSystem.CARTESIAN, False),
+        ("cylindrical-log" if log_radial else "cylindrical", CoordinateSystem.CYLINDRICAL,
+         log_radial),
+    ):
+        cfg = make_config(pc, system, 3, log_radial=log)
+        count = len(np.unique(assign_codes(pc, cfg)))
+        assert 1 < count < 400
+        assert out[f"{name}_voxels"] == str(count)
+        assert out[f"{name}_mean_points"] == f"{400 / count:.6g}"
+
+
 def test_exit_code_3_on_missing_or_malformed_input(tmp_path, capsys):
     assert run("encode", tmp_path / "missing.ply", "--out", tmp_path / "x.cyl") == 3
     bad = tmp_path / "bad.ply"
@@ -397,7 +427,8 @@ def test_exit_code_4_on_inconsistent_header(tmp_path, small_ply, capsys, offset,
 def test_exit_code_4_on_corrupt_attribute_section(
     tmp_path, small_ply, capsys, reference_rlgr_encode, values, qstep, message
 ):
-    encoder = Encoder(load_ply(small_ply), CoordinateSystem.CYLINDRICAL, 8)
+    pc = load_ply(small_ply)
+    encoder = Encoder(pc, make_config(pc, CoordinateSystem.CYLINDRICAL, 8))
     payload = reference_rlgr_encode(values + [0] * (len(encoder.voxels) - 2))
     bad = tmp_path / "bad.cyl"
     bad.write_bytes(pack_stream(

@@ -14,7 +14,7 @@ from cylpc import (
     make_config,
     to_cartesian,
 )
-from cylpc.geometry import cartesian_to_cylindrical, cylindrical_to_cartesian
+from cylpc.geometry import cylindrical_axes, cylindrical_to_cartesian
 
 
 def box_bounds(pc):
@@ -34,7 +34,7 @@ def cylinder_bounds(pc):
 
 def cyl(x, y, z):
     """(r, theta, h) of one point through the vectorized conversion."""
-    return tuple(cartesian_to_cylindrical(np.array([[x, y, z]]))[0])
+    return tuple(float(a[0]) for a in cylindrical_axes(np.array([[x, y, z]])))
 
 
 def scalar_cylindrical(x, y, z):
@@ -78,7 +78,7 @@ def test_to_cartesian_quarter_turn():
 def test_round_trip_random_points():
     rng = np.random.default_rng(0)
     xyz = rng.uniform(-100.0, 100.0, (1000, 3))
-    for (x, y, z), row in zip(xyz, cartesian_to_cylindrical(xyz)):
+    for (x, y, z), row in zip(xyz, np.column_stack(cylindrical_axes(xyz))):
         q = to_cartesian(CylindricalPoint(*row))
         assert q.x == pytest.approx(x, rel=1e-12, abs=1e-12)
         assert q.y == pytest.approx(y, rel=1e-12, abs=1e-12)
@@ -88,7 +88,7 @@ def test_round_trip_random_points():
 def test_vectorized_conversion_matches_scalar():
     rng = np.random.default_rng(1)
     xyz = rng.uniform(-50.0, 50.0, (200, 3))
-    rth = cartesian_to_cylindrical(xyz)
+    rth = np.column_stack(cylindrical_axes(xyz))
     for row, (x, y, z) in zip(rth, xyz):
         r, theta, h = scalar_cylindrical(x, y, z)
         assert row[0] == pytest.approx(r, rel=1e-14)
@@ -101,7 +101,7 @@ def test_vectorized_conversion_matches_scalar():
 def test_theta_always_in_half_open_interval():
     rng = np.random.default_rng(2)
     xyz = rng.normal(0.0, 10.0, (5000, 3))
-    theta = cartesian_to_cylindrical(xyz)[:, 1]
+    theta = cylindrical_axes(xyz)[1]
     assert (theta >= -math.pi).all()
     assert (theta < math.pi).all()
 
@@ -125,6 +125,17 @@ def test_point_cloud_validation():
     for xyz in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 3, 1))):
         with pytest.raises(InvalidInputError, match=r"xyz must have shape \(N, 3\)"):
             PointCloud(xyz, np.zeros(len(xyz)))
+
+
+def test_point_cloud_leaves_the_callers_arrays_writable():
+    xyz, attrs = np.zeros((3, 3)), np.zeros(3)
+    pc = PointCloud(xyz, attrs)
+    xyz[0, 0] = 1.0
+    attrs[0] = 2.0
+    for held in (pc.xyz, pc.attributes):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
 
 
 def test_bounding_cylinder_single_point():

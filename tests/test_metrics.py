@@ -259,3 +259,28 @@ def test_csv_reader_rejects_a_wrong_header_or_row(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(InvalidInputError, match=message):
         read_rd_csv(path)
+
+
+@pytest.mark.parametrize(
+    "bpp,psnr_db,message",
+    [
+        (math.inf, 40.0, "bpp must be positive and finite"),
+        (math.nan, 40.0, "bpp must be positive and finite"),
+        (0.0, 40.0, "bpp must be positive and finite"),
+        (1.0, -math.inf, "psnr_db must be finite or the lossless marker"),
+        (1.0, math.nan, "psnr_db must be finite or the lossless marker"),
+    ],
+)
+def test_rate_point_rejects_what_a_fit_cannot_use(bpp, psnr_db, message):
+    with pytest.raises(InvalidInputError, match=message):
+        RatePoint(bpp, psnr_db)
+
+
+@pytest.mark.parametrize("row", ["inf,44", "2.5,-inf"])
+def test_csv_reader_rejects_a_non_finite_point(tmp_path, row):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"bpp,psnr_db\n1,40\n2,41\n{row}\n3,42\n4,43\n")
+    with pytest.raises(InvalidInputError, match="must be"):
+        read_rd_csv(path)
+    path.write_text("bpp,psnr_db\n1,40\n2,41\n3,42\n4,43\n5,inf\n")
+    assert read_rd_csv(path).psnr_db[-1] == LOSSLESS

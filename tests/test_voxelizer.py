@@ -19,13 +19,12 @@ from cylpc import (
     expected_error_cylindrical,
     knn_mean_distance,
     make_config,
-    occupancy_stats,
     to_cartesian,
     voxel_centers,
     voxelization_error_cylindrical,
     voxelize,
 )
-from cylpc.geometry import CylindricalPoint, cartesian_to_cylindrical, cylindrical_to_cartesian
+from cylpc.geometry import CylindricalPoint, cylindrical_axes, cylindrical_to_cartesian
 from cylpc.ingest import SweepSpec, synth_sweep
 from cylpc.morton import morton_decode, morton_encode
 from cylpc.voxelizer import _padded_span
@@ -123,7 +122,7 @@ def test_single_point_single_voxel():
     pc = PointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([42.0]))
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 4))
     assert len(vc) == 1
-    assert vc.weights[0] == 1
+    assert np.bincount(vc.slots)[0] == 1
     assert vc.attributes[0] == 42.0
 
 
@@ -135,7 +134,7 @@ def test_two_points_same_voxel_average():
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 3))
     assert len(vc) == 2
     assert vc.n_points == 3
-    merged = vc.attributes[vc.weights == 2]
+    merged = vc.attributes[np.bincount(vc.slots) == 2]
     assert merged[0] == pytest.approx(15.0)
 
 
@@ -178,7 +177,7 @@ def test_cylindrical_binning_matches_interval_oracle():
             pc, CoordinateSystem.CYLINDRICAL, 3, log_radial=log_radial, r_min=1.0
         )
         got = morton_decode(assign_codes(pc, cfg), 3)
-        rth = cartesian_to_cylindrical(pc.xyz)
+        rth = np.column_stack(cylindrical_axes(pc.xyz))
         if log_radial:
             rth[:, 0] = np.log(np.maximum(rth[:, 0], 1.0))
         for coords, idx in zip(rth, got):
@@ -228,8 +227,8 @@ def test_slots_index_each_points_voxel(system, log_radial):
     codes = assign_codes(pc, cfg)
     np.testing.assert_array_equal(vc.codes[vc.slots], codes)
     counts = np.array([np.count_nonzero(codes == code) for code in vc.codes])
-    np.testing.assert_array_equal(vc.weights, counts)
-    assert vc.weights.max() > 1
+    np.testing.assert_array_equal(np.bincount(vc.slots), counts)
+    assert counts.max() > 1
     assert vc.n_points == counts.sum() == len(pc)
 
 
@@ -237,7 +236,7 @@ def test_duplicate_points_add_weight():
     pc = PointCloud(np.array([[1.0, 1.0, 1.0]] * 4 + [[5.0, 5.0, 5.0]]),
                     np.array([8.0, 8.0, 8.0, 8.0, 1.0]))
     vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 2))
-    assert sorted(vc.weights.tolist()) == [1, 4]
+    assert sorted(np.bincount(vc.slots).tolist()) == [1, 4]
 
 
 def test_out_of_range_names_point_index():
@@ -310,7 +309,7 @@ def test_theta_just_below_pi_lands_in_the_last_angular_bin(depth, log_radial):
     # atan2 gives nextafter(pi, 0) here, and theta + pi rounds to 2 pi
     pc = PointCloud(np.array([[-1.0, 4e-16, 0.0], [5.0, 1.0, 1.0], [10.0, -3.0, 2.0]]),
                     np.zeros(3))
-    assert cartesian_to_cylindrical(pc.xyz)[0, 1] == np.nextafter(math.pi, 0.0)
+    assert cylindrical_axes(pc.xyz)[1][0] == np.nextafter(math.pi, 0.0)
     cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, depth, log_radial=log_radial)
     idx = morton_decode(assign_codes(pc, cfg), depth)
     assert idx[0, 1] == (1 << depth) - 1
@@ -373,7 +372,7 @@ def test_per_axis_geometry_keeps_the_broadcast_bits(sweep, grid):
     cfg = make_config(pc, system, depth, log_radial=log_radial)
     assert (cfg.origin, cfg.extents) == broadcast_grid(pc, system, log_radial)
 
-    coords = pc.xyz if system is CoordinateSystem.CARTESIAN else cartesian_to_cylindrical(pc.xyz)
+    coords = pc.xyz if system is CoordinateSystem.CARTESIAN else np.column_stack(cylindrical_axes(pc.xyz))
     if log_radial:
         coords[:, 0] = np.log(np.maximum(coords[:, 0], 1.0))
     idx = np.floor((coords - np.asarray(cfg.origin)) / np.asarray(cfg.steps)).astype(np.int64)
@@ -439,8 +438,8 @@ def test_realized_cylindrical_error_matches_formula():
     for log_radial in (False, True):
         cfg = make_config(pc, CoordinateSystem.CYLINDRICAL, 6, log_radial=log_radial)
         centers = voxel_centers(cfg, assign_codes(pc, cfg))
-        orig = cartesian_to_cylindrical(pc.xyz)
-        rec = cartesian_to_cylindrical(centers)
+        orig = np.column_stack(cylindrical_axes(pc.xyz))
+        rec = np.column_stack(cylindrical_axes(centers))
         e1 = rec[:, 0] - orig[:, 0]
         e2 = rec[:, 1] - orig[:, 1]
         e3 = rec[:, 2] - orig[:, 2]
@@ -496,6 +495,15 @@ def test_expected_error_cartesian_formula():
     q = 2.0
     s = q * q / 12.0
     assert expected_error_cartesian(ErrorModel(s, s, s)) == pytest.approx(q * q / 4.0)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", range(3))
+def test_error_model_needs_finite_non_negative_variances(bad, axis):
+    variances = [0.1, 0.2, 0.3]
+    variances[axis] = bad
+    with pytest.raises(InvalidInputError, match="finite and non-negative"):
+        ErrorModel(*variances)
 
 
 def test_expected_error_cylindrical_monte_carlo():
@@ -590,17 +598,3 @@ def test_knn_requires_enough_points():
     with pytest.raises(InvalidInputError):
         knn_mean_distance(random_cloud(rng, 5), 5)
 
-
-def test_occupancy_stats_single_voxel():
-    pc = PointCloud(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), np.zeros(2))
-    vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 1))
-    assert occupancy_stats(vc) == (1, 2.0)
-
-
-def test_occupancy_stats_mean():
-    rng = np.random.default_rng(16)
-    pc = random_cloud(rng, 400)
-    vc = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, 3))
-    count, mean = occupancy_stats(vc)
-    assert count == len(vc)
-    assert mean == pytest.approx(400.0 / count)
