@@ -37,18 +37,30 @@ two small scalar passes carry all the state:
     carries its extra zeros into the remainder and the runs;
   * the kp pass steps once per nonzero through the kp-after column, and
     one gather per other column splits every episode;
-  * the krp pass steps once per nonzero: down by 2 per zero literal,
-    then the usual update from vk of the nonzero's code.
+  * the krp pass steps once per nonzero: one lookup for its zero
+    literals, then one in the krp table for its code.
 
 Numpy then computes the width and value of every code word, takes the
 bit offsets from one cumulative sum and ORs the fields into big-endian
-uint64 words. The decoder is one inlined event loop over the bit string,
-an event being one k = 0 literal or one whole k > 0 episode: one ``find``
-locates the next "1" marker, zeros are counted, not stored, and only the
-(position, value) pairs of the nonzeros are kept. Once the bits account
-for every value, it writes the nonzeros into an int64 array of zeros
-and returns that array, or its list; no bit stands for more than 2^10
-values, so memory stays bounded by the payload size.
+uint64 words.
+
+The decoder is one inlined event loop, an event being one k = 0 literal
+or one whole k > 0 episode. A code word of at most _W = 12 bits, a
+literal or the sign and code that end a run, decodes with one lookup:
+the next _W bits index a table for the current kr whose entry holds the
+word's length, its Golomb-Rice argument and its value, and the argument
+indexes the krp table the encoder uses. A uint16 array holds the _W bits
+that start at every payload bit, and the lookups run while a whole window
+lies inside the payload, k = 0 literals in a loop of their own. Complete
+runs, the k-bit remainder, longer codes, escapes and the last _W bits
+read the payload as a "0"/"1" string, one ``find`` locating the next "1"
+marker, and every error is raised there. Zeros are counted, not stored,
+and only the (position, value) pairs of the nonzeros are kept. Once the
+bits account for every value, it writes the nonzeros into an int64
+array of zeros and returns that array, or its list. No bit stands for
+more than 2^10 values, so memory stays bounded by the payload: the
+string and the windows take 24 bytes per payload byte, and the peak
+stays under 48 bytes per payload byte plus 112 per value.
 """
 
 from __future__ import annotations
@@ -77,8 +89,11 @@ _KMAX = _KPMAX >> _LSGR
 # longer gap leaves the state its terminator leaves after _GAP_CLIP
 _GAP_CLIP = 2047
 _GAPS = _GAP_CLIP + 1
-# a Golomb-Rice argument from here on has vk > _KPMAX for every kr
-_KRP_CAP = (_KPMAX + 1) << _KMAX
+# from this Golomb-Rice argument on, vk = arg >> kr reaches both 2 and
+# _KPMAX - krp at every krp (tightest at kr = 8 and 9), so every larger
+# argument moves krp as this one does
+_ARG_CLIP = 1 << 12
+_W = 12  # payload bits one decoder table lookup reads
 # largest Golomb-Rice argument of an int64 value, which bounds a decoded
 # escape: a zigzag code in Golomb-Rice mode, |value| - 1 of a positive or
 # negative run terminator
@@ -195,6 +210,56 @@ def _episode_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tu
     return literals, runs, k, rest, tuple(row.tobytes() for row in after.reshape(-1, _GAPS))
 
 
+@functools.cache
+def _krp_next() -> tuple[bytes, ...]:
+    """The krp adaptation rule: krp after a Golomb-Rice code of argument a
+    at krp is ``_krp_next()[krp][min(a, _ARG_CLIP)]``. With vk = a >> kr,
+    krp drops by 2 when vk = 0, holds at vk = 1 and grows by vk, up to
+    _KPMAX, above that."""
+    krp = np.arange(_KPMAX + 1)[:, None]
+    vk = np.arange(_ARG_CLIP + 1) >> (krp >> _LSGR)
+    after = np.where(vk > 1, np.minimum(krp + vk, _KPMAX),
+                     np.where(vk == 1, krp, np.maximum(krp - _KRP_DOWN, 0)))
+    return tuple(row.tobytes() for row in after.astype(np.uint8))
+
+
+@functools.cache
+def _code_tables() -> tuple[tuple[memoryview, ...], tuple[memoryview, ...]]:
+    """For each krp, the k = 0 literal table and the run-terminator table of
+    its kr: at each _W-bit window, ``length | arg << 4 | value << 16`` of
+    the code word that starts it (a terminator's leads with its sign bit),
+    or 0 where that word is longer than _W bits. krp of one kr share one
+    table."""
+    window = np.arange(1 << _W)
+    bits = window[:, None] >> np.arange(_W - 1, -1, -1) & 1  # MSB first
+    literals, terminators = [], []
+    for kr in range(_KMAX + 1):
+        for lead, tables in ((0, literals), (1, terminators)):
+            vk = np.cumprod(bits[:, lead:], axis=1).sum(axis=1)  # unary prefix
+            length = lead + vk + 1 + kr
+            low = window >> np.maximum(_W - length, 0) & (1 << kr) - 1
+            arg = vk << kr | low
+            if lead:
+                value = np.where(window >> _W - 1, -arg - 1, arg + 1)
+            else:
+                value = arg >> 1 ^ -(arg & 1)  # unzigzag
+            table = np.where(length <= _W, length | arg << 4 | value << 16, 0)
+            tables.append(memoryview(table.astype(np.int32)))
+    return tuple(tuple(t[krp >> _LSGR] for krp in range(_KPMAX + 1))
+                 for t in (literals, terminators))
+
+
+def _windows(data: bytes) -> memoryview:
+    """The _W payload bits from every bit offset on, as uint16; the last
+    windows run into zero bits past the payload."""
+    b = np.frombuffer(data + bytes(2), np.uint8).astype(np.uint32)
+    head = b[:-2] << 16 | b[1:-1] << 8 | b[2:]  # 24 bits from each byte on
+    windows = np.empty(8 * len(data), np.uint16)
+    for shift in range(8):
+        windows[shift::8] = head >> 24 - _W - shift & (1 << _W) - 1
+    return memoryview(windows)
+
+
 def _or_fields(words: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
     """OR uint64 bit fields, each ending (exclusive) at bit offset ``ends``
     (sorted), into big-endian uint64 ``words[1:]``; words[0] is spare."""
@@ -254,27 +319,22 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     mapped >>= terminator
     negative = nonzero < 0
     del nonzero
-    # krp: a zero literal codes vk = 0; from _KRP_CAP on any value sets krp
-    # to _KPMAX, so small ints stand in for the larger ones
-    drops = _KRP_DOWN * literals[:-1]
+    # krp: a zero literal codes argument 0, so zeros[j] is krp after j of
+    # them; _krp_next then steps over the nonzero's code
+    after = _krp_next()
+    zeros = [bytes(range(_KPMAX + 1))]
+    while len(zeros) <= int(literals.max()):
+        zeros.append(bytes(after[krp][0] for krp in zeros[-1]))
     krp = _K_INIT
     krp_before = bytearray()
     record = krp_before.append
-    for drop, val in zip(
-        drops.tolist(), np.minimum(mapped, np.uint64(_KRP_CAP)).astype(np.uint32).tolist()
-    ):
+    for j, arg in zip(literals[:-1].tolist(),
+                      np.minimum(mapped, np.uint64(_ARG_CLIP)).astype(np.uint16).tolist()):
         record(krp)
-        if drop:
-            krp = krp - drop if krp > drop else 0
-        vk = val >> (krp >> _LSGR)
-        if vk == 0:
-            krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
-        elif vk > 1:
-            krp += vk
-            if krp > _KPMAX:
-                krp = _KPMAX
+        krp = after[zeros[j][krp]][arg]
     record(krp)
     krp = np.frombuffer(krp_before, np.uint8)
+    drops = _KRP_DOWN * literals[:-1]
     # zero literal j codes kr from krp less 2 per earlier zero literal
     for j in range(int(literals.max())):
         drop = _KRP_DOWN * j
@@ -347,6 +407,10 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     """
     end = 8 * len(payload.data)
     bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
+    windows = _windows(payload.data)
+    literal_codes, terminator_codes = _code_tables()
+    krp_next = _krp_next()
+    last = end - _W  # the last bit a table lookup may start at
     n = payload.count
     where: list[int] = []  # positions and values of the nonzeros
     nonzero: list[int] = []
@@ -354,7 +418,25 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     kp = krp = _K_INIT
     while filled < n:
         literal = kp < _K_INIT  # k = 0: a zigzag-mapped Golomb-Rice literal
-        if not literal:  # k > 0: complete runs, then a marker or the end of the count
+        if literal:
+            while pos <= last:  # literals whose code word fits a window
+                code = literal_codes[krp][windows[pos]]
+                if not code:
+                    break
+                pos += code & 15
+                krp = krp_next[krp][code >> 4 & 4095]
+                if code >> 16:
+                    where.append(filled)
+                    nonzero.append(code >> 16)
+                    kp = kp - _DQ_GR if kp > _DQ_GR else 0
+                else:
+                    kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+                filled += 1
+                if kp >= _K_INIT or filled == n:
+                    break
+            if kp >= _K_INIT or filled == n:
+                continue
+        else:  # k > 0: complete runs, then a marker or the end of the count
             k = kp >> _LSGR
             one = bits.find("1", pos)
             stop = end if one < 0 else one
@@ -380,6 +462,16 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
             filled += run
             if filled == n:
                 break
+            kp = kp - _DN_GR if kp > _DN_GR else 0
+            if pos <= last:  # the sign and code word in one window
+                code = terminator_codes[krp][windows[pos]]
+                if code:
+                    pos += code & 15
+                    krp = krp_next[krp][code >> 4 & 4095]
+                    where.append(filled)
+                    nonzero.append(code >> 16)
+                    filled += 1
+                    continue
             if pos == end:
                 raise _exhausted(pos)
             negative = bits[pos] == "1"
@@ -410,23 +502,16 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
                 raise CorruptStreamError(
                     f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
                 )
-            vk = val >> kr
-        if vk == 0:
-            krp = krp - _KRP_DOWN if krp > _KRP_DOWN else 0
-        elif vk > 1:
-            krp += vk
-            if krp > _KPMAX:
-                krp = _KPMAX
+        krp = krp_next[krp][val if val < _ARG_CLIP else _ARG_CLIP]
         if not literal:
             where.append(filled)
             nonzero.append(-val - 1 if negative else val + 1)
-            kp = kp - _DN_GR if kp > _DN_GR else 0
         elif val:
             where.append(filled)
             nonzero.append((val >> 1) ^ -(val & 1))  # unzigzag
             kp = kp - _DQ_GR if kp > _DQ_GR else 0
         else:
-            kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+            kp += _UQ_GR
         filled += 1
     if end - pos >= 8:
         raise CorruptStreamError(

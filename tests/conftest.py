@@ -16,11 +16,12 @@ from cylpc.coeff_codec import (
 )
 
 
-def _reference_rlgr_encode(values) -> RlgrPayload:
+def _reference_rlgr_stream(values) -> tuple[RlgrPayload, int]:
     """The one-loop RLGR encoder that the vectorized ``rlgr_encode``
     replaced, behind a pure-Python gate with no int64 bound: it writes the
     same bytes for int64 input, and also the escaped magnitudes beyond
-    int64 that only a corrupt or hostile stream holds."""
+    int64 that only a corrupt or hostile stream holds. Returns the payload
+    and the number of bits written ahead of its zero padding."""
     values = list(values)
     n = len(values)
     where = [i for i, v in enumerate(values) if v]
@@ -95,10 +96,17 @@ def _reference_rlgr_encode(values) -> RlgrPayload:
             nbits = rest
     pad = -nbits % 8
     chunks.append((acc << pad).to_bytes((nbits + pad) // 8, "big"))
-    return RlgrPayload(data=b"".join(chunks), count=n)
+    data = b"".join(chunks)
+    return RlgrPayload(data=data, count=n), 8 * len(data) - pad
 
 
 @pytest.fixture(scope="session")
 def reference_rlgr_encode():
-    """The scalar RLGR encoder with no int64 gate (see _reference_rlgr_encode)."""
-    return _reference_rlgr_encode
+    """The scalar RLGR encoder with no int64 gate (see _reference_rlgr_stream)."""
+    return lambda values: _reference_rlgr_stream(values)[0]
+
+
+@pytest.fixture(scope="session")
+def reference_rlgr_stream():
+    """The scalar RLGR encoder's payload and its bit count before the padding."""
+    return _reference_rlgr_stream

@@ -54,6 +54,15 @@ def test_ci_legs_start_at_the_numpy_floor():
     assert all(leg == "numpy" or leg.startswith("numpy==2.") for leg in legs)
 
 
+def test_ci_oldest_leg_runs_the_python_floor():
+    # a leg above pyproject.toml's floor leaves the oldest Python it allows untested
+    floor = re.search(r'requires-python = ">=([\d.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor and floor.group(1) == "3.10"
+    legs = [leg["python"] for job in _workflow()["jobs"].values()
+            for leg in job["strategy"]["matrix"]["include"]]
+    assert min(legs, key=lambda v: tuple(map(int, v.split(".")))) == floor.group(1)
+
+
 def test_ci_runs_every_benchmark_workload():
     # perfbench/test_perfbench.py runs only tiny frames of two workloads
     assert "python3 perfbench/run.py --workload all --seconds 1" in _runs()

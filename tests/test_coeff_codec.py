@@ -1,6 +1,11 @@
 """Quantizer bounds and lossless run-length/Golomb-Rice coding."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from cylpc import (
     rlgr_decode,
     rlgr_encode,
 )
+import cylpc
 from cylpc import coeff_codec
 from cylpc.coeff_codec import QSTEP_MIN
 
@@ -306,6 +312,56 @@ def test_episode_table_matches_the_state_machine():
     assert ends == {(coeff_codec._KMAX, coeff_codec._KPMAX - 6)}
 
 
+def _krp_after(krp: int, arg: int) -> int:
+    """krp after a Golomb-Rice code of argument ``arg``, one value at a time."""
+    vk = arg >> (krp >> 3)
+    if vk == 0:
+        return max(krp - 2, 0)
+    return krp if vk == 1 else min(krp + vk, 80)
+
+
+def test_krp_table_matches_the_scalar_rule():
+    rows = coeff_codec._krp_next()
+    clip = coeff_codec._ARG_CLIP
+    assert len(rows) == 81 and {len(row) for row in rows} == {clip + 1}
+    for krp, row in enumerate(rows):
+        assert list(row) == [_krp_after(krp, arg) for arg in range(clip + 1)]
+        # the clip column stands for every larger argument
+        for arg in (clip + 1, 2 * clip - 1, 2 * clip, 2**40, 2**64 - 1):
+            assert _krp_after(krp, arg) == row[clip]
+
+
+def _code_word(text: str, kr: int, terminator: bool) -> tuple[int, int, int] | None:
+    """(length, argument, value) of the code word at the head of ``text``,
+    a '0'/'1' string, or None when it does not end inside ``text``."""
+    lead = int(terminator)
+    vk = len(text[lead:]) - len(text[lead:].lstrip("1"))
+    length = lead + vk + 1 + kr
+    if length > len(text):
+        return None
+    arg = vk << kr | int(text[lead + vk + 1 : length] or "0", 2)
+    return length, arg, (-arg - 1 if text[0] == "1" else arg + 1) if terminator else _unzigzag(arg)
+
+
+def _unzigzag(arg: int) -> int:
+    return arg // 2 if arg % 2 == 0 else -(arg + 1) // 2
+
+
+def test_code_tables_match_the_scalar_code():
+    width = coeff_codec._W
+    literal_tables, terminator_tables = coeff_codec._code_tables()
+    assert len(literal_tables) == len(terminator_tables) == 81
+    for kr in range(11):
+        for tables, terminator in ((literal_tables, False), (terminator_tables, True)):
+            table = tables[8 * kr]
+            assert all(tables[krp] is table for krp in range(8 * kr, min(8 * kr + 8, 81)))
+            assert len(table) == 1 << width
+            for window, entry in enumerate(table):
+                word = _code_word(format(window, f"0{width}b"), kr, terminator)
+                assert (entry == 0 if word is None
+                        else (entry & 15, entry >> 4 & 4095, entry >> 16) == word)
+
+
 def _prefixes_to_literal_mode() -> dict[int, list[int]]:
     """A shortest value sequence that leaves kp at each value below 8 with
     no run pending."""
@@ -500,6 +556,121 @@ def test_decoder_memory_is_bounded_by_the_payload():
         rlgr_decode(RlgrPayload(b"\x00", count=2**40))
     assert str(exc.value) == "payload exhausted at bit offset 8"
     assert exc.value.offset == 8
+
+
+def _trace(values) -> list[tuple[bool, int] | None]:
+    """(literal, kr) of each value that codes a Golomb-Rice word, and None
+    for a zero inside a run, from the scalar kp and krp state machines."""
+    kp, pending, krp = 8, 0, 8
+    out = []
+    for v in values:
+        literal = pending == 0 and kp < 8
+        if literal or v:
+            out.append((literal, krp >> 3))
+            arg = (2 * v if v >= 0 else -2 * v - 1) if literal else abs(v) - 1
+            krp = _krp_after(krp, arg)
+        else:
+            out.append(None)
+        kp, pending, *_ = _walk(kp, pending, v)
+    return out
+
+
+def _window_edge_cases(stream) -> list[list[int]]:
+    """For every kr, a literal and a run terminator whose code word is _W
+    and _W + 1 bits long (a terminator's counts its sign bit), as the last
+    code word of a payload and followed by padding and zero values, so that
+    it starts at each of the last _W + 1 offsets it can start at: end -
+    length - j for j = 0.._W. j < 8 is padding alone, which every case
+    reaches; a larger j needs a code word after it of at most j bits,
+    which a literal at a large kr cannot have."""
+    width = coeff_codec._W
+    cases = []
+    for kr in range(11):
+        # the prefixes shift where the code word starts: zeros and run
+        # terminators 3 that keep krp at 8, then one terminator v0 that
+        # sets krp to 6 or 8 kr + 4, then literals that keep it there
+        krp = 6 if kr == 0 else min(8 * kr + 4, 80)
+        v0 = 1 if kr == 0 else 2 * (krp - 8) + 1
+        fill = _unzigzag(1 << kr)
+        prefixes = [[0] * lead + [3] * m + [v0] + [fill] * m1 for m1 in range(4)
+                    for m in range(8) for lead in [*range(40), 100, 300, 1000]]
+        for terminator in (False, True):
+            for length in (width, width + 1):
+                vk = length - 1 - kr - terminator
+                arg = vk << kr | 0x555 & (1 << kr) - 1
+                value = (-1) ** length * (arg + 1) if terminator else _unzigzag(arg)
+                found = {}  # bits from the code word's end to the payload's
+                for prefix in prefixes:
+                    head = prefix + [value]
+                    if _trace(head)[-1] != (not terminator, kr):
+                        continue
+                    start = stream(head)[1] - length
+                    if -(start + length) % 8 in found:
+                        continue
+                    for zeros in range(24):
+                        payload, _ = stream(head + [0] * zeros)
+                        after = 8 * len(payload.data) - start - length
+                        if after <= width:
+                            found.setdefault(after, head + [0] * zeros)
+                    if len(found) > width:
+                        break
+                assert sorted(found)[:8] == list(range(8)), (kr, terminator, length, found)
+                cases += [found[after] for after in sorted(found)]
+    return cases
+
+
+# sha256 over each window-edge payload and the outcome, (message, offset)
+# or the decoded list, of each of its byte truncations, as the decoder
+# that read every code word through str.find produced them
+_WINDOW_EDGE_DIGEST = "89321aa49efe302c798ea008174d925b9baf4cd3a987c7c4c49b67dbdb4de3d2"
+
+
+def test_code_words_at_the_window_edges(reference_rlgr_stream):
+    h = hashlib.sha256()
+    cases = _window_edge_cases(reference_rlgr_stream)
+    assert len(cases) > 11 * 2 * 2 * 8
+    for values in cases:
+        payload, _ = reference_rlgr_stream(values)
+        assert rlgr_encode(values) == payload
+        assert _decode_both_ways(payload) == [values, values]
+        h.update(payload.data)
+        for cut in range(len(payload.data)):
+            outcomes = _decode_both_ways(RlgrPayload(payload.data[:cut], payload.count))
+            assert outcomes[0] == outcomes[1]
+            h.update(repr(outcomes[0]).encode())
+    assert h.hexdigest() == _WINDOW_EDGE_DIGEST
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_decoder_peak_memory_per_payload_byte_and_value(as_array):
+    # the bound the coeff_codec docstring states; escaped int64 values
+    # (about 105 bits each) and 11-bit literals between them fill the
+    # payload with few allocations, which tracemalloc makes slow
+    rng = np.random.default_rng(7)
+    values = rng.integers(-(2**62), 2**62, 16_000)
+    values[1::2] = rng.integers(-20, 21, values.size // 2)
+    payload = rlgr_encode(values)
+    assert len(payload.data) > 100_000
+    rlgr_decode(rlgr_encode([1]))  # the tables are built once, not per call
+    tracemalloc.start()
+    try:
+        rlgr_decode(payload, as_array=as_array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * len(payload.data) + 112 * payload.count
+
+
+def test_import_builds_no_coder_table():
+    root = str(Path(cylpc.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + rest if rest else root)
+    tables = ("_code_tables", "_krp_next", "_episode_table")
+    code = ("import cylpc; from cylpc import coeff_codec as c; "
+            f"print([getattr(c, t).cache_info().currsize for t in {tables}])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0]\n"
 
 
 def _corrupted_payloads(kind: str, rng) -> list[RlgrPayload]:
