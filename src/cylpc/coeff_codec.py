@@ -216,8 +216,8 @@ def _krp_next() -> tuple[bytes, ...]:
     at krp is ``_krp_next()[krp][min(a, _ARG_CLIP)]``. With vk = a >> kr,
     krp drops by 2 when vk = 0, holds at vk = 1 and grows by vk, up to
     _KPMAX, above that."""
-    krp = np.arange(_KPMAX + 1)[:, None]
-    vk = np.arange(_ARG_CLIP + 1) >> (krp >> _LSGR)
+    krp = np.arange(_KPMAX + 1, dtype=np.int16)[:, None]
+    vk = np.arange(_ARG_CLIP + 1, dtype=np.int16) >> (krp >> _LSGR)
     after = np.where(vk > 1, np.minimum(krp + vk, _KPMAX),
                      np.where(vk == 1, krp, np.maximum(krp - _KRP_DOWN, 0)))
     return tuple(row.tobytes() for row in after.astype(np.uint8))
@@ -419,18 +419,16 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     while filled < n:
         literal = kp < _K_INIT  # k = 0: a zigzag-mapped Golomb-Rice literal
         if literal:
-            while pos <= last:  # literals whose code word fits a window
-                code = literal_codes[krp][windows[pos]]
-                if not code:
-                    break
+            # literals whose code word lies in a window inside the payload
+            while pos <= last and (code := literal_codes[krp][windows[pos]]):
                 pos += code & 15
                 krp = krp_next[krp][code >> 4 & 4095]
-                if code >> 16:
+                if value := code >> 16:
                     where.append(filled)
-                    nonzero.append(code >> 16)
+                    nonzero.append(value)
                     kp = kp - _DQ_GR if kp > _DQ_GR else 0
                 else:
-                    kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
+                    kp += _UQ_GR
                 filled += 1
                 if kp >= _K_INIT or filled == n:
                     break
@@ -511,7 +509,7 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
             nonzero.append((val >> 1) ^ -(val & 1))  # unzigzag
             kp = kp - _DQ_GR if kp > _DQ_GR else 0
         else:
-            kp += _UQ_GR
+            kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
         filled += 1
     if end - pos >= 8:
         raise CorruptStreamError(
