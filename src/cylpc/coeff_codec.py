@@ -233,9 +233,9 @@ def _code_tables() -> tuple[tuple[memoryview, ...], tuple[memoryview, ...]]:
     window = np.arange(1 << _W)
     bits = window[:, None] >> np.arange(_W - 1, -1, -1) & 1  # MSB first
     literals, terminators = [], []
-    for kr in range(_KMAX + 1):
-        for lead, tables in ((0, literals), (1, terminators)):
-            vk = np.cumprod(bits[:, lead:], axis=1).sum(axis=1)  # unary prefix
+    for lead, tables in ((0, literals), (1, terminators)):
+        vk = np.cumprod(bits[:, lead:], axis=1).sum(axis=1)  # unary prefix
+        for kr in range(_KMAX + 1):
             length = lead + vk + 1 + kr
             low = window >> np.maximum(_W - length, 0) & (1 << kr) - 1
             arg = vk << kr | low

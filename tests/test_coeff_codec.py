@@ -627,9 +627,7 @@ _WINDOW_EDGE_DIGEST = "89321aa49efe302c798ea008174d925b9baf4cd3a987c7c4c49b67dbd
 
 def test_code_words_at_the_window_edges(reference_rlgr_stream):
     h = hashlib.sha256()
-    cases = _window_edge_cases(reference_rlgr_stream)
-    assert len(cases) > 11 * 2 * 2 * 8
-    for values in cases:
+    for values in _window_edge_cases(reference_rlgr_stream):
         payload, _ = reference_rlgr_stream(values)
         assert rlgr_encode(values) == payload
         assert _decode_both_ways(payload) == [values, values]
@@ -643,9 +641,9 @@ def test_code_words_at_the_window_edges(reference_rlgr_stream):
 
 @pytest.mark.parametrize("as_array", [False, True])
 def test_decoder_peak_memory_per_payload_byte_and_value(as_array):
-    # the bound the coeff_codec docstring states; escaped int64 values
-    # (about 105 bits each) and 11-bit literals between them fill the
-    # payload with few allocations, which tracemalloc makes slow
+    # the bound the coeff_codec docstring states. tracemalloc slows every
+    # allocation, so escaped int64 values (about 105 bits each) with 11-bit
+    # literals between them fill the payload at few allocations per byte
     rng = np.random.default_rng(7)
     values = rng.integers(-(2**62), 2**62, 16_000)
     values[1::2] = rng.integers(-20, 21, values.size // 2)
