@@ -558,21 +558,40 @@ def test_decoder_memory_is_bounded_by_the_payload():
     assert exc.value.offset == 8
 
 
-def _trace(values) -> list[tuple[bool, int] | None]:
-    """(literal, kr) of each value that codes a Golomb-Rice word, and None
-    for a zero inside a run, from the scalar kp and krp state machines."""
+def _coder_states(values):
+    """(kp, zeros of the unfinished complete run, krp) before each value and
+    after the last, from the scalar kp and krp state machines."""
     kp, pending, krp = 8, 0, 8
-    out = []
+    yield kp, pending, krp
     for v in values:
         literal = pending == 0 and kp < 8
         if literal or v:
-            out.append((literal, krp >> 3))
             arg = (2 * v if v >= 0 else -2 * v - 1) if literal else abs(v) - 1
             krp = _krp_after(krp, arg)
-        else:
-            out.append(None)
         kp, pending, *_ = _walk(kp, pending, v)
+        yield kp, pending, krp
+
+
+def _trace(values) -> list[tuple[bool, int] | None]:
+    """(literal, kr) of each value that codes a Golomb-Rice word, and None
+    for a zero inside a run."""
+    out = []
+    for v, (kp, pending, krp) in zip(values, _coder_states(values)):
+        literal = pending == 0 and kp < 8
+        out.append((literal, krp >> 3) if literal or v else None)
     return out
+
+
+def _word_prefixes(kr: int) -> list[list[int]]:
+    """Value sequences after which a nonzero codes with kr, in many bit
+    lengths: zeros and run terminators 3 that keep krp at 8, then one
+    terminator v0 that sets krp to 6 or 8 kr + 4, then literals that keep
+    it there."""
+    krp = 6 if kr == 0 else min(8 * kr + 4, 80)
+    v0 = 1 if kr == 0 else 2 * (krp - 8) + 1
+    fill = _unzigzag(1 << kr)
+    return [[0] * lead + [3] * m + [v0] + [fill] * m1 for m1 in range(4)
+            for m in range(8) for lead in [*range(40), 100, 300, 1000]]
 
 
 def _window_edge_cases(stream) -> list[list[int]]:
@@ -586,14 +605,7 @@ def _window_edge_cases(stream) -> list[list[int]]:
     width = coeff_codec._W
     cases = []
     for kr in range(11):
-        # the prefixes shift where the code word starts: zeros and run
-        # terminators 3 that keep krp at 8, then one terminator v0 that
-        # sets krp to 6 or 8 kr + 4, then literals that keep it there
-        krp = 6 if kr == 0 else min(8 * kr + 4, 80)
-        v0 = 1 if kr == 0 else 2 * (krp - 8) + 1
-        fill = _unzigzag(1 << kr)
-        prefixes = [[0] * lead + [3] * m + [v0] + [fill] * m1 for m1 in range(4)
-                    for m in range(8) for lead in [*range(40), 100, 300, 1000]]
+        prefixes = _word_prefixes(kr)  # they shift where the code word starts
         for terminator in (False, True):
             for length in (width, width + 1):
                 vk = length - 1 - kr - terminator
@@ -637,6 +649,91 @@ def test_code_words_at_the_window_edges(reference_rlgr_stream):
             assert outcomes[0] == outcomes[1]
             h.update(repr(outcomes[0]).encode())
     assert h.hexdigest() == _WINDOW_EDGE_DIGEST
+
+
+def _tails(head, end, stream) -> list[list[int]]:
+    """Values to follow ``head``, whose last code word ends at bit ``end``:
+    0-8 zero literals or complete runs, each alone and then followed by one
+    value whose code word ends the payload's bits at each later multiple
+    of 8 after ``end`` up to _ESC + _W. Its unary prefix vk sets its length
+    one bit per step."""
+    *_, (kp, _, krp) = _coder_states(head)
+    tails, zeros = [], 0
+    for _ in range(9):
+        literal, kr = kp < 8, krp >> 3
+
+        def value(vk):
+            return _unzigzag(vk << kr) if literal else (vk << kr) + 1
+
+        base = stream(head + [0] * zeros + [value(0)])[1] - end
+        tails.append([0] * zeros)
+        tails += [[0] * zeros + [value(after - base)]
+                  for after in range(-end % 8 + 8, coeff_codec._ESC + coeff_codec._W, 8)
+                  if 0 <= after - base < coeff_codec._ESC]
+        if literal:  # one more zero literal
+            zeros, kp, krp = zeros + 1, kp + 3, _krp_after(krp, 0)
+        else:  # one more complete run of 2^k zeros
+            zeros, kp = zeros + (1 << (kp >> 3)), min(kp + 4, 80)
+    return tails
+
+
+def _long_word_cases(stream) -> list[list[int]]:
+    """For every kr, literals and run terminators whose code word is longer
+    than _W bits: the shortest, one with the longest unary prefix below the
+    escape, and escapes of the fewest raw bits and of 64 (a terminator's
+    63). Each is the last nonzero of one payload per residue of its end
+    modulo 8, and the values after it end the payload at each of the
+    _ESC + _W bit counts 0.._ESC + _W - 1 after the word that they reach:
+    all but 8-10, which need a code word of at most 10 bits after it, and a
+    literal at the large kr a long code word leaves cannot have one."""
+    reach = coeff_codec._ESC + coeff_codec._W
+    cases = []
+    for kr in range(11):
+        prefixes = _word_prefixes(kr)
+        modes = {}  # (literal, kr) of a nonzero after each prefix
+        for terminator in (False, True):
+            top = 2**63 - 1 if terminator else 2**64 - 1
+            for arg in ((12 - kr - terminator) << kr, 31 << kr | 1, 32 << kr, top):
+                value = (-arg - 1 if arg & 1 else arg + 1) if terminator else _unzigzag(arg)
+                heads = {}  # by the word's end modulo 8
+                for i, prefix in enumerate(prefixes):
+                    if i not in modes:
+                        modes[i] = _trace(prefix + [1])[-1]
+                    if modes[i] == (not terminator, kr):
+                        heads.setdefault(stream(prefix + [value])[1] % 8, prefix + [value])
+                        if len(heads) == 8:
+                            break
+                found = {}  # bits from the word's end to the payload's
+                for head in heads.values():
+                    end = stream(head)[1]
+                    for tail in _tails(head, end, stream):
+                        after = 8 * len(stream(head + tail)[0].data) - end
+                        if after < reach:
+                            found.setdefault(after, head + tail)
+                assert set(range(reach)) - set(found) <= {8, 9, 10}, (kr, terminator, arg)
+                cases += [found[after] for after in sorted(found)]
+    return cases
+
+
+# sha256 over each long-word payload and the outcome, (message, offset) or
+# the decoded list, of each of its byte truncations, as the decoder that
+# read every code word longer than _W bits through str.find produced them
+_LONG_WORD_DIGEST = "c51641c7c66ace92337b2a1086d04353550c9badd1a79758d45a05f27b2716a2"
+
+
+def test_long_code_words_at_the_payload_end(reference_rlgr_stream):
+    h = hashlib.sha256()
+    for values in _long_word_cases(reference_rlgr_stream):
+        payload, _ = reference_rlgr_stream(values)
+        assert _decode_both_ways(payload) == [values, values]
+        h.update(payload.data)
+        for cut in range(len(payload.data)):
+            try:
+                outcome = rlgr_decode(RlgrPayload(payload.data[:cut], payload.count))
+            except CorruptStreamError as exc:
+                outcome = (str(exc), exc.offset)
+            h.update(repr(outcome).encode())
+    assert h.hexdigest() == _LONG_WORD_DIGEST
 
 
 @pytest.mark.parametrize("as_array", [False, True])
