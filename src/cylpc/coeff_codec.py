@@ -44,23 +44,27 @@ Numpy then computes the width and value of every code word, takes the
 bit offsets from one cumulative sum and ORs the fields into big-endian
 uint64 words.
 
-The decoder is one inlined event loop, an event being one k = 0 literal
-or one whole k > 0 episode. A code word of at most _W = 12 bits, a
-literal or the sign and code that end a run, decodes with one lookup:
-the next _W bits index a table for the current kr whose entry holds the
-word's length, its Golomb-Rice argument and its value, and the argument
-indexes the krp table the encoder uses. A uint16 array holds the _W bits
-that start at every payload bit, and the lookups run while a whole window
-lies inside the payload, k = 0 literals in a loop of their own. Complete
-runs, the k-bit remainder, longer codes, escapes and the last _W bits
-read the payload as a "0"/"1" string, one ``find`` locating the next "1"
-marker, and every error is raised there. Zeros are counted, not stored,
+The decoder is one inlined event loop, an event being one k = 0 literal,
+one complete run, or the marker, remainder and value that end a k > 0
+run. It reads the payload only through a uint16 array of the _W = 12
+bits that start at every payload bit, with _ESC + _W windows of zeros
+past its end. A code word of at most _W bits, a literal or the sign and
+code that end a run, decodes with one lookup: the window indexes a table
+for the current kr whose entry holds the word's length, its Golomb-Rice
+argument and its value, and the argument indexes the krp table the
+encoder uses; k = 0 literals run in a loop of their own. A complete run
+or a marker is a window's top bit and the k-bit remainder its top k
+bits; a longer unary prefix, an escape's length and its raw bits join
+consecutive windows. A field that runs past the payload reads zeros and
+leaves the bit offset past its end, which the next turn of the loop, or
+the check after it, reports as exhausted. Zeros are counted, not stored,
 and only the (position, value) pairs of the nonzeros are kept. Once the
 bits account for every value, it writes the nonzeros into an int64
 array of zeros and returns that array, or its list. No bit stands for
 more than 2^10 values, so memory stays bounded by the payload: the
-string and the windows take 24 bytes per payload byte, and the peak
-stays under 48 bytes per payload byte plus 112 per value.
+windows take 16 bytes per payload byte, and 8 more while they are
+built, and the peak stays under 32 bytes per payload byte plus 112 per
+value.
 """
 
 from __future__ import annotations
@@ -250,14 +254,22 @@ def _code_tables() -> tuple[tuple[memoryview, ...], tuple[memoryview, ...]]:
 
 
 def _windows(data: bytes) -> memoryview:
-    """The _W payload bits from every bit offset on, as uint16; the last
-    windows run into zero bits past the payload."""
-    b = np.frombuffer(data + bytes(2), np.uint8).astype(np.uint32)
-    head = b[:-2] << 16 | b[1:-1] << 8 | b[2:]  # 24 bits from each byte on
-    windows = np.empty(8 * len(data), np.uint16)
-    for shift in range(8):
-        windows[shift::8] = head >> 24 - _W - shift & (1 << _W) - 1
+    """The _W bits from every payload bit offset on, as uint16, then
+    _ESC + _W windows past the payload, which read zeros past its end."""
+    bits = np.unpackbits(np.frombuffer(data + bytes(2), np.uint8))
+    windows = np.zeros(8 * len(data) + _ESC + _W, np.uint16)
+    for at in range(_W):  # MSB first
+        windows <<= 1
+        windows[: bits.size - at] |= bits[at:]
     return memoryview(windows)
+
+
+def _field(windows: memoryview, pos: int, width: int) -> int:
+    """The ``width`` payload bits from bit ``pos`` on, read _W at a time."""
+    value = 0
+    for at in range(pos, pos + width, _W):
+        value = value << _W | windows[at]
+    return value >> -width % _W
 
 
 def _or_fields(words: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
@@ -406,21 +418,23 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     Returns the values as a list, or as an int64 array with ``as_array``.
     """
     end = 8 * len(payload.data)
-    bits = format(int.from_bytes(payload.data, "big"), f"0{end}b") if end else ""
     windows = _windows(payload.data)
     literal_codes, terminator_codes = _code_tables()
     krp_next = _krp_next()
-    last = end - _W  # the last bit a table lookup may start at
     n = payload.count
     where: list[int] = []  # positions and values of the nonzeros
     nonzero: list[int] = []
     pos = filled = 0  # next bit; values decoded so far
     kp = krp = _K_INIT
+    # a field that runs past the payload reads zeros and leaves pos > end,
+    # which the next turn or the end of the loop reports
     while filled < n:
+        if pos >= end:
+            raise _exhausted(end)
         literal = kp < _K_INIT  # k = 0: a zigzag-mapped Golomb-Rice literal
         if literal:
-            # literals whose code word lies in a window inside the payload
-            while pos <= last and (code := literal_codes[krp][windows[pos]]):
+            # literals whose code word fits in one window
+            while code := literal_codes[krp][windows[pos]]:
                 pos += code & 15
                 krp = krp_next[krp][code >> 4 & 4095]
                 if value := code >> 16:
@@ -432,70 +446,51 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
                 filled += 1
                 if kp >= _K_INIT or filled == n:
                     break
-            if kp >= _K_INIT or filled == n:
+            if code:
                 continue
-        else:  # k > 0: complete runs, then a marker or the end of the count
+        else:  # k > 0: a complete run, or a marker and the end of the run
             k = kp >> _LSGR
-            one = bits.find("1", pos)
-            stop = end if one < 0 else one
-            while pos < stop and filled < n:  # "0": a complete run of 2^k zeros
+            if not windows[pos] >> _W - 1:  # "0": a complete run of 2^k zeros
                 pos += 1
                 if 1 << k > n - filled:
                     raise _run_overflow(pos)
                 filled += 1 << k
-                kp += _UP_GR
-                if kp > _KPMAX:
-                    kp = _KPMAX
-                k = kp >> _LSGR
-            if filled == n:
-                break
-            if one < 0:
-                raise _exhausted(end)
-            pos = one + 1 + k
-            if pos > end:
-                raise _exhausted(end)
-            run = int(bits[one + 1 : pos], 2)
+                kp = kp + _UP_GR if kp < _KPMAX - _UP_GR else _KPMAX
+                continue
+            run = windows[pos + 1] >> _W - k  # the k-bit remainder
+            pos += 1 + k
             if run > n - filled:
-                raise _run_overflow(pos)
+                raise _exhausted(end) if pos > end else _run_overflow(pos)
             filled += run
             if filled == n:
                 break
             kp = kp - _DN_GR if kp > _DN_GR else 0
-            if pos <= last:  # the sign and code word in one window
-                code = terminator_codes[krp][windows[pos]]
-                if code:
-                    pos += code & 15
-                    krp = krp_next[krp][code >> 4 & 4095]
-                    where.append(filled)
-                    nonzero.append(code >> 16)
-                    filled += 1
-                    continue
-            if pos == end:
-                raise _exhausted(pos)
-            negative = bits[pos] == "1"
+            code = terminator_codes[krp][windows[pos]]
+            if code:  # the sign and code word in one window
+                pos += code & 15
+                krp = krp_next[krp][code >> 4 & 4095]
+                where.append(filled)
+                nonzero.append(code >> 16)
+                filled += 1
+                continue
+            negative = windows[pos] >> _W - 1
             pos += 1
         # Golomb-Rice code: unary prefix vk < 32, a "0", kr low bits; or escape
         kr = krp >> _LSGR
-        zero = bits.find("0", pos, pos + _ESC)
-        if zero >= 0:
-            vk = zero - pos
-            pos = zero + 1 + kr
-            if pos > end:
-                raise _exhausted(end)
-            val = ((vk << kr) | int(bits[zero + 1 : pos], 2)) if kr else vk
+        vk = _ESC - (_field(windows, pos, _ESC) ^ (1 << _ESC) - 1).bit_length()  # leading 1s
+        if vk < _ESC:
+            pos += vk + 1 + kr
+            val = vk << kr | windows[pos - kr] >> _W - kr
         else:
-            pos += _ESC + 8
-            if pos > end:  # the prefix or the length runs off the end
+            m = windows[pos + _ESC] >> _W - 8
+            pos += _ESC + 8 + m
+            if pos > end:  # the escape runs off the end
                 raise _exhausted(end)
-            m = int(bits[pos - 8 : pos], 2)
             if m == 0:
                 raise CorruptStreamError(
                     f"escape code with zero bit-length at bit offset {pos}", offset=pos
                 )
-            pos += m
-            if pos > end:
-                raise _exhausted(end)
-            val = int(bits[pos - m : pos], 2)
+            val = _field(windows, pos - m, m)
             if val > (_ZIGZAG_MAX if literal else _NEG_MAX if negative else _POS_MAX):
                 raise CorruptStreamError(
                     f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
@@ -511,13 +506,15 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
         else:
             kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8
         filled += 1
+    if pos > end:
+        raise _exhausted(end)
     if end - pos >= 8:
         raise CorruptStreamError(
             f"{end - pos} unread bits after decoding {n} values at bit offset {pos}",
             offset=pos,
         )
-    one = bits.find("1", pos)
-    if one >= 0:
+    if padding := windows[pos] >> _W - (end - pos):
+        one = end - padding.bit_length()
         raise CorruptStreamError(f"nonzero padding bit at offset {one}", offset=one)
     out = np.zeros(n, dtype=np.int64)  # the bits have accounted for all n values
     count = len(where)  # fromiter with a count converts the pairs fastest

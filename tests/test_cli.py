@@ -31,7 +31,7 @@ from cylpc.bitstream import HEADER_BYTES, Encoder, pack_stream
 from cylpc.coeff_codec import QSTEP_MIN
 from cylpc.cli import DEFAULT_DEPTH, build_parser, main
 from cylpc.ingest import INTENSITY_MODELS
-from cylpc.voxelizer import assign_codes
+from cylpc.voxelizer import assign_codes, voxelize
 
 
 def run(*argv):
@@ -281,6 +281,24 @@ def test_compare_matches_golden_bytes(tmp_path, small_ply, capsys):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "1fd7e38f7e8354c6dd0ec98efc5db6d7fe67ce702204cf3d3fabfadb35fc8224"
     )
+
+
+def test_compare_attribute_bd_does_not_depend_on_a_cartesian_depth_of_one_point_per_voxel(
+        small_ply, capsys):
+    # once every voxel holds one point, a deeper Cartesian grid only adds
+    # one-child octree levels, which code no coefficient: the attribute
+    # curve and its Bjontegaard deltas stay the same. At depth 10 voxels
+    # still merge points, and the deltas differ
+    pc = load_ply(small_ply)
+    bd = {}
+    for depth in (10, 11, 16):
+        voxels = voxelize(pc, make_config(pc, CoordinateSystem.CARTESIAN, depth))
+        assert (len(voxels) == len(pc)) == (depth > 10)
+        assert run("compare", small_ply, "--depth-cart", depth, "--depth-cyl", "9",
+                   "--log-radial", "--qsteps", "64,16,4,1") == 0
+        kv = parse_kv(capsys)
+        bd[depth] = kv["bd_delta_rate_percent"], kv["bd_delta_psnr_db"]
+    assert bd[11] == bd[16] != bd[10]
 
 
 def test_compare_rejects_diverging_bjontegaard_fits(tmp_path, capsys):

@@ -550,6 +550,16 @@ def test_decoder_error_messages_and_offsets(payload, message, offset):
     assert exc.value.offset == offset
 
 
+def test_run_remainder_past_the_end_is_exhausted_before_it_overflows():
+    # six complete runs take 28 zeros and raise k to 4; the remainder after
+    # the "1" marker at bit 6 runs 3 bits past the payload, and with zeros
+    # there it reads 8, more than the 2 values left
+    with pytest.raises(CorruptStreamError) as exc:
+        rlgr_decode(_bits("00000011", 30))
+    assert str(exc.value) == "payload exhausted at bit offset 8"
+    assert exc.value.offset == 8
+
+
 def test_decoder_memory_is_bounded_by_the_payload():
     # a huge count must not be allocated before the bits account for it
     with pytest.raises(CorruptStreamError) as exc:
@@ -653,9 +663,9 @@ def test_code_words_at_the_window_edges(reference_rlgr_stream):
 
 def _tails(head, end, stream) -> list[list[int]]:
     """Values to follow ``head``, whose last code word ends at bit ``end``:
-    0-8 zero literals or complete runs, each alone and then followed by one
-    value whose code word ends the payload's bits at each later multiple
-    of 8 after ``end`` up to _ESC + _W. Its unary prefix vk sets its length
+    0-8 zero literals or complete runs, alone and with one more value after
+    them whose code word ends with the payload's last byte, 8 to
+    _ESC + _W - 1 bits after ``end``; its unary prefix vk sets its length
     one bit per step."""
     *_, (kp, _, krp) = _coder_states(head)
     tails, zeros = [], 0
@@ -677,15 +687,16 @@ def _tails(head, end, stream) -> list[list[int]]:
     return tails
 
 
-def _long_word_cases(stream) -> list[list[int]]:
+def _long_word_cases(stream) -> list[tuple[list[int], int]]:
     """For every kr, literals and run terminators whose code word is longer
     than _W bits: the shortest, one with the longest unary prefix below the
     escape, and escapes of the fewest raw bits and of 64 (a terminator's
     63). Each is the last nonzero of one payload per residue of its end
-    modulo 8, and the values after it end the payload at each of the
-    _ESC + _W bit counts 0.._ESC + _W - 1 after the word that they reach:
-    all but 8-10, which need a code word of at most 10 bits after it, and a
-    literal at the large kr a long code word leaves cannot have one."""
+    modulo 8, and the values after it end the payload at each of the bit
+    counts 0.._ESC + _W - 1 after the word that they reach: all but 8-10,
+    which need a code word of at most 10 bits after it, and a literal at
+    the large kr a long code word leaves cannot have one. Returns the
+    values of each payload and the bit its word's episode starts at."""
     reach = coeff_codec._ESC + coeff_codec._W
     cases = []
     for kr in range(11):
@@ -700,34 +711,36 @@ def _long_word_cases(stream) -> list[list[int]]:
                     if i not in modes:
                         modes[i] = _trace(prefix + [1])[-1]
                     if modes[i] == (not terminator, kr):
-                        heads.setdefault(stream(prefix + [value])[1] % 8, prefix + [value])
+                        heads.setdefault(stream(prefix + [value])[1] % 8, prefix)
                         if len(heads) == 8:
                             break
                 found = {}  # bits from the word's end to the payload's
-                for head in heads.values():
+                for prefix in heads.values():
+                    head = prefix + [value]
                     end = stream(head)[1]
                     for tail in _tails(head, end, stream):
                         after = 8 * len(stream(head + tail)[0].data) - end
                         if after < reach:
-                            found.setdefault(after, head + tail)
+                            found.setdefault(after, (head + tail, stream(prefix)[1]))
                 assert set(range(reach)) - set(found) <= {8, 9, 10}, (kr, terminator, arg)
                 cases += [found[after] for after in sorted(found)]
     return cases
 
 
 # sha256 over each long-word payload and the outcome, (message, offset) or
-# the decoded list, of each of its byte truncations, as the decoder that
-# read every code word longer than _W bits through str.find produced them
-_LONG_WORD_DIGEST = "c51641c7c66ace92337b2a1086d04353550c9badd1a79758d45a05f27b2716a2"
+# the decoded list, of each of its byte truncations from the byte its
+# word's episode starts in, as the decoder that read every code word
+# longer than _W bits through str.find produced them
+_LONG_WORD_DIGEST = "65a9c85bb610e41b611007352aa74872c77db61d4170604377d387cc86f0960d"
 
 
 def test_long_code_words_at_the_payload_end(reference_rlgr_stream):
     h = hashlib.sha256()
-    for values in _long_word_cases(reference_rlgr_stream):
+    for values, start in _long_word_cases(reference_rlgr_stream):
         payload, _ = reference_rlgr_stream(values)
         assert _decode_both_ways(payload) == [values, values]
         h.update(payload.data)
-        for cut in range(len(payload.data)):
+        for cut in range(start // 8, len(payload.data)):
             try:
                 outcome = rlgr_decode(RlgrPayload(payload.data[:cut], payload.count))
             except CorruptStreamError as exc:
@@ -753,7 +766,7 @@ def test_decoder_peak_memory_per_payload_byte_and_value(as_array):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * len(payload.data) + 112 * payload.count
+    assert peak <= 32 * len(payload.data) + 112 * payload.count
 
 
 def test_import_builds_no_coder_table():
