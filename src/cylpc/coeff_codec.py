@@ -48,23 +48,25 @@ The decoder is one inlined event loop, an event being one k = 0 literal,
 one complete run, or the marker, remainder and value that end a k > 0
 run. It reads the payload only through a uint16 array of the _W = 12
 bits that start at every payload bit, with _ESC + _W windows of zeros
-past its end. A code word of at most _W bits, a literal or the sign and
-code that end a run, decodes with one lookup: the window indexes a table
-for the current kr whose entry holds the word's length, its Golomb-Rice
-argument and its value, and the argument indexes the krp table the
-encoder uses; k = 0 literals run in a loop of their own. A complete run
-or a marker is a window's top bit and the k-bit remainder its top k
-bits; a longer unary prefix, an escape's length and its raw bits join
-consecutive windows. A field that runs past the payload reads zeros and
-leaves the bit offset past its end, which the next turn of the loop, or
-the check after it, reports as exhausted. Zeros are counted, not stored,
-and only the (position, value) pairs of the nonzeros are kept. Once the
-bits account for every value, it writes the nonzeros into an int64
-array of zeros and returns that array, or its list. No bit stands for
-more than 2^10 values, so memory stays bounded by the payload: the
-windows take 16 bytes per payload byte, and 8 more while they are
-built, and the peak stays under 32 bytes per payload byte plus 112 per
-value.
+past its end. A complete run or a marker is a window's top bit and the
+k-bit remainder its top k bits. One table per kr serves every code word:
+at each window, the length and Golomb-Rice argument of the word that
+starts it, or 0 when that word is longer than _W bits. k = 0 literals
+that fit run in a loop of their own, which unzigzags a nonzero's
+argument. A run terminator reads its sign as its window's top bit and
+looks up |value| - 1 at the next window. It and a longer literal then
+take one code-word step: the lookup, or a longer unary prefix, an
+escape's length and its raw bits joined from consecutive windows; then
+one krp step in the encoder's krp table and one mapping from argument to
+value. A field that runs past the payload reads zeros and leaves the bit
+offset past its end, which the next turn of the loop, or the check after
+it, reports as exhausted. Zeros are counted, not stored, and only the
+(position, value) pairs of the nonzeros are kept. Once the bits account
+for every value, it writes the nonzeros into an int64 array of zeros and
+returns that array, or its list. No bit stands for more than 2^10
+values, so memory stays bounded by the payload: the windows take 16
+bytes per payload byte, and 8 more while they are built, and the peak
+stays under 32 bytes per payload byte plus 112 per value.
 """
 
 from __future__ import annotations
@@ -228,39 +230,30 @@ def _krp_next() -> tuple[bytes, ...]:
 
 
 @functools.cache
-def _code_tables() -> tuple[tuple[memoryview, ...], tuple[memoryview, ...]]:
-    """For each krp, the k = 0 literal table and the run-terminator table of
-    its kr: at each _W-bit window, ``length | arg << 4 | value << 16`` of
-    the code word that starts it (a terminator's leads with its sign bit),
-    or 0 where that word is longer than _W bits. krp of one kr share one
-    table."""
+def _code_tables() -> tuple[memoryview, ...]:
+    """For each krp, the table of its kr: at each _W-bit window,
+    ``length | arg << 4`` of the Golomb-Rice code word that starts it, or 0
+    where that word is longer than _W bits. A word that fits has
+    arg < 2^11, so uint16 holds the entry. krp of one kr share one table."""
     window = np.arange(1 << _W)
     bits = window[:, None] >> np.arange(_W - 1, -1, -1) & 1  # MSB first
-    literals, terminators = [], []
-    for lead, tables in ((0, literals), (1, terminators)):
-        vk = np.cumprod(bits[:, lead:], axis=1).sum(axis=1)  # unary prefix
-        for kr in range(_KMAX + 1):
-            length = lead + vk + 1 + kr
-            low = window >> np.maximum(_W - length, 0) & (1 << kr) - 1
-            arg = vk << kr | low
-            if lead:
-                value = np.where(window >> _W - 1, -arg - 1, arg + 1)
-            else:
-                value = arg >> 1 ^ -(arg & 1)  # unzigzag
-            table = np.where(length <= _W, length | arg << 4 | value << 16, 0)
-            tables.append(memoryview(table.astype(np.int32)))
-    return tuple(tuple(t[krp >> _LSGR] for krp in range(_KPMAX + 1))
-                 for t in (literals, terminators))
+    vk = np.cumprod(bits, axis=1).sum(axis=1)  # unary prefix
+    tables = []
+    for kr in range(_KMAX + 1):
+        length = vk + 1 + kr
+        arg = vk << kr | window >> np.maximum(_W - length, 0) & (1 << kr) - 1
+        tables.append(memoryview(np.where(length <= _W, length | arg << 4, 0).astype(np.uint16)))
+    return tuple(tables[krp >> _LSGR] for krp in range(_KPMAX + 1))
 
 
 def _windows(data: bytes) -> memoryview:
     """The _W bits from every payload bit offset on, as uint16, then
     _ESC + _W windows past the payload, which read zeros past its end."""
-    bits = np.unpackbits(np.frombuffer(data + bytes(2), np.uint8))
+    pairs = np.frombuffer(data + bytes(2), np.uint8).astype(np.uint16)
+    pairs = pairs[:-1] << 8 | pairs[1:]  # the 16 bits from every byte on
     windows = np.zeros(8 * len(data) + _ESC + _W, np.uint16)
-    for at in range(_W):  # MSB first
-        windows <<= 1
-        windows[: bits.size - at] |= bits[at:]
+    for at in range(8):  # the _W bits from bit ``at`` of every byte
+        windows[at : 8 * len(data) : 8] = (pairs[:-1] << at | pairs[1:] >> 8 - at) >> 16 - _W
     return memoryview(windows)
 
 
@@ -346,13 +339,13 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
         krp = after[zeros[j][krp]][arg]
     record(krp)
     krp = np.frombuffer(krp_before, np.uint8)
-    drops = _KRP_DOWN * literals[:-1]
-    # zero literal j codes kr from krp less 2 per earlier zero literal
-    for j in range(int(literals.max())):
-        drop = _KRP_DOWN * j
-        zero_bits += (literals > j) * ((np.maximum(krp, drop) - drop) >> _LSGR)
-    del literals
-    kr = ((np.maximum(krp[:-1], drops) - drops) >> _LSGR).astype(np.uint64)
+    # zero literal j and the code after j zero literals take the kr of
+    # zeros[j]; the zero literals ahead of each code write kr bits each
+    kr = np.frombuffer(b"".join(zeros), np.uint8).reshape(-1, _KPMAX + 1) >> _LSGR
+    at = literals * np.intp(_KPMAX + 1) + krp  # zeros[literals][krp], flat
+    zero_bits += (np.cumsum(kr, axis=0, dtype=np.int64) - kr).take(at)
+    kr = kr.take(at[:-1]).astype(np.uint64)
+    del literals, at
     # after them a "1" marker and the k-bit remainder; the dangling run
     # writes them only if the remainder is not 0
     marker = k > 0
@@ -419,7 +412,7 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
     """
     end = 8 * len(payload.data)
     windows = _windows(payload.data)
-    literal_codes, terminator_codes = _code_tables()
+    codes = _code_tables()
     krp_next = _krp_next()
     n = payload.count
     where: list[int] = []  # positions and values of the nonzeros
@@ -434,12 +427,12 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
         literal = kp < _K_INIT  # k = 0: a zigzag-mapped Golomb-Rice literal
         if literal:
             # literals whose code word fits in one window
-            while code := literal_codes[krp][windows[pos]]:
+            while code := codes[krp][windows[pos]]:
                 pos += code & 15
-                krp = krp_next[krp][code >> 4 & 4095]
-                if value := code >> 16:
+                krp = krp_next[krp][arg := code >> 4]
+                if arg:
                     where.append(filled)
-                    nonzero.append(value)
+                    nonzero.append(arg >> 1 ^ -(arg & 1))  # unzigzag
                     kp = kp - _DQ_GR if kp > _DQ_GR else 0
                 else:
                     kp += _UQ_GR
@@ -465,22 +458,17 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
             if filled == n:
                 break
             kp = kp - _DN_GR if kp > _DN_GR else 0
-            code = terminator_codes[krp][windows[pos]]
-            if code:  # the sign and code word in one window
-                pos += code & 15
-                krp = krp_next[krp][code >> 4 & 4095]
-                where.append(filled)
-                nonzero.append(code >> 16)
-                filled += 1
-                continue
-            negative = windows[pos] >> _W - 1
+            negative = windows[pos] >> _W - 1  # the sign, then |value| - 1
             pos += 1
+            code = codes[krp][windows[pos]]
         # Golomb-Rice code: unary prefix vk < 32, a "0", kr low bits; or escape
-        kr = krp >> _LSGR
-        vk = _ESC - (_field(windows, pos, _ESC) ^ (1 << _ESC) - 1).bit_length()  # leading 1s
-        if vk < _ESC:
+        if code:  # a word of at most _W bits
+            pos += code & 15
+            arg = code >> 4
+        elif (vk := _ESC - (_field(windows, pos, _ESC) ^ (1 << _ESC) - 1).bit_length()) < _ESC:
+            kr = krp >> _LSGR  # vk is the count of leading 1s
             pos += vk + 1 + kr
-            val = vk << kr | windows[pos - kr] >> _W - kr
+            arg = vk << kr | windows[pos - kr] >> _W - kr
         else:
             m = windows[pos + _ESC] >> _W - 8
             pos += _ESC + 8 + m
@@ -490,18 +478,18 @@ def rlgr_decode(payload: RlgrPayload, *, as_array: bool = False) -> list[int] | 
                 raise CorruptStreamError(
                     f"escape code with zero bit-length at bit offset {pos}", offset=pos
                 )
-            val = _field(windows, pos - m, m)
-            if val > (_ZIGZAG_MAX if literal else _NEG_MAX if negative else _POS_MAX):
+            arg = _field(windows, pos - m, m)
+            if arg > (_ZIGZAG_MAX if literal else _NEG_MAX if negative else _POS_MAX):
                 raise CorruptStreamError(
                     f"escaped value beyond the int64 range at bit offset {pos}", offset=pos
                 )
-        krp = krp_next[krp][val if val < _ARG_CLIP else _ARG_CLIP]
+        krp = krp_next[krp][arg if arg < _ARG_CLIP else _ARG_CLIP]
         if not literal:
             where.append(filled)
-            nonzero.append(-val - 1 if negative else val + 1)
-        elif val:
+            nonzero.append(-arg - 1 if negative else arg + 1)
+        elif arg:
             where.append(filled)
-            nonzero.append((val >> 1) ^ -(val & 1))  # unzigzag
+            nonzero.append(arg >> 1 ^ -(arg & 1))  # unzigzag
             kp = kp - _DQ_GR if kp > _DQ_GR else 0
         else:
             kp += _UQ_GR  # below _KPMAX: k = 0 means kp < 8

@@ -363,7 +363,8 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
     dirs = (cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el))  # (B, n), (B, n), (B, 1)
     origin = np.array([0.0, 0.0, spec.sensor_height])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # extreme finite specs overflow to inf or NaN here; the keep mask drops those rays
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ground = np.where(dirs[2] < 0.0, -spec.sensor_height / dirs[2], np.inf)
         t = np.broadcast_to(ground, dirs[0].shape)  # the grid's shape even with no boxes
         for lo, hi in zip(box_lo, box_hi):
@@ -377,9 +378,8 @@ def synth_sweep(spec: SweepSpec, seed: int = 0) -> PointCloud:
                 t_far = np.fmin(t_far, np.maximum(t1, t2))
             hit = (t_far >= t_near) & (t_far > 0.0) & (t_near > 1e-9)
             t = np.where(hit & (t_near < t), t_near, t)
-
-    if spec.noise_sigma:
-        t = t + rng.normal(0.0, spec.noise_sigma, t.shape)
+        if spec.noise_sigma:
+            t = t + rng.normal(0.0, spec.noise_sigma, t.shape)
     keep = np.isfinite(t) & (t > 0.0) & (t <= spec.max_range)
     beam, step = rays = np.nonzero(keep)  # in the C order of t[keep]
     t = t[keep]

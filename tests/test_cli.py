@@ -91,6 +91,14 @@ def test_exit_code_2_on_synth_without_returns(tmp_path, capsys, seed):
     assert not (tmp_path / "x.ply").exists()
 
 
+def test_synth_with_extreme_noise_prints_no_warning(tmp_path, capsys):
+    # noise of sigma 1e308 overflows every range to +-inf
+    assert run("synth", "--noise-sigma", "1e308", "--out", tmp_path / "x.ply") == 2
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert err == "error: synthetic sweep produced no returns\n"
+
+
 def test_synth_intensity_choices_are_the_sweep_models():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -349,17 +349,23 @@ def _unzigzag(arg: int) -> int:
 
 def test_code_tables_match_the_scalar_code():
     width = coeff_codec._W
-    literal_tables, terminator_tables = coeff_codec._code_tables()
-    assert len(literal_tables) == len(terminator_tables) == 81
+    tables = coeff_codec._code_tables()
+    assert len(tables) == 81 and len({id(table) for table in tables}) == 11
     for kr in range(11):
-        for tables, terminator in ((literal_tables, False), (terminator_tables, True)):
-            table = tables[8 * kr]
-            assert all(tables[krp] is table for krp in range(8 * kr, min(8 * kr + 8, 81)))
-            assert len(table) == 1 << width
-            for window, entry in enumerate(table):
-                word = _code_word(format(window, f"0{width}b"), kr, terminator)
+        table = tables[8 * kr]
+        assert all(tables[krp] is table for krp in range(8 * kr, min(8 * kr + 8, 81)))
+        assert table.format == "H" and len(table) == 1 << width
+        for window, entry in enumerate(table):
+            text = format(window, f"0{width}b")
+            length, arg = entry & 15, entry >> 4
+            # a literal: the word at the window, its argument unzigzagged
+            word = _code_word(text, kr, terminator=False)
+            assert entry == 0 if word is None else (length, arg, _unzigzag(arg)) == word
+            # a run terminator: its sign bit, then the word at the next window
+            for sign in "01":
+                word = _code_word(sign + text, kr, terminator=True)
                 assert (entry == 0 if word is None
-                        else (entry & 15, entry >> 4 & 4095, entry >> 16) == word)
+                        else (1 + length, arg, -arg - 1 if sign == "1" else arg + 1) == word)
 
 
 def _prefixes_to_literal_mode() -> dict[int, list[int]]:

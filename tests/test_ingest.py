@@ -396,6 +396,14 @@ def test_synth_frames_are_pinned(fields, seed, digest):
     assert hashlib.sha256(pc.xyz.tobytes() + pc.attributes.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("field", ["noise_sigma", "max_range", "sensor_height"])
+def test_extreme_finite_spec_warns_nothing(field):
+    # inf - inf and overflowing quotients stay inside the ray block; the
+    # suite's filter turns any RuntimeWarning into a failure
+    pc = synth_sweep(SweepSpec(**{field: 1e308}), seed=0)
+    assert np.isfinite(pc.xyz).all()
+
+
 def test_default_spec_density_decays_with_radius():
     pc = synth_sweep(SweepSpec(), seed=0)
     knn = knn_mean_distance(pc, 5)
