@@ -35,7 +35,6 @@ from .metrics import (
     RdCurve,
     bd_metrics,
     psnr_attribute,
-    read_rd_csv,
     write_rd_csv,
 )
 from .octree import deserialize, octree_from_leaf_codes, serialize
@@ -50,7 +49,6 @@ from .voxelizer import (
     ErrorModel,
     VoxelGridConfig,
     assign_codes,
-    expected_error_cartesian,
     expected_error_cylindrical,
     knn_mean_distance,
     make_config,

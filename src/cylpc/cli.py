@@ -194,15 +194,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # compute everything before the first write: an exit 2 leaves no partial output
     pc = _load_cloud(args.input)
-    knn = knn_mean_distance(pc, args.k)
-    knn_path = f"{args.out_prefix}_knn.csv"
-    with open(knn_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "mean_knn_distance"])
-        for r, d in knn:
-            writer.writerow([f"{r:.6g}", f"{d:.6g}"])
-    occ_path = f"{args.out_prefix}_occupancy.csv"
     rows = []
     for system, log_radial in (
         (CoordinateSystem.CARTESIAN, False),
@@ -212,6 +205,14 @@ def cmd_analyze(args) -> int:
         vc = voxelize(pc, cfg)
         name = system.value + ("-log" if log_radial else "")
         rows.append((name, args.depth, len(vc), vc.n_points / len(vc)))
+    knn = knn_mean_distance(pc, args.k)
+    knn_path = f"{args.out_prefix}_knn.csv"
+    with open(knn_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["r", "mean_knn_distance"])
+        for r, d in knn:
+            writer.writerow([f"{r:.6g}", f"{d:.6g}"])
+    occ_path = f"{args.out_prefix}_occupancy.csv"
     with open(occ_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["system", "depth", "voxels", "mean_points"])

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all cylpc modules.
 
-The CLI maps these onto process exit codes: invalid parameters and
-out-of-range data exit 2, unreadable or malformed input files exit 3,
-and undecodable bitstreams exit 4.
+The CLI maps these onto process exit codes: invalid parameters,
+out-of-range data and a missing optional dependency exit 2, unreadable
+or malformed input files exit 3, and undecodable bitstreams exit 4.
 """
 
 
@@ -20,6 +20,10 @@ class InvalidConfigError(CylpcError, ValueError):
 
 class OutOfRangeError(InvalidInputError):
     """A point falls outside the voxel grid it is being binned into."""
+
+
+class MissingDependencyError(CylpcError, ImportError):
+    """An optional package that one command needs is not installed (scipy)."""
 
 
 class MalformedFileError(CylpcError):

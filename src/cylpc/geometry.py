@@ -104,11 +104,3 @@ def cylindrical_axes(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     theta[theta >= np.pi] = -np.pi
     theta[r == 0.0] = 0.0
     return r, theta, h
-
-
-def cylindrical_to_cartesian(rth: np.ndarray) -> np.ndarray:
-    """Vectorized conversion: (N, 3) r/theta/h -> (N, 3) x/y/z."""
-    rth = np.asarray(rth, dtype=np.float64)
-    return np.column_stack(
-        (rth[:, 0] * np.cos(rth[:, 1]), rth[:, 0] * np.sin(rth[:, 1]), rth[:, 2])
-    )

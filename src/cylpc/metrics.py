@@ -13,7 +13,6 @@ two curves.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -132,33 +131,16 @@ def bd_metrics(curve_a: RdCurve, curve_b: RdCurve) -> BdMetrics:
     return BdMetrics(delta_psnr_db=float(delta_psnr), delta_rate_percent=float(delta_rate))
 
 
-def write_rd_csv(path, curve_points, geometry_bpp: float | None = None):
+def write_rd_csv(path, curve_points, geometry_bpp: float):
     """Write rate points as "bpp,psnr_db" rows with 6 significant digits.
 
-    ``geometry_bpp``, when given, is recorded as a leading comment line so
-    the file stays parseable as a plain two-column CSV.
+    ``geometry_bpp`` is recorded as a leading comment line so the file
+    stays parseable as a plain two-column CSV.
     """
     with open(path, "w", newline="") as f:
-        if geometry_bpp is not None:
-            f.write(f"# geometry_bpp={geometry_bpp:.6g}\n")
+        f.write(f"# geometry_bpp={geometry_bpp:.6g}\n")
         writer = csv.writer(f)
         writer.writerow(["bpp", "psnr_db"])
         for p in curve_points:
             writer.writerow([f"{p.bpp:.6g}", f"{p.psnr_db:.6g}"])
 
-
-def read_rd_csv(path) -> RdCurve:
-    """Read a curve written by write_rd_csv, skipping comment lines."""
-    with open(path, "r", newline="") as f:
-        text = "".join(line for line in f if not line.startswith("#"))
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["bpp", "psnr_db"]:
-        raise InvalidInputError(f"{path}: expected header 'bpp,psnr_db'")
-    points = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InvalidInputError(f"{path}: malformed row {row!r}")
-        points.append(RatePoint(bpp=float(row[0]), psnr_db=float(row[1])))
-    return RdCurve(points=tuple(points))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, OutOfRangeError
+from .errors import InvalidConfigError, InvalidInputError, MissingDependencyError, OutOfRangeError
 from .geometry import PointCloud, cylindrical_axes
 from .morton import MAX_DEPTH, morton_decode, morton_encode
 
@@ -270,11 +270,6 @@ def expected_error_cylindrical(r: float, model: ErrorModel) -> float:
     return model.sigma1_sq + r * r * model.sigma2_sq + model.sigma3_sq
 
 
-def expected_error_cartesian(model: ErrorModel) -> float:
-    """Expected squared Cartesian error; equals 3 sigma^2 for equal variances."""
-    return model.sigma1_sq + model.sigma2_sq + model.sigma3_sq
-
-
 def knn_mean_distance(pc: PointCloud, k: int) -> np.ndarray:
     """(N, 2) rows of (radial distance, mean distance to the k nearest neighbors)."""
     n = len(pc)
@@ -282,7 +277,11 @@ def knn_mean_distance(pc: PointCloud, k: int) -> np.ndarray:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n <= k:
         raise InvalidInputError(f"need more than k={k} points, got {n}")
-    from scipy.spatial import cKDTree  # here, to keep scipy off the codec's import path
+    try:  # here, not at the top: the codec installs and imports without scipy
+        from scipy.spatial import cKDTree
+    except ImportError as exc:
+        raise MissingDependencyError(
+            "k-nearest-neighbour distances need scipy: pip install scipy") from exc
 
     tree = cKDTree(pc.xyz)
     dists, _ = tree.query(pc.xyz, k=k + 1)  # first hit is the point itself

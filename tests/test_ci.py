@@ -66,3 +66,18 @@ def test_ci_oldest_leg_runs_the_python_floor():
 def test_ci_runs_every_benchmark_workload():
     # perfbench/test_perfbench.py runs only tiny frames of two workloads
     assert "python3 perfbench/run.py --workload all --seconds 1" in _runs()
+
+
+def _toml_list(key):
+    """The quoted entries of one ``key = [...]`` list of pyproject.toml (the
+    3.10 leg has no tomllib)."""
+    block = re.search(rf"^{key} = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    assert block, f"pyproject.toml no longer has a '{key} = [' list"
+    return re.findall(r'"([^"]+)"', block.group(1))
+
+
+def test_the_codec_installs_with_numpy_alone():
+    # only analyze's k-nearest-neighbour query needs scipy; acceptance's
+    # spearmanr needs it too, and CI installs the test extra
+    assert _toml_list("dependencies") == ["numpy>=2.0"]
+    assert any(dep.startswith("scipy") for dep in _toml_list("test"))

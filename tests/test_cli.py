@@ -24,7 +24,6 @@ from cylpc import (
     load_ply,
     make_config,
     psnr_attribute,
-    read_rd_csv,
     write_ply,
 )
 from cylpc.bitstream import HEADER_BYTES, Encoder, pack_stream
@@ -154,10 +153,8 @@ def test_rd_sweep_csv(tmp_path, small_ply, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("# geometry_bpp=")
     assert lines[1] == "bpp,psnr_db"
-    curve = read_rd_csv(csv_path)
-    assert len(curve.points) == 4
-    bpp = curve.bpp
-    psnr = curve.psnr_db
+    bpp, psnr = np.loadtxt(csv_path, delimiter=",", skiprows=2, unpack=True)
+    assert len(bpp) == 4
     assert (np.diff(bpp) > 0).all()
     assert (np.diff(psnr) >= 0).all()
     # identical invocation gives identical bytes
@@ -390,6 +387,46 @@ def test_analyze_mean_points_is_points_per_occupied_voxel(tmp_path, capsys, log_
         assert 1 < count < 400
         assert out[f"{name}_voxels"] == str(count)
         assert out[f"{name}_mean_points"] == f"{400 / count:.6g}"
+
+
+@pytest.mark.parametrize("grid", [["--depth", "22"], ["--log-radial", "--r-min", "1e6"]])
+def test_analyze_leaves_no_partial_output(tmp_path, small_ply, capsys, grid):
+    # a grid analyze cannot build once exited 2 after the k-nearest-neighbour
+    # query had written its CSV
+    assert run("analyze", small_ply, *grid, "--out-prefix", tmp_path / "p") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("p*"))
+
+
+def test_only_analyze_needs_scipy(tmp_path, capsys, monkeypatch):
+    # the codec installs with numpy alone: with scipy.spatial unimportable,
+    # every other command writes and prints the bytes it does with scipy,
+    # and analyze exits 2 naming the package, with no CSV written
+    commands = [
+        ["synth", "--seed", "3", "--beams", "8", "--out", "s.ply"],
+        ["encode", "s.ply", "--depth", "9", "--out", "s.cyl"],
+        ["decode", "s.cyl", "--out", "d.ply"],
+        ["rd-sweep", "s.ply", "--depth", "9", "--qsteps", "64,16,4,1", "--csv", "rd.csv"],
+        ["compare", "s.ply", "--depth-cart", "10", "--depth-cyl", "9",
+         "--qsteps", "64,16,4,1", "--csv", "cmp.csv", "--report", "cmp.txt"],
+    ]
+    outputs = []
+    for blocked in (False, True):
+        cwd = tmp_path / f"blocked-{blocked}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if blocked:
+            monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        for argv in commands:
+            assert run(*argv) == 0, argv
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        outputs.append((capsys.readouterr(), files))
+    assert outputs[1] == outputs[0]
+    assert run("analyze", "s.ply", "--depth", "6", "--out-prefix", "a") == 2
+    assert capsys.readouterr().err == (
+        "error: k-nearest-neighbour distances need scipy: pip install scipy\n")
+    assert not list(cwd.glob("a_*"))
 
 
 def test_exit_code_3_on_missing_or_malformed_input(tmp_path, capsys):

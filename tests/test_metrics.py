@@ -19,7 +19,6 @@ from cylpc import (
     RdCurve,
     bd_metrics,
     psnr_attribute,
-    read_rd_csv,
     write_rd_csv,
 )
 from cylpc.bitstream import HEADER_BYTES
@@ -230,35 +229,19 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# geometry_bpp=23.76\n")
     assert text.splitlines()[1] == "bpp,psnr_db"
-    back = read_rd_csv(path)
-    np.testing.assert_allclose(back.bpp, curve.bpp, rtol=1e-5)
-    np.testing.assert_allclose(back.psnr_db, curve.psnr_db, rtol=1e-5)
-    bd = bd_metrics(back, back)
-    assert bd.delta_psnr_db == 0.0
+    bpp, psnr_db = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
+    np.testing.assert_allclose(bpp, curve.bpp, rtol=1e-5)
+    np.testing.assert_allclose(psnr_db, curve.psnr_db, rtol=1e-5)
 
 
 def test_csv_six_significant_digits(tmp_path):
     path = tmp_path / "curve.csv"
     write_rd_csv(path, (RatePoint(1.2345678, 41.2345678),
-                        RatePoint(2.0, 42.0), RatePoint(3.0, 43.0), RatePoint(4.0, 44.0)))
-    row = path.read_text().splitlines()[1]
-    assert row == "1.23457,41.2346"
-
-
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ("rate,psnr\n1,40\n2,41\n3,42\n4,43\n", "expected header 'bpp,psnr_db'"),
-        ("psnr_db,bpp\n1,40\n2,41\n3,42\n4,43\n", "expected header 'bpp,psnr_db'"),
-        ("", "expected header 'bpp,psnr_db'"),
-        ("bpp,psnr_db\n1,40\n2,41,7\n3,42\n4,43\n", "malformed row \\['2', '41', '7'\\]"),
-    ],
-)
-def test_csv_reader_rejects_a_wrong_header_or_row(tmp_path, text, message):
-    path = tmp_path / "curve.csv"
-    path.write_text(text)
-    with pytest.raises(InvalidInputError, match=message):
-        read_rd_csv(path)
+                        RatePoint(2.0, 42.0), RatePoint(3.0, 43.0), RatePoint(4.0, 44.0)),
+                 geometry_bpp=9.87654321)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# geometry_bpp=9.87654"
+    assert lines[2] == "1.23457,41.2346"
 
 
 @pytest.mark.parametrize(
@@ -274,13 +257,3 @@ def test_csv_reader_rejects_a_wrong_header_or_row(tmp_path, text, message):
 def test_rate_point_rejects_what_a_fit_cannot_use(bpp, psnr_db, message):
     with pytest.raises(InvalidInputError, match=message):
         RatePoint(bpp, psnr_db)
-
-
-@pytest.mark.parametrize("row", ["inf,44", "2.5,-inf"])
-def test_csv_reader_rejects_a_non_finite_point(tmp_path, row):
-    path = tmp_path / "curve.csv"
-    path.write_text(f"bpp,psnr_db\n1,40\n2,41\n{row}\n3,42\n4,43\n")
-    with pytest.raises(InvalidInputError, match="must be"):
-        read_rd_csv(path)
-    path.write_text("bpp,psnr_db\n1,40\n2,41\n3,42\n4,43\n5,inf\n")
-    assert read_rd_csv(path).psnr_db[-1] == LOSSLESS

@@ -15,7 +15,6 @@ from cylpc import (
     VoxelGridConfig,
     assign_codes,
     encode_cloud,
-    expected_error_cartesian,
     expected_error_cylindrical,
     knn_mean_distance,
     make_config,
@@ -24,7 +23,7 @@ from cylpc import (
     voxelization_error_cylindrical,
     voxelize,
 )
-from cylpc.geometry import CylindricalPoint, cylindrical_axes, cylindrical_to_cartesian
+from cylpc.geometry import CylindricalPoint, cylindrical_axes
 from cylpc.ingest import SweepSpec, synth_sweep
 from cylpc.morton import morton_decode, morton_encode
 from cylpc.voxelizer import _padded_span
@@ -387,7 +386,8 @@ def test_per_axis_geometry_keeps_the_broadcast_bits(sweep, grid):
     if system is CoordinateSystem.CYLINDRICAL:
         if log_radial:
             centers[:, 0] = np.exp(centers[:, 0])
-        centers = cylindrical_to_cartesian(centers)
+        r, theta, h = centers.T
+        centers = np.column_stack((r * np.cos(theta), r * np.sin(theta), h))
     got = voxel_centers(cfg, codes)
     assert got.shape == centers.shape and got.flags.c_contiguous
     assert got.tobytes() == centers.tobytes()
@@ -490,13 +490,6 @@ def test_expected_error_cylindrical_formula():
         assert expected_error_cylindrical(r, m) == pytest.approx(s * (2.0 + r * r))
 
 
-def test_expected_error_cartesian_formula():
-    assert expected_error_cartesian(ErrorModel(0.0, 0.0, 0.0)) == 0.0
-    q = 2.0
-    s = q * q / 12.0
-    assert expected_error_cartesian(ErrorModel(s, s, s)) == pytest.approx(q * q / 4.0)
-
-
 @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("axis", range(3))
 def test_error_model_needs_finite_non_negative_variances(bad, axis):
@@ -521,15 +514,6 @@ def test_expected_error_cylindrical_monte_carlo():
         assert mc == pytest.approx(expected_error_cylindrical(r, model), rel=0.01)
 
 
-def test_expected_error_cartesian_monte_carlo():
-    rng = np.random.default_rng(11)
-    q = 0.8
-    eps = rng.uniform(-q / 2.0, q / 2.0, (200_000, 3))
-    mc = (eps**2).sum(axis=1).mean()
-    s = q * q / 12.0
-    assert mc == pytest.approx(expected_error_cartesian(ErrorModel(s, s, s)), rel=0.01)
-
-
 def test_small_angle_approximation_degrades_as_sigma2_grows():
     # common random numbers make the deviation sweep smooth
     rng = np.random.default_rng(12)
@@ -549,13 +533,13 @@ def test_small_angle_approximation_degrades_as_sigma2_grows():
 
 def test_error_crossover_between_systems():
     # matched radial/height variances: cylindrical wins near the axis,
-    # Cartesian wins far out, with a single monotone crossover
+    # Cartesian (3 sigma^2 at equal variances) wins far out, with a single
+    # monotone crossover
     sigma = 0.1
     sigma2 = 0.02
     cyl = ErrorModel(sigma**2, sigma2**2, sigma**2)
-    cart = ErrorModel(sigma**2, sigma**2, sigma**2)
     r = np.linspace(0.0, 20.0, 2000)
-    diff = np.array([expected_error_cylindrical(x, cyl) for x in r]) - expected_error_cartesian(cart)
+    diff = np.array([expected_error_cylindrical(x, cyl) for x in r]) - 3 * sigma**2
     signs = np.sign(diff)
     crossings = np.flatnonzero(np.diff(signs) != 0)
     assert len(crossings) == 1
