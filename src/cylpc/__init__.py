@@ -35,7 +35,6 @@ from .metrics import (
     RdCurve,
     bd_metrics,
     psnr_attribute,
-    write_rd_csv,
 )
 from .octree import deserialize, octree_from_leaf_codes, serialize
 from .raht import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from pathlib import Path
 
 from .bitstream import Encoder, decode_attributes, decode_cloud, encode_cloud
@@ -20,7 +21,7 @@ from .errors import CorruptStreamError, CylpcError, InvalidInputError, Malformed
 from .geometry import PointCloud
 from .ingest import (INTENSITY_MODELS, SweepSpec, load_kitti_bin, load_ply, synth_sweep,
                      write_ply)
-from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute, write_rd_csv
+from .metrics import RatePoint, RdCurve, bd_metrics, psnr_attribute
 from .voxelizer import CoordinateSystem, VoxelGridConfig, knn_mean_distance, make_config, voxelize
 
 DEFAULT_DEPTH = {CoordinateSystem.CARTESIAN: 16, CoordinateSystem.CYLINDRICAL: 13}
@@ -58,6 +59,16 @@ def _emit(pairs, file=None):
         if isinstance(value, float):
             value = f"{value:.6g}"
         print(f"{key}={value}", file=file or sys.stdout)
+
+
+def _write_csv(path, header, rows, preamble=""):
+    """``preamble``, then ``header`` and ``rows`` as CSV, floats as ``_emit`` prints them."""
+    with open(path, "w", newline="") as f:
+        f.write(preamble)
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{v:.6g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def _sweep(pc: PointCloud, cfg: VoxelGridConfig, qsteps):
@@ -145,7 +156,8 @@ def cmd_rd_sweep(args) -> int:
     qsteps = _parse_qsteps(args.qsteps)
     cfg = make_config(pc, system, depth, log_radial=args.log_radial, r_min=args.r_min)
     sweep, geom_bpp = _sweep(pc, cfg, qsteps)
-    write_rd_csv(args.csv, [p for _, p in sweep], geometry_bpp=geom_bpp)
+    _write_csv(args.csv, ["bpp", "psnr_db"], [(p.bpp, p.psnr_db) for _, p in sweep],
+               preamble=f"# geometry_bpp={geom_bpp:.6g}\n")
     _emit([("input", args.input), ("coords", system.value), ("depth", depth),
            ("geometry_bpp", geom_bpp)])
     for qstep, p in sweep:
@@ -177,19 +189,16 @@ def cmd_compare(args) -> int:
         ("bd_delta_psnr_db", bd.delta_psnr_db),
         ("bd_delta_rate_percent", bd.delta_rate_percent),
     ]
-    _emit(report)
+    # files first, as rd-sweep: an unwritable path exits 3 before any output
+    if args.csv:
+        _write_csv(args.csv, ["system", "qstep", "bpp", "psnr_db"],
+                   [(name, qstep, p.bpp, p.psnr_db)
+                    for name, sweep in (("cartesian", cart), ("cylindrical", cyl))
+                    for qstep, p in sweep])
     if args.report:
         with open(args.report, "w") as f:
             _emit(report, file=f)
-    if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["system", "qstep", "bpp", "psnr_db"])
-            for name, sweep in (("cartesian", cart), ("cylindrical", cyl)):
-                for qstep, p in sweep:
-                    writer.writerow(
-                        [name, f"{qstep:g}", f"{p.bpp:.6g}", f"{p.psnr_db:.6g}"]
-                    )
+    _emit(report)
     return 0
 
 
@@ -207,17 +216,9 @@ def cmd_analyze(args) -> int:
         rows.append((name, args.depth, len(vc), vc.n_points / len(vc)))
     knn = knn_mean_distance(pc, args.k)
     knn_path = f"{args.out_prefix}_knn.csv"
-    with open(knn_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "mean_knn_distance"])
-        for r, d in knn:
-            writer.writerow([f"{r:.6g}", f"{d:.6g}"])
+    _write_csv(knn_path, ["r", "mean_knn_distance"], knn)
     occ_path = f"{args.out_prefix}_occupancy.csv"
-    with open(occ_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["system", "depth", "voxels", "mean_points"])
-        for name, depth, voxels, mean_points in rows:
-            writer.writerow([name, depth, voxels, f"{mean_points:.6g}"])
+    _write_csv(occ_path, ["system", "depth", "voxels", "mean_points"], rows)
     _emit([("input", args.input), ("points", len(pc)), ("knn_csv", knn_path),
            ("occupancy_csv", occ_path)])
     for name, depth, voxels, mean_points in rows:
@@ -311,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as one line, as errors do; filters and recorders still see it
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if "r_min" in args:  # the grid commands
             if args.r_min is not None and not args.log_radial:
@@ -328,6 +332,8 @@ def main(argv=None) -> int:
     except CylpcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

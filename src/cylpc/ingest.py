@@ -137,16 +137,55 @@ def _parse_ply_header(f, path):
     return is_binary, elements
 
 
-def _bytes_left(f) -> int:
-    return os.fstat(f.fileno()).st_size - f.tell()
-
-
-def _ascii_rows_fit(rows: int, n_props: int, left: int) -> bool:
-    """Whether ``rows`` ASCII rows of ``n_props`` values can fit in ``left``
-    bytes: each value takes at least one byte and one separator, and the
-    last row may lack its newline. A count the file cannot hold is
-    rejected before anything is read or allocated."""
-    return rows == 0 or max(2 * n_props, 1) * rows - 1 <= left
+def _read_element(f, path, is_binary, name, count, props) -> dict:
+    """Read the ``count`` rows of one element from ``f`` into a float64
+    column per property. A count the file cannot hold is rejected before
+    anything is read or allocated."""
+    if any(kind == "list" for _, kind in props):
+        raise MalformedFileError(f"{path}: element '{name}' has list properties, "
+                                 "which are not supported")
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    dtype = np.dtype([(prop, "<" + kind) for prop, kind in props])
+    # the fewest bytes the rows take: an ASCII value takes at least one byte
+    # and one separator, and the last row may lack its newline
+    need = count * dtype.itemsize if is_binary else max(2 * len(props), 1) * count - 1
+    if need > left:
+        raise MalformedFileError(
+            f"{path}: element '{name}' declares {count} rows but only {left} bytes follow"
+        )
+    if is_binary:
+        # rows of no property take no bytes, whatever their count: numpy
+        # cannot count them, and nothing reads them
+        data = np.frombuffer(f.read(need), dtype=dtype, count=count if need else 0)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns on the cast
+            return {prop: data[prop].astype(np.float64) for prop, _ in props}
+    rows = np.empty((count, len(props)))
+    for i in range(count):
+        line = f.readline()
+        if not line:
+            raise MalformedFileError(f"{path}: element '{name}' ends after {i} of {count} rows")
+        parts = line.split()
+        if len(parts) < len(props):
+            raise MalformedFileError(
+                f"{path}: {name} row {i} has {len(parts)} of {len(props)} values"
+            )
+        try:
+            rows[i] = [float(tok) for tok in parts[: len(props)]]
+        except ValueError:
+            raise MalformedFileError(
+                f"{path}: {name} row {i} holds a value that is not a number"
+            ) from None
+    for (prop, kind), column in zip(props, rows.T):
+        if kind[0] in "iu":  # a NaN fails the floor test
+            lo, hi = np.iinfo(kind).min, np.iinfo(kind).max
+            bad = (column < lo) | (column > hi) | (column != np.floor(column))
+            if bad.any():
+                i = int(bad.argmax())
+                raise MalformedFileError(
+                    f"{path}: {name} row {i} holds {column[i]:g} in property "
+                    f"'{prop}', which is not an integer in [{lo}, {hi}]"
+                )
+    return {prop: rows[:, i] for i, (prop, _) in enumerate(props)}
 
 
 def load_ply(path) -> PointCloud:
@@ -156,81 +195,17 @@ def load_ply(path) -> PointCloud:
         vertex = next((e for e in elements if e[0] == "vertex"), None)
         if vertex is None:
             raise MalformedFileError(f"{path}: no 'vertex' element")
-        _, count, props = vertex
-        names = [p[0] for p in props]
+        kinds = dict(vertex[2])
         for needed in ("x", "y", "z", "intensity"):
-            if needed not in names:
+            if needed not in kinds:
                 raise MalformedFileError(f"{path}: vertex element lacks property '{needed}'")
-        if any(p[1] == "list" for p in props):
-            raise MalformedFileError(f"{path}: list properties are not supported on vertices")
-        for name, n, eprops in elements:
+        # elements ahead of the vertices are read and checked like them, then dropped
+        for name, count, props in elements:
+            columns = _read_element(f, path, is_binary, name, count, props)
             if name == "vertex":
                 break
-            # skip elements stored ahead of the vertices
-            if any(p[1] == "list" for p in eprops):
-                raise MalformedFileError(
-                    f"{path}: cannot skip element '{name}' with list properties"
-                )
-            left = _bytes_left(f)
-            size = n * sum(np.dtype("<" + t).itemsize for _, t in eprops)
-            fits = size <= left if is_binary else _ascii_rows_fit(n, len(eprops), left)
-            if not fits:
-                raise MalformedFileError(
-                    f"{path}: element '{name}' declares {n} rows but only "
-                    f"{left} bytes follow"
-                )
-            if is_binary:
-                f.seek(size, os.SEEK_CUR)
-            else:
-                for i in range(n):
-                    if not f.readline():
-                        raise MalformedFileError(
-                            f"{path}: element '{name}' ends after {i} of {n} rows"
-                        )
-        left = _bytes_left(f)
-        if is_binary:
-            dtype = np.dtype([(p[0], "<" + p[1]) for p in props])
-            size = count * dtype.itemsize
-            if size > left:
-                raise MalformedFileError(
-                    f"{path}: vertex data truncated ({left} of {size} bytes)"
-                )
-            data = np.frombuffer(f.read(size), dtype=dtype)
-            columns = {name: data[name].astype(np.float64) for name in names}
-        else:
-            if not _ascii_rows_fit(count, len(props), left):
-                raise MalformedFileError(
-                    f"{path}: header declares {count} vertices but only "
-                    f"{left} bytes of vertex data follow"
-                )
-            rows = np.empty((count, len(props)))
-            for i in range(count):
-                line = f.readline()
-                parts = line.split()
-                if len(parts) < len(props):
-                    raise MalformedFileError(
-                        f"{path}: vertex row {i} has {len(parts)} of {len(props)} values"
-                    )
-                try:
-                    rows[i] = [float(tok) for tok in parts[: len(props)]]
-                except ValueError:
-                    raise MalformedFileError(
-                        f"{path}: vertex row {i} holds a value that is not a number"
-                    ) from None
-            for (name, kind), column in zip(props, rows.T):
-                if kind[0] in "iu":  # a NaN fails the floor test
-                    lo, hi = np.iinfo(kind).min, np.iinfo(kind).max
-                    bad = (column < lo) | (column > hi) | (column != np.floor(column))
-                    if bad.any():
-                        i = int(bad.argmax())
-                        raise MalformedFileError(
-                            f"{path}: vertex row {i} holds {column[i]:g} in property "
-                            f"'{name}', which is not an integer in [{lo}, {hi}]"
-                        )
-            columns = {name: rows[:, i] for i, name in enumerate(names)}
     xyz = np.column_stack([columns["x"], columns["y"], columns["z"]])
-    declared = props[names.index("intensity")][1]
-    attrs = _rescale_intensity(columns["intensity"].astype(np.float64), declared)
+    attrs = _rescale_intensity(columns["intensity"], kinds["intensity"])
     return _drop_nonfinite(xyz, attrs, str(path))
 
 

@@ -12,7 +12,6 @@ two curves.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,18 +128,4 @@ def bd_metrics(curve_a: RdCurve, curve_b: RdCurve) -> BdMetrics:
         if not np.isfinite(delta):
             raise InvalidInputError(f"Bjontegaard {name} is {delta}: the cubic fits diverge")
     return BdMetrics(delta_psnr_db=float(delta_psnr), delta_rate_percent=float(delta_rate))
-
-
-def write_rd_csv(path, curve_points, geometry_bpp: float):
-    """Write rate points as "bpp,psnr_db" rows with 6 significant digits.
-
-    ``geometry_bpp`` is recorded as a leading comment line so the file
-    stays parseable as a plain two-column CSV.
-    """
-    with open(path, "w", newline="") as f:
-        f.write(f"# geometry_bpp={geometry_bpp:.6g}\n")
-        writer = csv.writer(f)
-        writer.writerow(["bpp", "psnr_db"])
-        for p in curve_points:
-            writer.writerow([f"{p.bpp:.6g}", f"{p.psnr_db:.6g}"])
 

@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import numpy as np
 import pytest
 
 from cylpc.coeff_codec import (
@@ -110,3 +111,33 @@ def reference_rlgr_encode():
 def reference_rlgr_stream():
     """The scalar RLGR encoder's payload and its bit count before the padding."""
     return _reference_rlgr_stream
+
+
+def _ply_with_leading_elements(xyz, intensity, binary: bool) -> bytes:
+    """A PLY whose float x, y, z and uchar intensity vertices follow two
+    other elements: ``marker``, two rows of no property, and ``note``,
+    three rows of a uchar and a short."""
+    notes = [(7, -300), (0, 12), (255, 0)]
+    header = (
+        f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+        "element marker 2\nelement note 3\nproperty uchar a\nproperty short b\n"
+        f"element vertex {len(xyz)}\nproperty float x\nproperty float y\n"
+        "property float z\nproperty uchar intensity\nend_header\n"
+    )
+    vertices = np.empty(len(xyz), [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("i", "u1")])
+    vertices["x"], vertices["y"], vertices["z"] = np.asarray(xyz, np.float32).T
+    vertices["i"] = intensity
+    if binary:
+        body = np.array(notes, [("a", "u1"), ("b", "<i2")]).tobytes() + vertices.tobytes()
+    else:
+        body = "\n\n" + "".join(f"{a} {b}\n" for a, b in notes) + "".join(
+            f"{float(x)!r} {float(y)!r} {float(z)!r} {i}\n" for x, y, z, i in vertices.tolist())
+        body = body.encode()
+    return header.encode() + body
+
+
+@pytest.fixture(scope="session")
+def ply_with_leading_elements():
+    """Builds a PLY with an element of no property and a scalar element
+    ahead of its vertices (see _ply_with_leading_elements)."""
+    return _ply_with_leading_elements

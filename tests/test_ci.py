@@ -43,6 +43,11 @@ def test_ci_prints_numpys_simd_dispatch():
     assert 'python -c "import numpy; numpy.show_runtime()"' in _runs()
 
 
+def test_ci_prints_the_line_count_roadmap_tracks():
+    # aim 2 of ROADMAP.md states the total of this count
+    assert "wc -l src/cylpc/*.py | tail -n 1" in _runs()
+
+
 def test_ci_legs_start_at_the_numpy_floor():
     # the tests call np.trapezoid, which numpy 2.0 added: a numpy 1 leg fails
     # tier-1, so pyproject.toml's floor and the oldest leg are both 2.0

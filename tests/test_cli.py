@@ -163,6 +163,28 @@ def test_rd_sweep_csv(tmp_path, small_ply, capsys):
     assert csv2.read_bytes() == csv_path.read_bytes()
 
 
+def _rd_sweep_csv(tmp_path, small_ply, capsys):
+    """The CSV lines and the printed key=value pairs of one rd-sweep."""
+    csv_path = tmp_path / "curve.csv"
+    assert run("rd-sweep", small_ply, "--depth", "9", "--qsteps", "64,16,4,1",
+               "--csv", csv_path) == 0
+    return csv_path.read_text().splitlines(), parse_kv(capsys)
+
+
+def test_rd_sweep_csv_comment_is_the_printed_geometry_bpp(tmp_path, small_ply, capsys):
+    lines, kv = _rd_sweep_csv(tmp_path, small_ply, capsys)
+    assert lines[0] == f"# geometry_bpp={kv['geometry_bpp']}"
+    assert lines[1] == "bpp,psnr_db"
+
+
+def test_rd_sweep_csv_rows_are_the_printed_rates(tmp_path, small_ply, capsys):
+    # each row holds the rate point rd-sweep prints, to 6 significant digits
+    lines, kv = _rd_sweep_csv(tmp_path, small_ply, capsys)
+    assert lines[2:] == [f"{kv[f'qstep_{q}_bpp']},{kv[f'qstep_{q}_psnr_db']}"
+                         for q in (64, 16, 4, 1)]
+    assert all(f"{float(value):.6g}" == value for line in lines[2:] for value in line.split(","))
+
+
 @pytest.mark.parametrize(
     "system,depth,log_radial",
     [
@@ -258,6 +280,18 @@ def test_compare_report(tmp_path, small_ply, capsys):
     assert rows[0] == "system,qstep,bpp,psnr_db"
     assert sum(r.startswith("cartesian,") for r in rows) == 4
     assert sum(r.startswith("cylindrical,") for r in rows) == 4
+
+
+def test_compare_writes_its_files_before_it_prints(tmp_path, small_ply, capsys):
+    # an unwritable --csv once exited 3 after the report was printed and written
+    report = tmp_path / "report.txt"
+    assert run("compare", small_ply, "--depth-cart", "10", "--depth-cyl", "9",
+               "--qsteps", "64,16,4,1", "--report", report,
+               "--csv", tmp_path / "missing" / "curves.csv") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_encode_prints_the_raw_and_the_coded_geometry_rate(tmp_path, small_ply, capsys):
@@ -592,7 +626,43 @@ def test_exit_code_3_on_vertex_count_beyond_ascii_file_size(tmp_path, capsys):
     bad = tmp_path / "huge.ply"
     bad.write_text("ply\nformat ascii 1.0\nelement vertex 100000000000000\n" + PLY_TAIL)
     assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
-    assert "declares 100000000000000 vertices" in capsys.readouterr().err
+    assert ("element 'vertex' declares 100000000000000 rows but only 8 bytes follow"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("hello", "note row 1 has 1 of 2 values"),
+    ("1 x", "note row 1 holds a value that is not a number"),
+    ("1 70000", "note row 1 holds 70000 in property 'b', which is not an integer in "
+                "[-32768, 32767]"),
+], ids=["short-row", "not-a-number", "out-of-range"])
+def test_exit_code_3_on_malformed_row_ahead_of_the_vertices(tmp_path, capsys,
+                                                            ply_with_leading_elements, row,
+                                                            message):
+    # the rows of an element ahead of the vertices were once skipped unread
+    data = ply_with_leading_elements(np.ones((2, 3)), [1, 2], binary=False)
+    bad = tmp_path / "bad.ply"
+    bad.write_bytes(data.replace(b"\n0 12\n", f"\n{row}\n".encode()))
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "x.cyl").exists()
+
+
+def test_a_library_warning_prints_as_one_line(tmp_path):
+    # it once printed in Python's two-line format, with the source line of
+    # the CLI that loaded the frame
+    (tmp_path / "nan.ply").write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nproperty float intensity\nend_header\n"
+        "1 2 3 4\nnan 0 0 1\n5 6 7 8\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cylpc.cli", "encode", "nan.ply", "--depth", "4",
+         "--out", "nan.cyl"],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: nan.ply: dropped 1 non-finite points\n"
 
 
 @pytest.mark.parametrize("value", ["300", "7.5"])
@@ -704,7 +774,7 @@ def test_encode_and_decode_the_grid_edges(tmp_path, capsys, depth, grid):
 
 
 @pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
+def fuzz_dir(tmp_path_factory, ply_with_leading_elements):
     """One small valid input of each kind the CLI reads."""
     out = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(11)
@@ -713,6 +783,8 @@ def fuzz_dir(tmp_path_factory):
     np.column_stack([pc.xyz, pc.attributes / 255.0]).astype("<f4").tofile(out / "seed.bin")
     data, _ = encode_cloud(pc, CoordinateSystem.CYLINDRICAL, 8, qstep=4.0)
     (out / "seed.cyl").write_bytes(data)
+    (out / "elements.ply").write_bytes(
+        ply_with_leading_elements(pc.xyz, pc.attributes, binary=True))
     return out
 
 
@@ -733,14 +805,15 @@ def mutated(draw, data):
     return data[:pos] + chunk + data[draw(st.integers(pos, min(len(data), pos + 32))):]
 
 
-@pytest.mark.parametrize("kind", ["ply", "bin", "cyl"])
+@pytest.mark.parametrize("kind", ["ply", "bin", "cyl", "elements"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exit_codes_on_mutated_inputs(fuzz_dir, kind, data):
     # any exception other than the CLI's own errors fails the example
-    path = fuzz_dir / f"input.{kind}"
-    path.write_bytes(data.draw(mutated((fuzz_dir / f"seed.{kind}").read_bytes())))
+    seed = fuzz_dir / ("elements.ply" if kind == "elements" else f"seed.{kind}")
+    path = fuzz_dir / f"input{seed.suffix}"
+    path.write_bytes(data.draw(mutated(seed.read_bytes())))
     if kind == "cyl":
         argv = ["decode", path, "--out", fuzz_dir / "out.ply"]
     else:

@@ -188,7 +188,20 @@ def test_ascii_vertex_count_checked_against_file_size(tmp_path):
     path.write_text(header.format(2) + "1 2 3 4\n5 6 7 8")
     assert len(load_ply(path)) == 2
     path.write_text(header.format(3) + "1 2 3 4\n5 6 7 8")
-    with pytest.raises(MalformedFileError, match="declares 3 vertices but only 15 bytes"):
+    with pytest.raises(MalformedFileError,
+                       match="element 'vertex' declares 3 rows but only 15 bytes follow"):
+        load_ply(path)
+
+
+def test_ascii_vertices_that_end_early_are_named_like_any_element(tmp_path):
+    # the bytes hold three rows of one-digit values, the lines only two
+    path = tmp_path / "short.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nproperty float intensity\nend_header\n"
+        "1.000000 2 3 4\n5 6 7 8.0000000\n"
+    )
+    with pytest.raises(MalformedFileError, match="element 'vertex' ends after 2 of 3 rows"):
         load_ply(path)
 
 
@@ -225,7 +238,8 @@ def test_skipped_binary_element_count_checked_against_file_size(tmp_path):
     path.write_bytes(_ply_with_face("binary_little_endian", 2) + body)
     assert load_ply(path).xyz.tolist() == [[1.0, 2.0, 3.0]]
     path.write_bytes(_ply_with_face("binary_little_endian", 18) + body)
-    with pytest.raises(MalformedFileError, match=r"vertex data truncated \(0 of 16 bytes\)"):
+    with pytest.raises(MalformedFileError,
+                       match="element 'vertex' declares 1 rows but only 0 bytes follow"):
         load_ply(path)
     for count in (19, 99999999999999999999):
         path.write_bytes(_ply_with_face("binary_little_endian", count) + body)
@@ -247,9 +261,45 @@ def test_ply_truncated_binary_rejected(tmp_path):
     for count in (4, 99999999999999999999):
         path.write_bytes(header.format(count).encode() + b"\x00" * 40)
         with pytest.raises(
-            MalformedFileError, match=rf"truncated \(40 of {32 * count} bytes\)"
+            MalformedFileError,
+            match=f"element 'vertex' declares {count} rows but only 40 bytes follow",
         ):
             load_ply(path)
+
+
+def test_elements_ahead_of_the_vertices_load_alike_in_ascii_and_binary(
+        tmp_path, ply_with_leading_elements):
+    # an element of no property is zero bytes wide in binary, however many
+    # rows it declares, and numpy cannot count those rows from the bytes
+    rng = np.random.default_rng(4)
+    xyz = rng.integers(-4000, 4000, (20, 3)) / 64.0
+    intensity = rng.integers(0, 256, 20)
+    binary = ply_with_leading_elements(xyz, intensity, binary=True)
+    clouds = []
+    for data in (ply_with_leading_elements(xyz, intensity, binary=False), binary,
+                 binary.replace(b"marker 2\n", b"marker 99999999999999999999\n")):
+        path = tmp_path / "elements.ply"
+        path.write_bytes(data)
+        clouds.append(load_ply(path))
+    for pc in clouds:
+        np.testing.assert_array_equal(pc.xyz, xyz)
+        np.testing.assert_array_equal(pc.attributes, intensity)
+
+
+def test_binary_ply_signalling_nan_dropped_without_a_cast_warning(tmp_path):
+    # the float32-to-float64 cast of its columns once warned as well
+    path = tmp_path / "snan.ply"
+    header = (
+        "ply\nformat binary_little_endian 1.0\nelement vertex 2\nproperty float x\n"
+        "property float y\nproperty float z\nproperty float intensity\nend_header\n"
+    )
+    snan = struct.pack("<I", 0x7F800001) + struct.pack("<3f", 0, 0, 5)
+    path.write_bytes(header.encode() + struct.pack("<4f", 1, 2, 3, 4) + snan)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pc = load_ply(path)
+    assert pc.xyz.tolist() == [[1.0, 2.0, 3.0]]
+    assert [type(w.message) for w in caught] == [UserWarning]
 
 
 def test_ply_normalized_intensity_scales_to_255(tmp_path):

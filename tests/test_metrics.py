@@ -19,7 +19,6 @@ from cylpc import (
     RdCurve,
     bd_metrics,
     psnr_attribute,
-    write_rd_csv,
 )
 from cylpc.bitstream import HEADER_BYTES
 
@@ -220,28 +219,6 @@ def test_diverging_fits_raise_instead_of_returning_inf():
         with pytest.raises(InvalidInputError,
                            match="^Bjontegaard delta_rate_percent is inf: the cubic fits"):
             bd_metrics(curve_a, curve_b)
-
-
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "curve.csv"
-    curve = _curve(BPP, PSNR)
-    write_rd_csv(path, curve.points, geometry_bpp=23.76)
-    text = path.read_text()
-    assert text.startswith("# geometry_bpp=23.76\n")
-    assert text.splitlines()[1] == "bpp,psnr_db"
-    bpp, psnr_db = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
-    np.testing.assert_allclose(bpp, curve.bpp, rtol=1e-5)
-    np.testing.assert_allclose(psnr_db, curve.psnr_db, rtol=1e-5)
-
-
-def test_csv_six_significant_digits(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_rd_csv(path, (RatePoint(1.2345678, 41.2345678),
-                        RatePoint(2.0, 42.0), RatePoint(3.0, 43.0), RatePoint(4.0, 44.0)),
-                 geometry_bpp=9.87654321)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# geometry_bpp=9.87654"
-    assert lines[2] == "1.23457,41.2346"
 
 
 @pytest.mark.parametrize(
