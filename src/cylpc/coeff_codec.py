@@ -284,14 +284,10 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     Raises InvalidInputError on a value that is not an integer or lies
     outside the int64 range.
     """
-    # the per-episode arrays are narrow where their values allow and are
-    # dropped once used, which keeps the transient to a few int64 arrays
     n, where, nonzero = _nonzeros(values)
     # one episode per nonzero, the zeros before it and then it, and a last
     # one of the zeros after the last nonzero
-    gaps = np.diff(where, prepend=-1, append=n)
-    gaps -= 1
-    del where
+    gaps = np.diff(where, prepend=-1, append=n) - 1
     *columns, after = _episode_table()
     clipped = np.minimum(gaps, _GAP_CLIP)
     kp = _K_INIT
@@ -303,7 +299,6 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     record(kp)
     at = np.frombuffer(kp_before, np.uint8).astype(np.intp) * _GAPS + clipped
     literals, runs, k, rest = (column[at] for column in columns)
-    del clipped, at
     # the all-zero bits ahead of each nonzero: one per complete run, then
     # kr + 1 per zero literal; a gap past the clip reaches its marker at
     # k = _KMAX, so its extra zeros lengthen the remainder and carry its
@@ -313,17 +308,10 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     extra = gaps[long] - _GAP_CLIP + rest[long]
     zero_bits[long] += extra >> _KMAX
     rest[long] = extra & ((1 << _KMAX) - 1)
-    del gaps, runs, long, extra
     terminator = k[:-1] > 0
     # the Golomb-Rice argument: the zigzag code of a literal, and of a
     # terminator (zigzag - 1) >> 1 = |value| - 1
-    mapped = nonzero << 1
-    mapped ^= nonzero >> 63
-    mapped = mapped.view(np.uint64)
-    mapped -= terminator
-    mapped >>= terminator
-    negative = nonzero < 0
-    del nonzero
+    mapped = (((nonzero << 1) ^ (nonzero >> 63)).view(np.uint64) - terminator) >> terminator
     # krp: a zero literal codes argument 0, so zeros[j] is krp after j of
     # them; _krp_next then steps over the nonzero's code
     after = _krp_next()
@@ -345,56 +333,35 @@ def rlgr_encode(values: Iterable[int] | np.ndarray) -> RlgrPayload:
     at = literals * np.intp(_KPMAX + 1) + krp  # zeros[literals][krp], flat
     zero_bits += (np.cumsum(kr, axis=0, dtype=np.int64) - kr).take(at)
     kr = kr.take(at[:-1]).astype(np.uint64)
-    del literals, at
     # after them a "1" marker and the k-bit remainder; the dangling run
     # writes them only if the remainder is not 0
     marker = k > 0
     head_bits = k + marker
-    head = marker.astype(np.uint64) << k
-    head |= rest
+    head = marker.astype(np.uint64) << k | rest
     if not rest[-1]:
         head_bits[-1] = head[-1] = 0
-    del k, rest, marker
     # Golomb-Rice code of each mapped value: unary prefix vk, a "0", kr low
     # bits; or the escape (full prefix, 8-bit length m), then m raw bits
     vk = mapped >> kr
     escape = np.flatnonzero(vk >= _ESC)
     vk[escape] = 0
     one = np.uint64(1)
-    code = one << vk
-    code -= one
-    code <<= kr + one
-    low = one << kr
-    low -= one
-    low &= mapped
-    code |= low
-    del low
-    code_bits = vk
-    code_bits += one
-    code_bits += kr
-    del vk, kr
+    code = ((one << vk) - one) << (kr + one) | mapped & ((one << kr) - one)
+    code_bits = vk + one + kr
     raw = mapped[escape]
-    del mapped
-    raw_bits = _bit_length(raw).astype(np.uint64)
-    code[escape] = np.uint64(((1 << _ESC) - 1) << 8) | raw_bits
+    raw_bits = _bit_length(raw)
+    code[escape] = np.uint64(((1 << _ESC) - 1) << 8) | raw_bits.astype(np.uint64)
     code_bits[escape] = _ESC + 8
     # a terminator's code starts with its sign bit
-    negative &= terminator
-    code |= negative.astype(np.uint64) << code_bits
+    code |= ((nonzero < 0) & terminator).astype(np.uint64) << code_bits
     code_bits += terminator
     # pack: each episode is its zero bits, one field of at most 54 bits
     # (head and code), then its escape's raw bits
-    head[:-1] <<= code_bits
-    head[:-1] |= code
-    del code
-    ends = zero_bits
-    ends += head_bits
-    del head_bits
+    head[:-1] = head[:-1] << code_bits | code
+    ends = zero_bits + head_bits
     ends[:-1] += code_bits.view(np.int64)  # below 64
-    del code_bits
-    raw_bits = raw_bits.astype(np.int64)
     ends[escape] += raw_bits
-    np.cumsum(ends, out=ends)
+    ends = np.cumsum(ends)
     nbits = int(ends[-1])
     words = np.zeros((nbits + 63 >> 6) + 1, np.uint64)
     if escape.size:

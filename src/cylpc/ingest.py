@@ -7,11 +7,13 @@ every downstream PSNR uses the 255 peak:
     rounded to integers.
   * PLY intensity: kept as-is when the property is an 8-bit integer or
     the observed values already lie in [0, 255] (values within [0, 1]
-    are treated as normalized and scaled by 255); anything else is
-    linearly rescaled from the observed [min, max] onto [0, 255].
+    are treated as normalized and scaled by 255); a constant value
+    outside [0, 255] is clipped into it, and anything else is linearly
+    rescaled from the observed [min, max] onto [0, 255].
 
 Rows with non-finite coordinates or intensity are dropped with a
-warning, not fatally; real sweeps contain invalid returns.
+warning, not fatally; real sweeps contain invalid returns. A file with
+no finite row loads as an empty cloud, which the CLI rejects (exit 2).
 """
 
 from __future__ import annotations

@@ -86,3 +86,10 @@ def test_the_codec_installs_with_numpy_alone():
     # spearmanr needs it too, and CI installs the test extra
     assert _toml_list("dependencies") == ["numpy>=2.0"]
     assert any(dep.startswith("scipy") for dep in _toml_list("test"))
+
+
+def test_tier1_turns_cylpcs_warnings_into_errors():
+    # a test that expects a warning records it; any other one fails the run
+    assert {"error::RuntimeWarning", "error::DeprecationWarning:cylpc",
+            "error::FutureWarning:cylpc", "error::UserWarning:cylpc"} <= set(
+        _toml_list("filterwarnings"))

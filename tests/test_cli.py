@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -393,6 +394,13 @@ def test_analyze_csv_formats(tmp_path, small_ply, capsys):
     assert occ_lines[2].startswith("cylindrical,6,")
 
 
+def test_analyze_rejects_k_below_1_and_writes_no_csv(tmp_path, small_ply, capsys):
+    assert run("analyze", small_ply, "--depth", "4", "--k", "0",
+               "--out-prefix", tmp_path / "a") == 2
+    assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_counts_one_voxel_of_two_points(tmp_path, capsys):
     ply = tmp_path / "twin.ply"
     write_ply(ply, PointCloud(np.array([[1.0, 1.0, 1.0]] * 2), np.zeros(2)))
@@ -648,6 +656,24 @@ def test_exit_code_3_on_malformed_row_ahead_of_the_vertices(tmp_path, capsys,
     assert not (tmp_path / "x.cyl").exists()
 
 
+def test_exit_code_3_on_a_list_property_among_the_vertices(tmp_path, capsys):
+    bad = tmp_path / "bad.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                   "property list uchar int vertex_indices\n" + PLY_TAIL)
+    assert run("encode", bad, "--out", tmp_path / "x.cyl") == 3
+    assert "element 'vertex' has list properties" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_a_ply_with_no_finite_row(tmp_path, capsys):
+    bad = tmp_path / "nan.ply"
+    bad.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                   + PLY_TAIL.replace("1 2 3 4\n", "1 2 3 nan\nnan 0 0 1\n"))
+    with pytest.warns(UserWarning, match="dropped 2 non-finite points"):
+        assert run("encode", bad, "--out", tmp_path / "x.cyl") == 2
+    assert capsys.readouterr().err == "error: cannot bound an empty point cloud\n"
+    assert not (tmp_path / "x.cyl").exists()
+
+
 def test_a_library_warning_prints_as_one_line(tmp_path):
     # it once printed in Python's two-line format, with the source line of
     # the CLI that loaded the frame
@@ -818,4 +844,10 @@ def test_cli_exit_codes_on_mutated_inputs(fuzz_dir, kind, data):
         argv = ["decode", path, "--out", fuzz_dir / "out.ply"]
     else:
         argv = ["encode", path, "--depth", "8", "--out", fuzz_dir / "out.cyl"]
-    assert run(*argv) in (0, 2, 3, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) in (0, 2, 3, 4)
+    # the one warning the CLI can give is the count of dropped rows
+    for w in caught:
+        assert re.fullmatch(rf"{re.escape(str(path))}: dropped \d+ non-finite points",
+                            str(w.message)), w

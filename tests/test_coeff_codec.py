@@ -556,6 +556,22 @@ def test_decoder_error_messages_and_offsets(payload, message, offset):
     assert exc.value.offset == offset
 
 
+def test_zero_literal_in_escape_form_decodes():
+    # [1, 0, 0, 7]: a terminator in run mode, then two zero literals at kr = 0
+    # and the literal 7; the escape form of the first zero (32 ones, m = 1,
+    # raw bit "0") is longer than its code but valid, and only a stream the
+    # encoder did not write can hold it
+    canonical = "10000" + "0" + "0" + "1001111110"
+    assert rlgr_encode([1, 0, 0, 7]).data == _bits(canonical, 4).data
+    escaped = canonical[:5] + "1" * 32 + "00000001" + "0" + canonical[6:]
+    assert rlgr_decode(_bits(escaped, 4)) == [1, 0, 0, 7]
+
+
+def test_payload_count_must_not_be_negative():
+    with pytest.raises(InvalidInputError, match="negative payload count -1"):
+        RlgrPayload(b"", -1)
+
+
 def test_run_remainder_past_the_end_is_exhausted_before_it_overflows():
     # six complete runs take 28 zeros and raise k to 4; the remainder after
     # the "1" marker at bit 6 runs 3 bits past the payload, and with zeros

@@ -114,6 +114,8 @@ def test_non_finite_point_rejected():
         CylindricalPoint(1.0, math.inf, 0.0)
     with pytest.raises(InvalidInputError):
         CylindricalPoint(-1.0, 0.0, 0.0)
+    with pytest.raises(InvalidInputError, match=r"outside \[-pi, pi\)"):
+        CylindricalPoint(1.0, math.pi, 0.0)
 
 
 def test_point_cloud_validation():

@@ -205,6 +205,22 @@ def test_ascii_vertices_that_end_early_are_named_like_any_element(tmp_path):
         load_ply(path)
 
 
+def test_ply_header_comments_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "commented.ply"
+    path.write_text(ASCII_PLY.replace("format ascii 1.0\n",
+                                      "format ascii 1.0\ncomment scanner A\n\ncomment x\n"))
+    np.testing.assert_array_equal(load_ply(path).attributes, [10.0, 20.0, 30.0])
+
+
+def test_mesh_ply_loads_the_vertices_ahead_of_its_face_list(tmp_path):
+    # elements after the vertices are never read, list properties included
+    path = tmp_path / "mesh.ply"
+    path.write_text(ASCII_PLY.replace(
+        "end_header\n", "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    ) + "3 0 1 2\n")
+    np.testing.assert_array_equal(load_ply(path).xyz, [[1, 2, 3], [4, 5, 6], [7.5, -8, 9]])
+
+
 def _ply_with_face(fmt: str, faces: int) -> bytes:
     """A header with a one-property ``face`` element stored ahead of the vertices."""
     return (
@@ -324,6 +340,30 @@ def test_ply_wide_intensity_rescales_to_255(tmp_path):
     assert pc.attributes[0] == 0.0
     assert pc.attributes[1] == 255.0
     assert pc.attributes[2] == pytest.approx(255.0 * 250.0 / 500.0)
+
+
+@pytest.mark.parametrize("value,expected", [(300, 255.0), (-5, 0.0)])
+def test_ply_constant_intensity_outside_8_bits_is_clipped(tmp_path, value, expected):
+    # a constant has no range to rescale from
+    path = tmp_path / "flat.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"property float intensity\nend_header\n0 0 0 {value}\n1 1 1 {value}\n"
+    )
+    np.testing.assert_array_equal(load_ply(path).attributes, [expected, expected])
+
+
+def test_ply_with_no_finite_intensity_loads_empty_with_a_warning(tmp_path):
+    path = tmp_path / "nan.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float intensity\nend_header\n0 0 0 nan\n1 1 1 nan\n"
+    )
+    with pytest.warns(UserWarning, match="dropped 2 non-finite points"):
+        pc = load_ply(path)
+    assert len(pc) == 0
 
 
 def test_ply_uchar_intensity_kept_verbatim(tmp_path):
@@ -490,6 +530,8 @@ def test_spec_validation():
         SweepSpec(intensity_model="plasma")
     with pytest.raises(InvalidInputError):
         SweepSpec(box_count=-1)
+    with pytest.raises(InvalidInputError, match="max_range must be positive"):
+        SweepSpec(max_range=0)
     for sigma in (float("nan"), float("inf"), -0.1):
         with pytest.raises(InvalidInputError, match="noise_sigma must be a finite number >= 0"):
             SweepSpec(noise_sigma=sigma)

@@ -124,6 +124,11 @@ def test_empty_stream_is_corrupt():
         deserialize(b"", 1)
 
 
+def test_deserialize_rejects_depth_outside_range():
+    with pytest.raises(InvalidInputError, match=r"depth 0 outside \[1, 21\]"):
+        deserialize(b"", 0)
+
+
 def test_zero_byte_is_corrupt_with_offset():
     with pytest.raises(CorruptStreamError) as exc:
         deserialize(b"\x01\x00", 2)

@@ -75,6 +75,12 @@ def test_log_radial_requires_r_min_below_radius():
         make_config(pc, CoordinateSystem.CYLINDRICAL, 4, log_radial=True, r_min=0.0)
 
 
+def test_log_radial_requires_the_cylindrical_system():
+    with pytest.raises(InvalidConfigError, match="log_radial requires the cylindrical system"):
+        VoxelGridConfig(CoordinateSystem.CARTESIAN, 4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                        log_radial=True)
+
+
 def test_depth_bounds_enforced():
     pc = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), np.zeros(2))
     with pytest.raises(InvalidConfigError):
@@ -115,6 +121,12 @@ def test_numpy_integer_depths_still_build_grids():
 
 
 # ---------------------------------------------------------------- voxelize
+
+
+def test_assign_codes_rejects_an_empty_cloud():
+    cfg = VoxelGridConfig(CoordinateSystem.CARTESIAN, 4, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    with pytest.raises(InvalidInputError, match="cannot voxelize an empty point cloud"):
+        assign_codes(PointCloud(np.zeros((0, 3)), np.zeros(0)), cfg)
 
 
 def test_single_point_single_voxel():
