@@ -23,7 +23,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .geometry import (
-    CartesianPoint,
     CylindricalPoint,
     PointCloud,
     to_cartesian,

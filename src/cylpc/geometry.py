@@ -29,10 +29,6 @@ class CartesianPoint:
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise InvalidInputError(f"non-finite Cartesian point {(self.x, self.y, self.z)}")
-
 
 @dataclass(frozen=True)
 class CylindricalPoint:

@@ -6,17 +6,19 @@ Every occupied internal node contributes exactly one occupancy byte; bit
 the root, each level sorted by interleaved code, so the stream is a pure
 function of the occupied-voxel set.
 
-``octree_from_leaf_codes`` makes one pass per level: the step that
-dedupes a level's parents also ORs their occupancy bytes, so ``serialize``
-only joins the per-level byte arrays. Deep levels of a sparse cloud are
+``Octree`` holds the leaves and each level's occupancy bytes; the codes of
+the inner levels are loop state. ``octree_from_leaf_codes`` goes up from
+the leaves: the step that dedupes a level's parents also ORs their
+occupancy bytes, so ``serialize`` only joins the per-level byte arrays.
+``deserialize`` goes down from the root. Deep levels of a sparse cloud are
 single-child: such a level's bytes are ``1 << (child & 7)`` with no
 reduction, and ``deserialize`` appends each byte's one set bit to its
 parent's code when no byte of the level has two bits set.
 
 Validation lives where data enters: ``octree_from_leaf_codes`` checks the
 depth and the leaf codes, ``deserialize`` checks the depth and the bytes.
-Both build every level strictly increasing and closed under ``>> 3`` by
-construction, so ``Octree`` itself is a plain holder of the level arrays.
+Every level is strictly increasing and closed under ``>> 3`` by
+construction, so ``Octree`` itself is a plain holder.
 """
 
 from __future__ import annotations
@@ -52,20 +54,12 @@ def _level(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Octree:
-    """Per-level sorted occupied-node codes; level 0 is the root, level
-    ``depth`` holds the leaves. The tree carries geometry only.
-
-    ``occupancy`` holds the uint8 occupancy bytes of levels 0 to
-    depth - 1.
-    """
+    """The sorted leaf codes, at level ``depth``, and the uint8 occupancy
+    bytes of levels 0 (the root) to depth - 1: geometry only."""
 
     depth: int
-    levels: tuple[np.ndarray, ...]
+    leaves: np.ndarray
     occupancy: tuple[np.ndarray, ...]
-
-    @property
-    def leaves(self) -> np.ndarray:
-        return self.levels[self.depth]
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,11 @@ def octree_from_leaf_codes(codes: np.ndarray, depth: int) -> Octree:
         raise InvalidInputError(f"leaf codes outside [0, 8^{depth})")
     if (np.diff(codes) <= 0).any():
         raise InvalidInputError("leaf codes must be strictly increasing")
-    levels, occupancy = [codes], []
+    nodes, occupancy = codes, []
     for _ in range(depth):
-        parents, occ = _level(levels[-1])
-        levels.append(parents)
+        nodes, occ = _level(nodes)
         occupancy.append(occ)
-    return Octree(depth, tuple(reversed(levels)), tuple(reversed(occupancy)))
+    return Octree(depth, codes, tuple(reversed(occupancy)))
 
 
 def serialize(ot: Octree) -> OccupancyStream:
@@ -108,10 +101,9 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
     data = stream.data if isinstance(stream, OccupancyStream) else bytes(stream)
     if not 1 <= depth <= MAX_DEPTH:
         raise InvalidInputError(f"depth {depth} outside [1, {MAX_DEPTH}]")
-    levels, occupancies = [np.zeros(1, dtype=np.int64)], []
+    nodes, occupancies = np.zeros(1, dtype=np.int64), []
     pos = 0
     for _ in range(depth):
-        nodes = levels[-1]
         if pos + nodes.size > len(data):
             raise CorruptStreamError(
                 f"occupancy stream truncated at byte {len(data)}, "
@@ -128,14 +120,14 @@ def deserialize(stream: OccupancyStream | bytes, depth: int) -> Octree:
         pos += nodes.size
         occupancies.append(occupancy)
         if not (occupancy & (occupancy - 1)).any():
-            levels.append((nodes << 3) | _LOWEST_BIT.take(occupancy))
+            nodes = (nodes << 3) | _LOWEST_BIT.take(occupancy)
             continue
         # bit 8*i + b is child b of node i: parents and bits come out ascending
         flat = np.flatnonzero(np.unpackbits(occupancy, bitorder="little").view(bool))
-        levels.append((nodes[flat >> 3] << 3) | (flat & 7))
+        nodes = (nodes[flat >> 3] << 3) | (flat & 7)
     if pos != len(data):
         raise CorruptStreamError(
             f"{len(data) - pos} trailing bytes after occupancy stream at offset {pos}",
             offset=pos,
         )
-    return Octree(depth, tuple(levels), tuple(occupancies))
+    return Octree(depth, nodes, tuple(occupancies))

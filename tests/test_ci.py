@@ -93,3 +93,18 @@ def test_tier1_turns_cylpcs_warnings_into_errors():
     assert {"error::RuntimeWarning", "error::DeprecationWarning:cylpc",
             "error::FutureWarning:cylpc", "error::UserWarning:cylpc"} <= set(
         _toml_list("filterwarnings"))
+
+
+def test_ci_runs_the_readme_cli_examples():
+    # no test runs the console script pyproject.toml installs: CI runs each
+    # command of README.md's "## CLI" block with it, in a fresh directory,
+    # and bash -e fails the step on the first non-zero exit
+    steps = [step for job in _workflow()["jobs"].values() for step in job["steps"]
+             if step.get("name") == "README CLI examples"]
+    assert len(steps) == 1, "tier1.yml has no 'README CLI examples' step"
+    run = steps[0]["run"]
+    assert """sed -n '/^## CLI$/,/^```$/p' "$readme" """ in run
+    assert 'cd "$(mktemp -d)"' in run and "bash -ex examples.sh" in run
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert block, "README.md no longer opens its '## CLI' section with a sh block"
+    assert block.group(1).startswith("cylpc ")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cylpc import (
-    CartesianPoint,
     CoordinateSystem,
     CylindricalPoint,
     InvalidInputError,
@@ -108,8 +107,6 @@ def test_theta_always_in_half_open_interval():
 
 
 def test_non_finite_point_rejected():
-    with pytest.raises(InvalidInputError):
-        CartesianPoint(math.nan, 0.0, 0.0)
     with pytest.raises(InvalidInputError):
         CylindricalPoint(1.0, math.inf, 0.0)
     with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 """Occupancy octree construction and byte-stream serialization."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -28,8 +29,10 @@ def random_leaf_codes(rng, depth, max_n):
 
 def test_single_voxel_one_node_per_level():
     ot = octree_from_leaf_codes(np.array([0b101011]), 2)
-    assert [lvl.size for lvl in ot.levels] == [1, 1, 1]
-    assert ot.levels[1][0] == 0b101
+    assert [occ.size for occ in ot.occupancy] == [1, 1]
+    np.testing.assert_array_equal(ot.leaves, [0b101011])
+    # the one level-1 node is 0b101: the root byte has that bit set
+    assert ot.occupancy[0][0] == 1 << 0b101
     assert len(serialize(ot).data) == 2
 
 
@@ -57,9 +60,11 @@ def test_leaves_equal_voxel_set():
         codes = random_leaf_codes(rng, depth, 300)
         ot = octree_from_leaf_codes(codes, depth)
         np.testing.assert_array_equal(ot.leaves, codes)
+        # one byte per node of a level, one set bit per node of the next
         for lvl in range(depth):
-            parents = np.unique(ot.levels[lvl + 1] >> 3)
-            np.testing.assert_array_equal(parents, ot.levels[lvl])
+            assert ot.occupancy[lvl].size == np.unique(codes >> 3 * (depth - lvl)).size
+            children = np.unique(codes >> 3 * (depth - lvl - 1)).size
+            assert np.unpackbits(ot.occupancy[lvl]).sum() == children
 
 
 def test_octree_leaves_are_the_voxel_codes():
@@ -70,16 +75,14 @@ def test_octree_leaves_are_the_voxel_codes():
     np.testing.assert_array_equal(ot.leaves, vc.codes)
 
 
-def _assert_sorted_and_closed(ot, depth):
-    # what deserialize builds by construction: one root, then strictly
-    # increasing levels where every node has a parent and every parent a child
-    assert ot.depth == depth and len(ot.levels) == depth + 1
-    np.testing.assert_array_equal(ot.levels[0], [0])
-    for lvl in range(1, depth + 1):
-        codes = ot.levels[lvl]
-        assert codes.dtype == np.int64 and codes.size >= 1
-        assert (np.diff(codes) > 0).all(), f"level {lvl} not strictly increasing"
-        np.testing.assert_array_equal(np.unique(codes >> 3), ot.levels[lvl - 1])
+def _assert_same_tree(decoded, built):
+    assert decoded.depth == built.depth
+    assert decoded.leaves.dtype == np.int64
+    np.testing.assert_array_equal(decoded.leaves, built.leaves)
+    assert len(decoded.occupancy) == len(built.occupancy) == built.depth
+    for got, want in zip(decoded.occupancy, built.occupancy):
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
 
 
 def test_round_trip_500_random_sets():
@@ -87,10 +90,10 @@ def test_round_trip_500_random_sets():
     for _ in range(500):
         depth = int(rng.integers(1, 8))
         codes = random_leaf_codes(rng, depth, 120)
-        stream = serialize(octree_from_leaf_codes(codes, depth))
-        back = deserialize(stream, depth)
+        ot = octree_from_leaf_codes(codes, depth)
+        back = deserialize(serialize(ot), depth)
         np.testing.assert_array_equal(back.leaves, codes)
-        _assert_sorted_and_closed(back, depth)
+        _assert_same_tree(back, ot)
 
 
 def test_round_trip_restores_every_level():
@@ -99,11 +102,7 @@ def test_round_trip_restores_every_level():
         depth = int(rng.integers(1, 12))
         codes = random_leaf_codes(rng, depth, 400)
         ot = octree_from_leaf_codes(codes, depth)
-        back = deserialize(serialize(ot), depth)
-        assert len(back.levels) == depth + 1
-        for built, decoded in zip(ot.levels, back.levels):
-            assert decoded.dtype == np.int64
-            np.testing.assert_array_equal(decoded, built)
+        _assert_same_tree(deserialize(serialize(ot), depth), ot)
 
 
 def test_stream_length_equals_internal_node_count_and_is_monotone():
@@ -112,7 +111,8 @@ def test_stream_length_equals_internal_node_count_and_is_monotone():
     codes = random_leaf_codes(rng, depth, 200)
     ot = octree_from_leaf_codes(codes, depth)
     stream = serialize(ot)
-    assert len(stream.data) == sum(lvl.size for lvl in ot.levels[:depth])
+    assert len(stream.data) == sum(np.unique(codes >> 3 * (depth - lvl)).size
+                                   for lvl in range(depth))
     extra = rng.integers(0, 8**depth)
     grown = np.unique(np.append(codes, extra))
     grown_stream = serialize(octree_from_leaf_codes(grown, depth))
@@ -155,30 +155,33 @@ def test_bit_flip_fuzz_never_crashes():
         data[pos] ^= 1 << rng.integers(0, 8)
         try:
             back = deserialize(bytes(data), depth)
-            _assert_sorted_and_closed(back, depth)
-            hits["ok"] += 1
         except CorruptStreamError:
             hits["corrupt"] += 1
+        else:
+            # an accepted stream is the one canonical stream of the leaves it decodes to
+            assert serialize(octree_from_leaf_codes(back.leaves, depth)).data == bytes(data)
+            hits["ok"] += 1
     assert hits["ok"] > 0 and hits["corrupt"] > 0
 
 
 # ------------------------------------------------ single-child levels
 
 
-def reference_bytes(ot):
+def reference_bytes(leaves, depth):
     """Occupancy bytes built parent by parent, without any level shortcut."""
     out = bytearray()
-    for level in range(ot.depth):
-        children = ot.levels[level + 1]
-        _, parent = np.unique(children >> 3, return_inverse=True)
-        occupancy = np.zeros(ot.levels[level].size, dtype=np.uint8)
+    for level in range(depth):
+        children = np.unique(leaves >> 3 * (depth - level - 1))
+        nodes, parent = np.unique(children >> 3, return_inverse=True)
+        occupancy = np.zeros(nodes.size, dtype=np.uint8)
         np.bitwise_or.at(occupancy, parent, np.uint8(1) << (children & 7).astype(np.uint8))
         out += occupancy.tobytes()
     return bytes(out)
 
 
 def single_child_levels(ot):
-    return [lvl for lvl in range(ot.depth) if ot.levels[lvl + 1].size == ot.levels[lvl].size]
+    """The levels whose nodes all have one child: no byte has two bits set."""
+    return [lvl for lvl, occ in enumerate(ot.occupancy) if not (occ & (occ - 1)).any()]
 
 
 def test_depth_21_sparse_sets_round_trip_every_level():
@@ -189,13 +192,30 @@ def test_depth_21_sparse_sets_round_trip_every_level():
         # a few hundred leaves split by level 10 at the latest: the rest is single-child
         assert set(range(10, 21)) <= set(single_child_levels(ot))
         for level in (9, 10, 20):
-            np.testing.assert_array_equal(ot.levels[level], np.unique(codes >> 3 * (21 - level)))
+            assert ot.occupancy[level].size == np.unique(codes >> 3 * (21 - level)).size
         stream = serialize(ot)
-        assert stream.data == reference_bytes(ot)
-        back = deserialize(stream, 21)
-        for built, decoded in zip(ot.levels, back.levels, strict=True):
-            assert decoded.dtype == np.int64
-            np.testing.assert_array_equal(decoded, built)
+        assert stream.data == reference_bytes(codes, 21)
+        _assert_same_tree(deserialize(stream, 21), ot)
+
+
+def test_tree_memory_is_the_leaves_and_the_bytes():
+    # 2,000 leaves at depth 21 are split by level 7, and every level below is
+    # single-child: the codes of all 22 levels would take 18 times the leaves
+    codes = np.unique(np.random.default_rng(21).integers(0, 8**21, 2000))
+    data = serialize(octree_from_leaf_codes(codes, 21)).data
+    deserialize(data, 21)  # untraced first call
+    calls = {"octree_from_leaf_codes": lambda: octree_from_leaf_codes(codes, 21),
+             "deserialize": lambda: deserialize(data, 21)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            ot = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ot.leaves.size == codes.size
+        assert held < 64 * 1024, f"the tree from {name} holds {held} bytes"
+        assert peak < 160 * 1024, f"{name} peaks at {peak} bytes"
 
 
 @pytest.mark.parametrize("twin", [0, 37, 99])
@@ -208,15 +228,14 @@ def test_level_single_child_but_for_one_byte_round_trips(twin):
     ot = octree_from_leaf_codes(leaves, 5)
     # the leaves' parents dedupe one pair of neighbours, the first or the
     # last one at twin 0 or 99
-    for level, built in enumerate(ot.levels):
-        np.testing.assert_array_equal(built, np.unique(leaves >> 3 * (5 - level)))
+    np.testing.assert_array_equal(ot.leaves, leaves)
+    for level, occupancy in enumerate(ot.occupancy):
+        assert occupancy.size == np.unique(leaves >> 3 * (5 - level)).size
     stream = serialize(ot)
-    assert stream.data == reference_bytes(ot)
+    assert stream.data == reference_bytes(leaves, 5)
     last = np.frombuffer(stream.data[-100:], dtype=np.uint8)
     assert np.flatnonzero(last & (last - 1)).tolist() == [twin]
-    back = deserialize(stream, 5)
-    for built, decoded in zip(ot.levels, back.levels, strict=True):
-        np.testing.assert_array_equal(decoded, built)
+    _assert_same_tree(deserialize(stream, 5), ot)
 
 
 def test_zero_byte_in_single_child_level_names_its_offset():
@@ -225,7 +244,7 @@ def test_zero_byte_in_single_child_level_names_its_offset():
     ot = octree_from_leaf_codes(codes, 12)
     assert 11 in single_child_levels(ot)
     data = bytearray(serialize(ot).data)
-    at = len(data) - ot.levels[11].size // 2  # inside the last, single-child level
+    at = len(data) - ot.occupancy[11].size // 2  # inside the last, single-child level
     data[at] = 0
     with pytest.raises(CorruptStreamError, match=f"zero occupancy byte at offset {at}") as exc:
         deserialize(bytes(data), 12)
@@ -274,14 +293,10 @@ def test_invalid_leaf_codes_rejected():
         octree_from_leaf_codes(np.array([], dtype=np.int64), 1)
 
 
-def levels(*lists):
-    return tuple(np.array(codes, dtype=np.int64) for codes in lists)
-
-
 def test_octree_accepts_a_closed_tree():
     # root: children 1 and 2; node 1: children 8 and 15; node 2: child 17
     occupancy = (np.array([0b110], np.uint8), np.array([0b10000001, 0b10], np.uint8))
-    ot = Octree(depth=2, levels=levels([0], [1, 2], [8, 15, 17]), occupancy=occupancy)
+    ot = Octree(depth=2, leaves=np.array([8, 15, 17], np.int64), occupancy=occupancy)
     assert ot.leaves.size == 3
     assert serialize(ot).data == bytes([0b110, 0b10000001, 0b10])
 
